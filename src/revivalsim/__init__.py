@@ -6,5 +6,3 @@ channel monotonicity verifier, and a lab-parameter feasibility calculator.
 """
 
 __version__ = "0.1.0"
-
-from . import algebra, analytic, design, lindblad, witness  # noqa: F401

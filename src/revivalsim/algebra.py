@@ -1,19 +1,15 @@
-"""Coherent-state algebra and truncated Fock-space operators.
+"""Truncated Fock-space operators and thermal-state helpers.
 
-Displacement operators follow the convention D(a) = exp(a*ad - conj(a)*a),
-so D(a)|0> is the coherent state |a>.  All matrix-valued helpers act on a
-Fock space truncated to ``dim`` levels |0>, ..., |dim-1>; states near the
-truncation edge are the caller's responsibility (see `default_dim` and the
-tail diagnostics).
+All matrix-valued helpers act on a Fock space truncated to ``dim`` levels
+|0>, ..., |dim-1>; states near the truncation edge are the caller's
+responsibility (see `default_dim` and the tail diagnostics).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 DEFAULT_TAIL_BOUND = 1e-8
 
@@ -24,13 +20,6 @@ class TruncationError(RuntimeError):
     def __init__(self, message: str, tail_mass: float = float("nan")):
         super().__init__(message)
         self.tail_mass = tail_mass
-
-
-def _check_finite(value: complex, name: str) -> complex:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _check_dim(dim: int) -> int:
@@ -44,62 +33,6 @@ def annihilation(dim: int) -> np.ndarray:
     """Truncated annihilation operator a."""
     dim = _check_dim(dim)
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def number_op(dim: int) -> np.ndarray:
-    """Truncated number operator ad*a."""
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-def position_op(dim: int) -> np.ndarray:
-    """Dimensionless position x = (a + ad)/sqrt(2)."""
-    a = annihilation(dim)
-    return (a + a.conj().T) / math.sqrt(2.0)
-
-
-def displacement_compose(a: complex, b: complex) -> tuple[complex, complex]:
-    """Compose D(a)D(b) = phase * D(a+b).
-
-    Returns (label, phase) with label = a + b and the braiding phase
-    exp((a*conj(b) - conj(a)*b)/2); the phase is always unimodular.
-    """
-    a = _check_finite(a, "a")
-    b = _check_finite(b, "b")
-    phase = cmath.exp((a * b.conjugate() - a.conjugate() * b) / 2.0)
-    return a + b, phase
-
-
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Overlap <a|b> of two coherent states.
-
-    <a|b> = exp(-|a-b|^2/2) * exp((b*conj(a) - conj(b)*a)/2).
-    """
-    a = _check_finite(a, "a")
-    b = _check_finite(b, "b")
-    d = a - b
-    return cmath.exp(-0.5 * (d.real**2 + d.imag**2)) * cmath.exp(
-        (b * a.conjugate() - b.conjugate() * a) / 2.0
-    )
-
-
-def coherent_state(alpha: complex, dim: int) -> np.ndarray:
-    """Fock amplitudes of |alpha>: exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
-    alpha = _check_finite(alpha, "alpha")
-    dim = _check_dim(dim)
-    amps = np.empty(dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps * math.exp(-0.5 * abs(alpha) ** 2)
-
-
-def displacement_matrix(label: complex, dim: int) -> np.ndarray:
-    """Truncated D(label) = expm(label*ad - conj(label)*a)."""
-    label = _check_finite(label, "label")
-    dim = _check_dim(dim)
-    a = annihilation(dim)
-    return expm(label * a.conj().T - label.conjugate() * a)
 
 
 def thermal_occupation(
@@ -170,11 +103,6 @@ def thermal_density(
     return np.diag(probs).astype(complex)
 
 
-def mean_occupation(rho: np.ndarray) -> float:
-    """Tr(rho ad*a) diagnostic for an oscillator density matrix."""
-    return float(np.real(np.trace(rho @ number_op(rho.shape[0]))))
-
-
 def default_dim(
     nbar: float,
     max_displacement: float,
@@ -200,24 +128,3 @@ def default_dim(
         pad = 3.0 * max_displacement * math.sqrt(tail_dim)
         need = max(need, tail_dim + pad + disp_levels + 4.0)
     return max(2, math.ceil(need))
-
-
-def validate_density(
-    rho: np.ndarray,
-    *,
-    trace_tol: float = 1e-9,
-    herm_tol: float = 1e-10,
-    eig_floor: float = -1e-9,
-) -> None:
-    """Assert rho is a density matrix: unit trace, Hermitian, PSD."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if eigs.min() < eig_floor:
-        raise ValueError(f"negative eigenvalue {eigs.min():.3e} below {eig_floor:.1e}")

@@ -25,7 +25,9 @@ class CouplingParams:
     boost_coupling  lambda' = g'/omega for the boosted protocol stage
     nbar            thermal occupation of the oscillator
     q_factor        omega/gamma_m mechanical quality factor (inf = undamped)
-    qubit_decay     gamma_a/omega qubit dephasing rate (damped formula only)
+    qubit_decay     coherence decay rate over omega (damped formula only);
+                    the engine's sqrt(gamma_a) sigma_z jump decays coherence
+                    at 2 gamma_a, so it matches qubit_decay = 2 gamma_a/omega
     """
 
     coupling: float
@@ -49,6 +51,8 @@ class CouplingParams:
 
 def visibility_ground(coupling: float, omega_t) -> ArrayLike:
     """Ground-state contrast exp[-8 lam^2 sin^2(omega t/2)]."""
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
     omega_t = np.asarray(omega_t, dtype=float)
     out = np.exp(-8.0 * coupling**2 * np.sin(omega_t / 2.0) ** 2)
     return out if out.ndim else float(out)
@@ -64,15 +68,19 @@ def visibility_thermal(params: CouplingParams, omega_t) -> ArrayLike:
 
 def visibility_damped(params: CouplingParams, omega_t) -> ArrayLike:
     """Visibility with mechanical damping (Q = omega/gamma_m) and qubit
-    dephasing gamma_a, to leading order in 1/Q:
+    dephasing, to leading order in 1/Q:
 
-        V = exp[-gamma_a t] * exp[-8 lam^2 (2 nbar + 1) f(t)]
+        V = exp[-qubit_decay omega t] * exp[-8 lam^2 (2 nbar + 1) f(t)]
         f = (1/4)/(1 + 1/(4Q^2)) * (2 - 2 cos(x) e^{-x/2Q} + x/Q
                                       - (8/Q) sin(x) e^{-x/2Q}),  x = omega t
 
-    Reduces to `visibility_thermal` as 1/Q -> 0, gamma_a -> 0.  Half-period
-    contrast is exp[-pi gamma_a/omega] exp[-8 lam^2 (2 nbar + 1)] up to
-    O(1/Q^2).
+    qubit_decay is the coherence decay rate over omega.  The engine's
+    sqrt(gamma_a) sigma_z jump decays coherence at 2 gamma_a, so it matches
+    qubit_decay = 2 gamma_a/omega, not gamma_a/omega.
+
+    Reduces to `visibility_thermal` as 1/Q -> 0, qubit_decay -> 0.
+    Half-period contrast is exp[-pi qubit_decay] exp[-8 lam^2 (2 nbar + 1)]
+    up to O(1/Q^2).
     """
     q = params.q_factor
     if q < 10:
@@ -120,7 +128,7 @@ def visibility_boosted(params: CouplingParams, omega_t) -> ArrayLike:
     return out if out.ndim else float(out)
 
 
-def delta_v_boosted(params: CouplingParams) -> float:
+def boosted_swing(params: CouplingParams) -> float:
     """Half-to-full-period visibility rise of the boosted protocol:
 
         exp[-8(2nbar+1) lam'^2] - exp[-8(2nbar+1) (lam+lam')^2]

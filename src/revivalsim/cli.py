@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, analytic, design, witness
 from .algebra import TruncationError, thermal_occupation
-from .config import ConfigError, get_number, parse_config_file, require_keys
+from .config import ConfigError, get_int, get_number, parse_config_file, require_keys
 from .design import GeometryError, PhysicalConfig
 from .lindblad import IntegrationError, ProtocolConfig, run_protocol
 
@@ -256,10 +256,6 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
     if protocol == "spin-echo":
         protocol = "spin_echo"
 
-    dim = values.get("dim")
-    if dim is not None and not isinstance(dim, int):
-        raise ConfigError(f"dim must be an integer, got {dim!r}")
-
     try:
         return ProtocolConfig(
             omega=omega,
@@ -268,12 +264,12 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
             gamma_m=get_number(values, "gamma_m", 0.0),
             gamma_a=get_number(values, "gamma_a", 0.0),
             nbar=nbar,
-            dim=dim,
+            dim=get_int(values, "dim"),
             t_max=t_max,
             dt_initial=get_number(values, "dt_initial", 1e-3),
             protocol=protocol,
-            n_pi=int(values.get("n_pi", 1)),
-            samples_per_period=int(values.get("samples_per_period", 200)),
+            n_pi=get_int(values, "n_pi", 1),
+            samples_per_period=get_int(values, "samples_per_period", 200),
             rtol=get_number(values, "rtol", 1e-10),
             atol=get_number(values, "atol", 1e-12),
         )
@@ -286,10 +282,19 @@ def cmd_simulate(args) -> int:
     cfg = _protocol_config_from_file(values, args.protocol)
     trace = run_protocol(cfg)
     manifest = ManifestWriter("simulate", _json_safe(dataclasses.asdict(cfg)))
+    columns = {
+        "t": trace.times,
+        "visibility": trace.visibility,
+        "re_sigma_minus": trace.sigma_minus.real,
+        "im_sigma_minus": trace.sigma_minus.imag,
+        "trace_error": trace.trace_error,
+        "tail_mass": trace.tail_mass,
+    }
+    values = [c.tolist() for c in columns.values()]
     if args.format == "csv":
-        trace.write_csv(args.out)
+        write_csv(args.out, list(columns), list(zip(*values)))
     else:
-        trace.write_json(args.out)
+        write_json(args.out, dict(zip(columns, values), config=_json_safe(trace.config)))
     manifest.add(args.out)
     manifest.write(args.out)
     print(
@@ -481,6 +486,20 @@ def cmd_design(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = _finite_float(raw)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+    return value
+
+
 def _range_triple(raw: str) -> tuple[float, float, int]:
     parts = raw.split(",")
     if len(parts) != 3:
@@ -503,17 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(_FORMULA_FLAGS),
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
                    help="dimensionless coupling g/omega")
-    p.add_argument("--lambda-prime", dest="lam_prime", type=float, default=None,
-                   help="boost-stage coupling g'/omega")
-    p.add_argument("--nbar", type=float, default=None)
-    p.add_argument("--q", type=float, default=None, help="quality factor omega/gamma_m")
-    p.add_argument("--gamma-a", dest="gamma_a", type=float, default=None,
-                   help="qubit dephasing rate over omega")
+    p.add_argument("--lambda-prime", dest="lam_prime", type=_finite_float,
+                   default=None, help="boost-stage coupling g'/omega")
+    p.add_argument("--nbar", type=_finite_float, default=None)
+    p.add_argument("--q", type=_finite_float, default=None,
+                   help="quality factor omega/gamma_m")
+    p.add_argument("--gamma-a", dest="gamma_a", type=_finite_float, default=None,
+                   help="qubit coherence decay rate over omega; the simulate "
+                        "engine's gamma_a (sigma_z jump rate) decays coherence "
+                        "at 2*gamma_a")
     p.add_argument("--n-atoms", dest="n_atoms", type=int, default=None)
     p.add_argument("--n-pi", dest="n_pi", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None,
+    p.add_argument("--t-max", dest="t_max", type=_positive_float, default=None,
                    help="grid length in oscillator periods (default 2)")
     p.add_argument("--samples", type=int, default=None,
                    help="rows in the half-open omega*t grid (default 400)")

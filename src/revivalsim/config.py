@@ -64,3 +64,10 @@ def get_number(values: dict, key: str, default=None):
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(f"config key {key!r} must be finite, got {v!r}")
     return v
+
+
+def get_int(values: dict, key: str, default=None):
+    v = get_number(values, key, default)
+    if v is not None and not isinstance(v, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
+    return v

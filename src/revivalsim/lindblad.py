@@ -16,7 +16,6 @@ solver diagnostic.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +32,6 @@ from .algebra import (
 
 TRACE_ERROR_BOUND = 1e-7   # max tolerated |Tr rho - 1| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
-_DENSE_VEC_LIMIT = 1700    # use a dense generator when (2*dim)^2 <= this
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -101,10 +99,6 @@ class ProtocolConfig:
         if self.samples_per_period < 4:
             raise ValueError("samples_per_period must be >= 4")
 
-    @property
-    def coupling_ratio(self) -> float:
-        return self.g / self.omega
-
     def max_displacement(self) -> float:
         """Largest conditional displacement the protocol can reach."""
         lam = abs(self.g) / self.omega
@@ -163,38 +157,6 @@ class VisibilityTrace:
     config: dict = field(default_factory=dict)
     states: np.ndarray | None = None
 
-    CSV_HEADER = "t,visibility,re_sigma_minus,im_sigma_minus,trace_error,tail_mass"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for k in range(len(self.times)):
-                row = (
-                    self.times[k],
-                    self.visibility[k],
-                    self.sigma_minus[k].real,
-                    self.sigma_minus[k].imag,
-                    self.trace_error[k],
-                    self.tail_mass[k],
-                )
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "t": list(self.times),
-            "visibility": list(self.visibility),
-            "re_sigma_minus": list(self.sigma_minus.real),
-            "im_sigma_minus": list(self.sigma_minus.imag),
-            "trace_error": list(self.trace_error),
-            "tail_mass": list(self.tail_mass),
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
 
 def build_hamiltonian(cfg: ProtocolConfig, coupling: float | None = None) -> np.ndarray:
     """Joint Hamiltonian omega*ad*a + coupling*(a + ad)*sigma_z.
@@ -227,10 +189,7 @@ def standard_jump_ops(cfg: ProtocolConfig, dim: int) -> list[tuple[float, np.nda
 
 
 def build_liouvillian(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]):
-    """Supermatrix L with d vec(rho)/dt = L vec(rho) (row-major vec).
-
-    Returns a dense array for small systems, CSR sparse otherwise.
-    """
+    """CSR supermatrix L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
     n = h.shape[0]
     eye = sparse.identity(n, format="csr", dtype=complex)
     hs = sparse.csr_matrix(h)
@@ -247,10 +206,7 @@ def build_liouvillian(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]):
             - 0.5 * sparse.kron(opd_op, eye)
             - 0.5 * sparse.kron(eye, opd_op.T)
         )
-    sup = sup.tocsr()
-    if n * n <= _DENSE_VEC_LIMIT:
-        return sup.toarray()
-    return sup
+    return sup.tocsr()
 
 
 def integrate_states(
@@ -263,22 +219,19 @@ def integrate_states(
     first_step: float | None = None,
     method: str = "DOP853",
 ) -> np.ndarray:
-    """Integrate d vec(rho)/dt = generator vec(rho), sampling at t_eval.
+    """Integrate d vec(rho)/dt = generator vec(rho), sampling at t_eval;
+    ``generator`` is the CSR supermatrix from `build_liouvillian`.
 
     Returns hermitized density matrices, shape (len(t_eval), n, n).
     """
     n = rho0.shape[0]
     y0 = np.asarray(rho0, dtype=complex).reshape(-1)
-    if sparse.issparse(generator):
-        rhs = lambda t, y: generator.dot(y)  # noqa: E731
-    else:
-        rhs = lambda t, y: generator @ y  # noqa: E731
     t0, t1 = float(t_eval[0]), float(t_eval[-1])
     if t1 == t0:
         states = np.broadcast_to(rho0, (len(t_eval), n, n)).copy()
         return states
     sol = solve_ivp(
-        rhs,
+        lambda t, y: generator.dot(y),
         (t0, t1),
         y0,
         method=method,
@@ -387,19 +340,6 @@ def _run_segments(
     )
     _enforce_diagnostics(trace)
     return trace
-
-
-def evolve_master(
-    cfg: ProtocolConfig,
-    rho0: np.ndarray | None = None,
-    *,
-    keep_states: bool = False,
-) -> VisibilityTrace:
-    """Single-stage evolution with coupling cfg.g over [0, t_max]."""
-    if rho0 is None:
-        rho0 = initial_state(cfg)
-    t_max = cfg.resolved_t_max()
-    return _run_segments(cfg, [(t_max, cfg.g, None)], rho0, keep_states)
 
 
 def run_protocol(cfg: ProtocolConfig, *, keep_states: bool = False) -> VisibilityTrace:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import thermal_density
 from .lindblad import (
     PLUS_STATE,
     SIGMA_Z,
@@ -251,8 +250,3 @@ def coupled_contrast_case(
     )
     trace = run_protocol(cfg, keep_states=True)
     return check_monotonic(trace, tol)
-
-
-def product_thermal_state(nbar: float, dim: int) -> np.ndarray:
-    """|+><+| (x) thermal(nbar): the protocol's own initial product state."""
-    return np.kron(PLUS_STATE, thermal_density(nbar, dim))

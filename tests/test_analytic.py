@@ -7,6 +7,10 @@ monotonic thermal degradation).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 from revivalsim.analytic import (
     CouplingParams,
-    delta_v_boosted,
+    boosted_swing,
     optimal_boost_coupling,
     spin_echo_overlap,
     visibility_boosted,
@@ -45,6 +49,12 @@ def test_ground_half_period_value():
     assert visibility_ground(lam, math.pi) == pytest.approx(
         math.exp(-8.0 * lam**2), rel=1e-14
     )
+
+
+def test_ground_rejects_nonfinite_coupling():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            visibility_ground(bad, 1.0)
 
 
 def test_thermal_spec_point():
@@ -161,8 +171,8 @@ def test_boosted_branch_continuity():
 def test_boosted_endpoints_match_swing():
     p = CouplingParams(coupling=0.01, boost_coupling=0.1, nbar=1.5414940825367982)
     swing = visibility_boosted(p, 2.0 * math.pi) - visibility_boosted(p, math.pi)
-    assert swing == pytest.approx(delta_v_boosted(p), rel=1e-12)
-    assert delta_v_boosted(p) == pytest.approx(0.047821144115100744, rel=1e-14)
+    assert swing == pytest.approx(boosted_swing(p), rel=1e-12)
+    assert boosted_swing(p) == pytest.approx(0.047821144115100744, rel=1e-14)
 
 
 def test_boosted_first_stage_uses_summed_coupling():
@@ -191,10 +201,10 @@ def test_optimal_boost_maximizes_snr_objective():
     assert abs(grid[int(np.argmax(objective))] - best) < 2.0 * (grid[1] - grid[0])
 
     # full-expression check: at small lam the argmax of
-    # delta_v / sqrt(revival) converges to the closed-form optimum
+    # swing / sqrt(revival) converges to the closed-form optimum
     lam = 1e-4
     ratios = [
-        delta_v_boosted(CouplingParams(coupling=lam, boost_coupling=b, nbar=nbar))
+        boosted_swing(CouplingParams(coupling=lam, boost_coupling=b, nbar=nbar))
         / math.sqrt(
             visibility_boosted(
                 CouplingParams(coupling=lam, boost_coupling=b, nbar=nbar),
@@ -291,3 +301,14 @@ def test_coupling_params_validation():
         CouplingParams(coupling=0.1, nbar=-1.0)
     with pytest.raises(ValueError):
         CouplingParams(coupling=0.1, qubit_decay=-0.5)
+
+
+def test_closed_forms_import_without_scipy():
+    import revivalsim
+
+    src = str(Path(revivalsim.__file__).resolve().parents[1])
+    code = ("import sys, revivalsim.analytic, revivalsim.design; "
+            "print('scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

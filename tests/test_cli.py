@@ -10,7 +10,8 @@ import pytest
 
 from revivalsim import __version__
 from revivalsim.cli import main
-from revivalsim.analytic import CouplingParams, delta_v_boosted, spin_echo_overlap
+from revivalsim.lindblad import ProtocolConfig, run_protocol
+from revivalsim.analytic import CouplingParams, boosted_swing, spin_echo_overlap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -71,7 +72,7 @@ def test_analytic_boosted_swing_matches_closed_form(tmp_path):
     v_half = float(rows[100][1])
     v_full = float(rows[200][1])
     p = CouplingParams(coupling=0.01, boost_coupling=0.1)
-    assert v_full - v_half == pytest.approx(delta_v_boosted(p), abs=1e-12)
+    assert v_full - v_half == pytest.approx(boosted_swing(p), abs=1e-12)
 
 
 def test_analytic_spin_echo_rows(tmp_path):
@@ -108,6 +109,29 @@ def test_analytic_domain_error_exit_code(tmp_path):
     code = main(["analytic", "--formula", "thermal", "--lambda", "0.1",
                  "--nbar", "-2", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_analytic_rejects_nonfinite_flags(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for flag, formula in (("--lambda", "ground"), ("--lambda-prime", "boosted"),
+                          ("--nbar", "thermal"), ("--q", "damped"),
+                          ("--gamma-a", "damped")):
+        for bad in ("nan", "inf", "-inf"):
+            argv = ["analytic", "--formula", formula, f"{flag}={bad}", "--out", str(out)]
+            if flag != "--lambda":
+                argv += ["--lambda", "0.1"]
+            assert main(argv) == 2, (flag, bad)
+            assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analytic_rejects_nonpositive_t_max(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for bad in ("-3", "0", "nan"):
+        assert main(["analytic", "--formula", "thermal", "--lambda", "0.1",
+                     f"--t-max={bad}", "--out", str(out)]) == 2
+        assert "--t-max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analytic_deterministic_output_and_manifest(tmp_path):
@@ -147,6 +171,14 @@ def test_simulate_basic_revival(tmp_path):
     k = int(np.argmin(np.abs(times - math.pi)))
     assert vis[k] == pytest.approx(math.exp(-0.5), abs=1e-6)
     assert vis[-1] == pytest.approx(1.0, abs=1e-8)
+    assert "\r" not in out.read_bytes().decode()
+    trace = run_protocol(
+        ProtocolConfig(g=0.25, t_max=2.0 * math.pi, samples_per_period=50)
+    )
+    assert len(rows) == len(trace.times)
+    last = [float(v) for v in rows[-1]]  # %.17g round-trips exactly
+    assert last[:4] == [trace.times[-1], trace.visibility[-1],
+                        trace.sigma_minus[-1].real, trace.sigma_minus[-1].imag]
     manifest = _read_manifest(out)
     assert manifest["config"]["g"] == 0.25
     assert manifest["config"]["protocol"] == "basic"
@@ -171,9 +203,12 @@ def test_simulate_json_format(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--format", "json",
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert list(doc) == sorted(doc)
+    assert list(doc) == ["config", "im_sigma_minus", "re_sigma_minus", "t",
+                         "tail_mass", "trace_error", "visibility"]
     assert doc["config"]["g"] == 0.1
-    assert len(doc["visibility"]) == len(doc["t"])
+    trace = run_protocol(ProtocolConfig(g=0.1, t_max=1.0, samples_per_period=40))
+    assert doc["t"] == trace.times.tolist()
+    assert doc["visibility"] == trace.visibility.tolist()
 
 
 def test_simulate_protocol_override(tmp_path):
@@ -201,6 +236,17 @@ def test_simulate_config_conflicts(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "wibble" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_integral_counts(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    for line in ("protocol = spin_echo\nn_pi = 1.7", "samples_per_period = 20.9",
+                 "dim = 40.0"):
+        cfg.write_text(f"units = natural\ng = 0.05\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_si_units_need_timescale(tmp_path, capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from revivalsim.algebra import TruncationError, coherent_state
+from revivalsim.algebra import TruncationError
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -20,13 +20,13 @@ from revivalsim.analytic import (
     visibility_damped,
     visibility_thermal,
 )
+from revivalsim.cli import main
 from revivalsim.lindblad import (
     PLUS_STATE,
     SIGMA_Z,
     ProtocolConfig,
     build_hamiltonian,
     build_liouvillian,
-    evolve_master,
     initial_state,
     negativity,
     run_protocol,
@@ -88,18 +88,17 @@ def test_liouvillian_action_matches_rhs():
         (0.07, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
     ]
     sup = build_liouvillian(h, jumps)
-    assert isinstance(sup, np.ndarray)  # small system stays dense
+    assert sparse.issparse(sup) and sup.format == "csr"
     rho = _rand_herm(rng, n)
     got = (sup @ rho.reshape(-1)).reshape(n, n)
     assert np.max(np.abs(got - _lindblad_rhs(h, jumps, rho))) < 1e-12
 
 
-def test_liouvillian_sparse_switch():
+def test_liouvillian_is_csr_at_every_size():
     rng = np.random.default_rng(4)
-    n_dense, n_sparse = 41, 42  # threshold sits between 41^2 and 42^2
-    assert isinstance(build_liouvillian(_rand_herm(rng, n_dense), []), np.ndarray)
-    sup = build_liouvillian(_rand_herm(rng, n_sparse), [])
-    assert sparse.issparse(sup)
+    for n in (6, 42):
+        sup = build_liouvillian(_rand_herm(rng, n), [])
+        assert sparse.issparse(sup) and sup.format == "csr"
 
 
 def test_liouvillian_sparse_action_matches_dense_formula():
@@ -207,15 +206,6 @@ def test_spin_echo_pre_closing_and_closure():
     assert trace.times[-1] == pytest.approx(2.0 * t_mid, abs=1e-9)
 
 
-def test_evolve_master_accepts_custom_state():
-    cfg = ProtocolConfig(g=0.2, t_max=math.pi, samples_per_period=40)
-    dim = cfg.resolved_dim()
-    rho0 = initial_state(cfg, dim)
-    trace = evolve_master(cfg, rho0)
-    pred = visibility_thermal(CouplingParams(coupling=0.2), trace.times)
-    assert np.max(np.abs(trace.visibility - pred)) < 1e-7
-
-
 def test_diagnostics_stay_small_on_clean_run():
     cfg = ProtocolConfig(g=0.25, nbar=0.5, t_max=2.0 * math.pi, samples_per_period=50)
     trace = run_protocol(cfg)
@@ -238,10 +228,14 @@ def test_negativity_product_state_is_zero():
 def test_negativity_of_branch_superposition():
     # (|0>|a> + |1>|-a>)/sqrt(2): negativity = sqrt(1 - |<a|-a>|^2)/2
     alpha, dim = 0.5, 30
+    amps = np.array(  # Fock amplitudes of |a>: exp(-a^2/2) a^n / sqrt(n!)
+        [math.exp(-0.5 * alpha**2) * alpha**n / math.sqrt(math.factorial(n))
+         for n in range(dim)]
+    )
     up = np.zeros(2 * dim, dtype=complex)
-    up[:dim] = coherent_state(alpha, dim)
+    up[:dim] = amps
     down = np.zeros(2 * dim, dtype=complex)
-    down[dim:] = coherent_state(-alpha, dim)
+    down[dim:] = amps * (-1.0) ** np.arange(dim)
     psi = (up + down) / math.sqrt(2.0)
     rho = np.outer(psi, psi.conj())
     s = math.exp(-2.0 * alpha**2)
@@ -311,16 +305,21 @@ def test_thermal_tail_guard_on_forced_dim():
         run_protocol(cfg)
 
 
-# ---------------------------------------------------------------------------
-# trace export
-# ---------------------------------------------------------------------------
+def _simulate_trace(tmp_path, fmt):
+    """Run the trace writer `simulate` uses on the config g=0.2, t_max=pi."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        f"units = natural\ng = 0.2\nt_max = {math.pi!r}\nsamples_per_period = 20\n"
+    )
+    out = tmp_path / f"trace.{fmt}"
+    assert main(["simulate", "--config", str(cfg_file), "--format", fmt,
+                 "--out", str(out)]) == 0
+    trace = run_protocol(ProtocolConfig(g=0.2, t_max=math.pi, samples_per_period=20))
+    return out, trace
 
 
 def test_csv_roundtrip(tmp_path):
-    cfg = ProtocolConfig(g=0.2, t_max=math.pi, samples_per_period=20)
-    trace = run_protocol(cfg)
-    out = tmp_path / "trace.csv"
-    trace.write_csv(out)
+    out, trace = _simulate_trace(tmp_path, "csv")
     content = out.read_bytes().decode()
     assert "\r" not in content
     lines = content.strip().split("\n")
@@ -332,10 +331,7 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_json_export_sorted_and_complete(tmp_path):
-    cfg = ProtocolConfig(g=0.2, t_max=math.pi, samples_per_period=20)
-    trace = run_protocol(cfg)
-    out = tmp_path / "trace.json"
-    trace.write_json(out)
+    out, trace = _simulate_trace(tmp_path, "json")
     doc = json.loads(out.read_text())
     assert list(doc) == sorted(doc)
     assert doc["config"]["g"] == 0.2

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revivalsim.lindblad import negativity
+from revivalsim.lindblad import ProtocolConfig, initial_state, negativity
 from revivalsim.witness import (
     SeparableChannelSpec,
     check_monotonic,
     coupled_contrast_case,
-    product_thermal_state,
     random_product_state,
     random_separable_spec,
     run_property_suite,
@@ -67,7 +66,7 @@ def test_dephasing_adds_to_decay_rate():
     dim = 20
     spec = _unitary_b_spec(dim, 0.1, seed=5)
     spec.qubit_dephasing = 0.05
-    rho0 = product_thermal_state(0.5, dim)
+    rho0 = initial_state(ProtocolConfig(nbar=0.5), dim)
     report = check_monotonic(simulate_separable(spec, rho0, 5.0, samples=150))
     # both sigma_z channels dephase independently: total rate 2(gamma + deph)
     assert report.decay_rate_fit == pytest.approx(0.3, rel=1e-6)
