@@ -81,7 +81,7 @@ class ManifestWriter:
             }
         )
 
-    def write(self, out_path) -> None:
+    def write(self, out_path, **extra) -> None:
         payload = {
             "command": self.command,
             "config": self.config_echo,
@@ -89,6 +89,7 @@ class ManifestWriter:
             "started_at": self.started_at,
             "finished_at": datetime.now(timezone.utc).isoformat(),
             "outputs": self.outputs,
+            **extra,
         }
         write_json(str(out_path) + ".manifest.json", payload)
 
@@ -296,7 +297,7 @@ def cmd_simulate(args) -> int:
     else:
         write_json(args.out, dict(zip(columns, values), config=_json_safe(trace.config)))
     manifest.add(args.out)
-    manifest.write(args.out)
+    manifest.write(args.out, stats=_json_safe(trace.stats))
     print(
         f"wrote {args.out} ({len(trace.times)} samples, "
         f"final V = {trace.visibility[-1]:.6f})"
@@ -312,6 +313,9 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     if args.dim < 2:
         print("error: --dim must be >= 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     rows = witness.run_property_suite(
@@ -500,6 +504,13 @@ def _positive_float(raw: str) -> float:
     return value
 
 
+def _nonnegative_float(raw: str) -> float:
+    value = _finite_float(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw!r}")
+    return value
+
+
 def _range_triple(raw: str) -> tuple[float, float, int]:
     parts = raw.split(",")
     if len(parts) != 3:
@@ -554,13 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, required=True,
                    help="number of random channels (seeds 0..N-1)")
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--t-max", dest="t_max", type=float, default=8.0)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-6)
+    p.add_argument("--t-max", dest="t_max", type=_positive_float, default=8.0)
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--negativity-tol", dest="negativity_tol", type=float,
-                   default=1e-8)
-    p.add_argument("--contrast-coupling", dest="contrast_coupling", type=float,
-                   default=0.25)
+    p.add_argument("--negativity-tol", dest="negativity_tol",
+                   type=_nonnegative_float, default=1e-8)
+    p.add_argument("--contrast-coupling", dest="contrast_coupling",
+                   type=_finite_float, default=0.25)
     p.add_argument("--out", default=None, help="summary CSV path")
     p.set_defaults(func=cmd_verify)
 

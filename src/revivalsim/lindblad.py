@@ -6,37 +6,49 @@ The noise model is
 
     drho/dt = -i[H, rho] + sum_i ( L_i rho L_i^dag - {L_i^dag L_i, rho}/2 )
 
-with jump operators sqrt(nbar*gamma_m) ad, sqrt((nbar+1)*gamma_m) a and
-sqrt(gamma_a) sigma_z.  Visibility is reported normalized to V(0) = 1,
-i.e. V = 2 |Tr(rho sigma_minus (x) 1)|; the raw coherence <sigma_minus>
-is exported alongside.  The trace is never renormalized: its drift is a
-solver diagnostic.
+with H = omega ad a + coupling (a + ad) sigma_z and jump operators
+sqrt(nbar*gamma_m) ad, sqrt((nbar+1)*gamma_m) a and sqrt(gamma_a) sigma_z.
+
+Every generator keeps the sigma_z block structure, so the state is the
+stacked (3, d, d) array [rho00, rho11, rho01] (rho10 = rho01^dag) and block
+(s, s') evolves on its own as -i(H_s rho - rho H_s') + jump terms, with
+H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).  The sigma_x echo
+gate maps (rho00, rho11, rho01) to (rho11, rho00, rho01^dag).
+`run_protocol` integrates in the frame rotating with omega ad a, exact for
+the truncated operators: the coupling becomes coupling (a e^{-i omega t} +
+ad e^{i omega t}), the dissipators are unchanged, and the right-hand side
+is six banded shifts of the flat blocks.  Tr rho01 and the populations are
+frame-independent; states return to the lab frame at each segment end
+(before a gate) and when kept.
+
+Visibility is reported normalized to V(0) = 1, i.e. V = 2 |Tr rho01|; the
+raw coherence <sigma_minus> is exported alongside.  The trace is never
+renormalized: its drift is a solver diagnostic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .algebra import (
-    TruncationError,
-    annihilation,
-    default_dim,
-    thermal_density,
-)
+from .algebra import TruncationError, default_dim, thermal_density
 
 TRACE_ERROR_BOUND = 1e-7   # max tolerated |Tr rho - 1| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
+
+# qubit levels (s, s') of the stacked blocks [rho00, rho11, rho01], and
+# the sigma_z eigenvalue z_s of each level
+BLOCK_LEFT = np.array([0, 1, 0])
+BLOCK_RIGHT = np.array([0, 1, 1])
+Z_LEVEL = SIGMA_Z.diagonal().real
 
 PROTOCOLS = ("basic", "boosted", "spin_echo")
 
@@ -147,6 +159,10 @@ class VisibilityTrace:
     sigma_minus holds the raw coherence <sigma_minus>(t); samples falling
     on a gate time report the pre-gate value (the modulus is continuous
     across gates).  tail_mass is the occupation of the top two Fock levels.
+    states, when kept, holds the joint lab-frame density matrices, shape
+    (n, 2d, 2d).  stats records the run: the Fock dim and the rule that
+    chose it, per-segment solver work (nfev, wall time) and the worst
+    trace drift and tail mass next to their bounds.
     """
 
     times: np.ndarray
@@ -156,94 +172,119 @@ class VisibilityTrace:
     tail_mass: np.ndarray
     config: dict = field(default_factory=dict)
     states: np.ndarray | None = None
+    stats: dict = field(default_factory=dict)
 
 
-def build_hamiltonian(cfg: ProtocolConfig, coupling: float | None = None) -> np.ndarray:
-    """Joint Hamiltonian omega*ad*a + coupling*(a + ad)*sigma_z.
+def split_blocks(rho: np.ndarray) -> np.ndarray:
+    """Stacked blocks [rho00, rho11, rho01] of a joint (2d, 2d) state."""
+    d = rho.shape[0] // 2
+    blocks = np.asarray(rho, dtype=complex).reshape(2, d, 2, d)
+    return np.stack([blocks[s, :, r, :] for s, r in zip(BLOCK_LEFT, BLOCK_RIGHT)])
 
-    ``coupling`` defaults to cfg.g; the boosted stage passes g + g_prime.
+
+def join_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Hermitian joint states from stacked blocks, (..., 3, d, d) -> (..., 2d, 2d)."""
+    r00, r11, r01 = (blocks[..., k, :, :] for k in range(3))
+    r10 = r01.conj().swapaxes(-1, -2)
+    top = np.concatenate([0.5 * (r00 + r00.conj().swapaxes(-1, -2)), r01], axis=-1)
+    bottom = np.concatenate([r10, 0.5 * (r11 + r11.conj().swapaxes(-1, -2))], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+def _flip(blocks: np.ndarray) -> np.ndarray:
+    """(sigma_x (x) 1) rho (sigma_x (x) 1) on stacked blocks."""
+    return np.stack([blocks[1], blocks[0], blocks[2].conj().T])
+
+
+def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
+    """Undo the rotating frame at time t (scalar, or one per leading sample)."""
+    level = np.arange(blocks.shape[-1])
+    phase = np.exp(-1j * omega * np.multiply.outer(t, level[:, None] - level))
+    return blocks * phase[..., None, :, :]
+
+
+def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
+    """Right-hand side for the flat blocks in the rotating frame.
+
+    Each term adds weights * y shifted by a row (d), a column (1) or both
+    (d + 1); a zero weight on a block's last row or column keeps every
+    shift inside its block.
     """
-    if coupling is None:
-        coupling = cfg.g
-    dim = cfg.resolved_dim()
-    a = annihilation(dim)
-    n_op = a.conj().T @ a
-    x_m = a + a.conj().T
-    eye_q = np.eye(2, dtype=complex)
-    return cfg.omega * np.kron(eye_q, n_op) + coupling * np.kron(SIGMA_Z, x_m)
+    n_flat = 3 * dim * dim
+    root = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # <i|a|i+1>, 0 at the edge
+    level = np.arange(dim, dtype=float)
+    down = cfg.gamma_m * (cfg.nbar + 1.0)  # rate of the a jump
+    up = cfg.gamma_m * cfg.nbar            # rate of the ad jump
+    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); on rho01
+    # the sigma_z jump nets -2 gamma_a
+    rate = -0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
+    decay = np.stack([rate, rate, rate - 2.0 * cfg.gamma_a]).astype(complex).ravel()
+
+    def flat(weights, shift):
+        weights = np.broadcast_to(weights, (3, dim, dim)).astype(complex)
+        return weights.ravel()[: n_flat - shift]
+
+    # (shift, y read at the lower flat index, weights, phase slot)
+    terms = []
+    if coupling:
+        rows = flat((coupling * Z_LEVEL[BLOCK_LEFT])[:, None, None] * root[:, None], dim)
+        cols = flat((coupling * Z_LEVEL[BLOCK_RIGHT])[:, None, None] * root, 1)
+        terms += [(dim, False, rows, 0),  # -i z_s g e^{-i omega t} a rho
+                  (dim, True, rows, 1),   # -i z_s g e^{+i omega t} ad rho
+                  (1, True, cols, 2),     # +i z_s' g e^{-i omega t} rho a
+                  (1, False, cols, 3)]    # +i z_s' g e^{+i omega t} rho ad
+    if down:
+        terms.append((dim + 1, False, flat(down * np.outer(root, root), dim + 1), None))
+    if up:
+        terms.append((dim + 1, True, flat(up * np.outer(root, root), dim + 1), None))
+    work = np.empty(n_flat, dtype=complex)
+
+    def rhs(t, y):
+        out = y * decay
+        turn = complex(math.cos(cfg.omega * t), -math.sin(cfg.omega * t))
+        phases = (-1j * turn, -1j * turn.conjugate(), 1j * turn, 1j * turn.conjugate())
+        for shift, from_lower, weights, slot in terms:
+            size = n_flat - shift
+            term = np.multiply(y[:size] if from_lower else y[shift:], weights,
+                               out=work[:size])
+            if slot is not None:
+                np.multiply(term, phases[slot], out=term)
+            target = out[shift:] if from_lower else out[:size]
+            np.add(target, term, out=target)
+        return out
+
+    return rhs
 
 
-def standard_jump_ops(cfg: ProtocolConfig, dim: int) -> list[tuple[float, np.ndarray]]:
-    """Jump operators of the standard noise model on the joint space."""
-    a = annihilation(dim)
-    eye_q = np.eye(2, dtype=complex)
-    eye_m = np.eye(dim, dtype=complex)
-    jumps = []
-    if cfg.gamma_m > 0:
-        if cfg.nbar > 0:
-            jumps.append((cfg.nbar * cfg.gamma_m, np.kron(eye_q, a.conj().T)))
-        jumps.append(((cfg.nbar + 1.0) * cfg.gamma_m, np.kron(eye_q, a)))
-    if cfg.gamma_a > 0:
-        jumps.append((cfg.gamma_a, np.kron(SIGMA_Z, eye_m)))
-    return jumps
+def integrate_blocks(rhs, blocks0, t_eval, *, rtol=1e-10, atol=1e-12,
+                     first_step=None, method="DOP853") -> tuple[np.ndarray, int]:
+    """Integrate the flattened stacked blocks under rhs(t, y).
 
-
-def build_liouvillian(h: np.ndarray, jumps: list[tuple[float, np.ndarray]]):
-    """CSR supermatrix L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
-    n = h.shape[0]
-    eye = sparse.identity(n, format="csr", dtype=complex)
-    hs = sparse.csr_matrix(h)
-    sup = -1j * (sparse.kron(hs, eye) - sparse.kron(eye, hs.T))
-    for rate, op in jumps:
-        if rate < 0:
-            raise ValueError(f"jump rate must be >= 0, got {rate}")
-        if rate == 0:
-            continue
-        ops = sparse.csr_matrix(op)
-        opd_op = (ops.conj().T @ ops).tocsr()
-        sup = sup + rate * (
-            sparse.kron(ops, ops.conj())
-            - 0.5 * sparse.kron(opd_op, eye)
-            - 0.5 * sparse.kron(eye, opd_op.T)
-        )
-    return sup.tocsr()
-
-
-def integrate_states(
-    generator,
-    rho0: np.ndarray,
-    t_eval: np.ndarray,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    first_step: float | None = None,
-    method: str = "DOP853",
-) -> np.ndarray:
-    """Integrate d vec(rho)/dt = generator vec(rho), sampling at t_eval;
-    ``generator`` is the CSR supermatrix from `build_liouvillian`.
-
-    Returns hermitized density matrices, shape (len(t_eval), n, n).
+    Returns the blocks at t_eval, shape (len(t_eval), 3, d, d), and nfev.
     """
-    n = rho0.shape[0]
-    y0 = np.asarray(rho0, dtype=complex).reshape(-1)
-    t0, t1 = float(t_eval[0]), float(t_eval[-1])
-    if t1 == t0:
-        states = np.broadcast_to(rho0, (len(t_eval), n, n)).copy()
-        return states
-    sol = solve_ivp(
-        lambda t, y: generator.dot(y),
-        (t0, t1),
-        y0,
-        method=method,
-        t_eval=np.asarray(t_eval, dtype=float),
-        rtol=rtol,
-        atol=atol,
-        first_step=first_step,
-    )
+    sol = solve_ivp(rhs, (float(t_eval[0]), float(t_eval[-1])),
+                    np.asarray(blocks0, dtype=complex).ravel(), method=method,
+                    t_eval=t_eval, rtol=rtol, atol=atol, first_step=first_step)
     if not sol.success:
         raise IntegrationError(f"master-equation solver failed: {sol.message}")
-    states = sol.y.T.reshape(len(t_eval), n, n)
-    return 0.5 * (states + states.conj().transpose(0, 2, 1))
+    return sol.y.T.reshape(len(t_eval), *blocks0.shape), sol.nfev
+
+
+def observables(blocks: np.ndarray):
+    """<sigma_minus>, |Tr rho - 1| and top-two-level occupation per sample."""
+    diag = np.diagonal(blocks, axis1=-2, axis2=-1)
+    pops = diag[:, 0].real + diag[:, 1].real
+    return diag[:, 2].sum(axis=-1), np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
+
+
+def make_trace(times, rows, config, states, stats) -> VisibilityTrace:
+    """Trace from per-segment `observables`; stats gains the worst diagnostics."""
+    sigma, trace_err, tail = (np.concatenate(column) for column in zip(*rows))
+    stats.update(worst_trace_error=float(trace_err.max()),
+                 trace_error_bound=TRACE_ERROR_BOUND,
+                 worst_tail_mass=float(tail.max()), tail_mass_bound=TAIL_MASS_BOUND)
+    return VisibilityTrace(times, 2.0 * np.abs(sigma), sigma, trace_err, tail,
+                           config, states, stats)
 
 
 def initial_state(cfg: ProtocolConfig, dim: int | None = None) -> np.ndarray:
@@ -254,91 +295,53 @@ def initial_state(cfg: ProtocolConfig, dim: int | None = None) -> np.ndarray:
     return np.kron(PLUS_STATE, rho_m)
 
 
-def _trace_rows(states: np.ndarray, dim: int):
-    """Per-sample observables and diagnostics from joint states."""
-    n_samp = states.shape[0]
-    sigma = np.empty(n_samp, dtype=complex)
-    trace_err = np.empty(n_samp)
-    tail = np.empty(n_samp)
-    for k in range(n_samp):
-        rho = states[k]
-        blocks = rho.reshape(2, dim, 2, dim)
-        # <sigma_minus> = Tr_B rho_{01} for sigma_minus = |1><0|
-        sigma[k] = np.trace(blocks[0, :, 1, :])
-        tr = np.trace(rho).real
-        trace_err[k] = abs(tr - 1.0)
-        pops = np.einsum("aiai->i", blocks).real
-        tail[k] = float(pops[-2:].sum())
-    return sigma, trace_err, tail
-
-
-def _enforce_diagnostics(trace: VisibilityTrace) -> None:
-    worst_trace = float(trace.trace_error.max())
+def _enforce_diagnostics(stats: dict) -> None:
+    worst_trace, worst_tail = stats["worst_trace_error"], stats["worst_tail_mass"]
     if worst_trace > TRACE_ERROR_BOUND:
         raise IntegrationError(
-            f"trace drift {worst_trace:.3e} exceeds {TRACE_ERROR_BOUND:.1e}"
-        )
-    worst_tail = float(trace.tail_mass.max())
+            f"trace drift {worst_trace:.3e} exceeds {TRACE_ERROR_BOUND:.1e}")
     if worst_tail > TAIL_MASS_BOUND:
         raise TruncationError(
             f"Fock tail mass {worst_tail:.3e} exceeds {TAIL_MASS_BOUND:.1e}; "
-            "increase dim",
-            tail_mass=worst_tail,
-        )
+            "increase dim", tail_mass=worst_tail)
 
 
-def _run_segments(
-    cfg: ProtocolConfig,
-    segments: list[tuple[float, float, np.ndarray | None]],
-    rho0: np.ndarray,
-    keep_states: bool,
-) -> VisibilityTrace:
-    """Evolve through (duration, coupling, gate_after) segments."""
+def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
+                  keep_states: bool) -> VisibilityTrace:
+    """Evolve through (duration, coupling, flip_after) segments."""
     dim = cfg.resolved_dim()
     period = 2.0 * math.pi / cfg.omega
-    jumps = standard_jump_ops(cfg, dim)
-    generators: dict[float, object] = {}
-
-    times: list[np.ndarray] = []
-    chunks: list[np.ndarray] = []
-    rho = rho0
+    rhs_by_coupling = {}
+    times, rows, kept, segment_stats = [], [], [], []
+    blocks = split_blocks(initial_state(cfg, dim))
     t_now = 0.0
-    for seg_idx, (duration, coupling, gate) in enumerate(segments):
-        if coupling not in generators:
-            h = build_hamiltonian(cfg, coupling)
-            generators[coupling] = build_liouvillian(h, jumps)
+    for seg_idx, (duration, coupling, flip) in enumerate(segments):
+        if coupling not in rhs_by_coupling:
+            rhs_by_coupling[coupling] = _rotating_rhs(cfg, dim, coupling)
         n_int = max(2, round(cfg.samples_per_period * duration / period))
         t_local = np.linspace(0.0, duration, n_int + 1)
-        states = integrate_states(
-            generators[coupling],
-            rho,
-            t_local,
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            first_step=min(cfg.dt_initial, duration / 2),
-            method=cfg.method,
+        started = time.perf_counter()
+        path, nfev = integrate_blocks(
+            rhs_by_coupling[coupling], blocks, t_local, rtol=cfg.rtol, atol=cfg.atol,
+            first_step=min(cfg.dt_initial, duration / 2), method=cfg.method,
         )
-        rho = states[-1]
-        if gate is not None:
-            rho = gate @ rho @ gate.conj().T
+        segment_stats.append({"duration": duration, "coupling": coupling, "nfev": nfev,
+                              "wall_s": time.perf_counter() - started})
+        blocks = _to_lab(path[-1], cfg.omega, duration)
+        if flip:
+            blocks = _flip(blocks)
         keep = slice(None) if seg_idx == 0 else slice(1, None)
         times.append(t_now + t_local[keep])
-        chunks.append(states[keep])
+        rows.append(observables(path[keep]))
+        if keep_states:
+            kept.append(join_blocks(_to_lab(path[keep], cfg.omega, t_local[keep])))
         t_now += duration
 
-    all_states = np.concatenate(chunks, axis=0)
-    all_times = np.concatenate(times)
-    sigma, trace_err, tail = _trace_rows(all_states, dim)
-    trace = VisibilityTrace(
-        times=all_times,
-        visibility=2.0 * np.abs(sigma),
-        sigma_minus=sigma,
-        trace_error=trace_err,
-        tail_mass=tail,
-        config=dataclasses.asdict(cfg),
-        states=all_states if keep_states else None,
-    )
-    _enforce_diagnostics(trace)
+    stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
+             "segments": segment_stats}
+    trace = make_trace(np.concatenate(times), rows, dataclasses.asdict(cfg),
+                       np.concatenate(kept) if keep_states else None, stats)
+    _enforce_diagnostics(stats)
     return trace
 
 
@@ -351,42 +354,35 @@ def run_protocol(cfg: ProtocolConfig, *, keep_states: bool = False) -> Visibilit
                echo closure per the mirrored block; the composed map is the
                identity, so the final visibility returns to 1
     """
-    dim = cfg.resolved_dim()
-    rho0 = initial_state(cfg, dim)
-    period = 2.0 * math.pi / cfg.omega
-    half = 0.5 * period
+    half = math.pi / cfg.omega
     t_max = cfg.resolved_t_max()
-
     if cfg.protocol == "basic":
-        segments = [(t_max, cfg.g, None)]
+        segments = [(t_max, cfg.g, False)]
     elif cfg.protocol == "boosted":
-        segments = [
-            (half, cfg.g + cfg.g_prime, None),
-            (t_max - half, cfg.g, None),
-        ]
+        segments = [(half, cfg.g + cfg.g_prime, False), (t_max - half, cfg.g, False)]
     else:  # spin_echo
-        flip = np.kron(SIGMA_X, np.eye(dim, dtype=complex))
+        # the closing flip cancels the block-final flip at the junction
+        # and at the very end; everywhere else a flip follows the segment
         n_seg = 4 * cfg.n_pi
-        segments = []
-        for j in range(1, n_seg + 1):
-            # the closing flip cancels the block-final flip at the junction
-            # and at the very end; everywhere else a flip follows the segment
-            gate = None if j in (2 * cfg.n_pi, n_seg) else flip
-            segments.append((half, cfg.g, gate))
-    return _run_segments(cfg, segments, rho0, keep_states)
+        segments = [(half, cfg.g, j not in (2 * cfg.n_pi, n_seg))
+                    for j in range(1, n_seg + 1)]
+    return _run_segments(cfg, segments, keep_states)
+
+
+def negativities(states: np.ndarray) -> np.ndarray:
+    """Negativity across the qubit|oscillator cut of each joint state in an
+    (n, 2d, 2d) stack: the sum of |negative eigenvalues| of the partial
+    transpose over the qubit, from one stacked eigvalsh."""
+    n_states, n = np.shape(states)[:2]
+    if n % 2 != 0:
+        raise ValueError(f"joint dimension must be even, got {n}")
+    d = n // 2
+    pt = np.reshape(states, (n_states, 2, d, 2, d)).transpose(0, 3, 2, 1, 4)
+    pt = pt.reshape(n_states, n, n)
+    eigs = np.linalg.eigvalsh(0.5 * (pt + pt.conj().swapaxes(-1, -2)))
+    return -np.minimum(eigs, 0.0).sum(axis=-1)
 
 
 def negativity(rho: np.ndarray) -> float:
-    """Entanglement negativity across the qubit|oscillator cut.
-
-    Sum of |negative eigenvalues| of the partial transpose over the qubit.
-    """
-    rho = np.asarray(rho)
-    n = rho.shape[0]
-    if n % 2 != 0:
-        raise ValueError(f"joint dimension must be even, got {n}")
-    dim = n // 2
-    pt = rho.reshape(2, dim, 2, dim).transpose(2, 1, 0, 3).reshape(n, n)
-    pt = 0.5 * (pt + pt.conj().T)
-    eigs = np.linalg.eigvalsh(pt)
-    return float(-eigs[eigs < 0].sum())
+    """Entanglement negativity of one joint state across the qubit|oscillator cut."""
+    return float(negativities(np.asarray(rho)[None])[0])

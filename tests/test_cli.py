@@ -184,6 +184,35 @@ def test_simulate_basic_revival(tmp_path):
     assert manifest["config"]["protocol"] == "basic"
 
 
+def test_simulate_manifest_records_solver_stats(tmp_path):
+    out = tmp_path / "basic.csv"
+    assert main(["simulate", "--config", f"{CONFIGS}/demo_basic.cfg",
+                 "--out", str(out)]) == 0
+    stats = _read_manifest(out)["stats"]
+    assert stats["dim_rule"] == "default_dim"
+    assert stats["dim"] >= 2
+    assert len(stats["segments"]) == 1
+    segment = stats["segments"][0]
+    assert segment["nfev"] > 0
+    assert segment["wall_s"] > 0.0
+    _, rows = _read_csv(out)
+    assert stats["worst_trace_error"] == max(float(r[4]) for r in rows)
+    assert stats["worst_tail_mass"] == max(float(r[5]) for r in rows)
+    assert stats["trace_error_bound"] == 1e-7
+    assert stats["tail_mass_bound"] == 1e-6
+
+
+def test_simulate_manifest_names_configured_dim(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 0.1\ndim = 40\nprotocol = boosted\n"
+                   "g_prime = 0.05\nt_max_periods = 1\nsamples_per_period = 20\n")
+    out = tmp_path / "boosted.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    stats = _read_manifest(out)["stats"]
+    assert (stats["dim"], stats["dim_rule"]) == (40, "config")
+    assert [s["coupling"] for s in stats["segments"]] == pytest.approx([0.15, 0.1])
+
+
 def test_simulate_spin_echo_config(tmp_path):
     out = tmp_path / "echo.csv"
     assert main(["simulate", "--config", f"{CONFIGS}/demo_spin_echo.cfg",
@@ -299,6 +328,23 @@ def test_verify_small_suite(tmp_path, capsys):
 def test_verify_rejects_empty_suite(capsys):
     assert main(["verify", "--seeds", "0"]) == 2
     assert "empty suite" in capsys.readouterr().err
+
+
+def test_verify_rejects_empty_sample_grid(capsys):
+    for samples in ("0", "-3"):
+        assert main(["verify", "--seeds", "1", "--dim", "4", "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol=nan", "--tol=-1e-6", "--negativity-tol=nan",
+                                  "--negativity-tol=-1", "--t-max=nan", "--t-max=0",
+                                  "--contrast-coupling=nan",
+                                  "--contrast-coupling=inf"])
+def test_verify_rejects_bad_float_flags(flag, capsys):
+    # a NaN tolerance used to read as a witness failure (exit 5) and a NaN
+    # coupling as a domain error (exit 3); both are usage errors
+    assert main(["verify", "--seeds", "1", "--dim", "4", flag]) == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

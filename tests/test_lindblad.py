@@ -1,8 +1,9 @@
 """Tests for the numerical master-equation engine.
 
 The closed-form curves from `analytic` serve as oracles everywhere the
-noise model admits one; the generator itself is checked directly against
-the defining right-hand side on small random systems.
+noise model admits one.  The block kernel itself is checked against the
+defining right-hand side of the joint master equation, built here with
+np.kron, on small random states.
 """
 
 import json
@@ -10,9 +11,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy.integrate import solve_ivp
 
-from revivalsim.algebra import TruncationError
+from revivalsim.algebra import TruncationError, annihilation, thermal_density
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -25,20 +26,24 @@ from revivalsim.lindblad import (
     PLUS_STATE,
     SIGMA_Z,
     ProtocolConfig,
-    build_hamiltonian,
-    build_liouvillian,
+    _flip,
+    _rotating_rhs,
     initial_state,
+    join_blocks,
     negativity,
     run_protocol,
-    standard_jump_ops,
+    split_blocks,
 )
+from revivalsim.witness import _block_rhs, random_separable_spec
 
 FIG_NBAR = 1.5414940825367982  # thermal occupation at omega = 1, T = 2
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _rand_herm(rng, n):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (m + m.conj().T) / 2.0
+def _random_state(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def _lindblad_rhs(h, jumps, rho):
@@ -51,82 +56,156 @@ def _lindblad_rhs(h, jumps, rho):
     return out
 
 
+def _joint_model(cfg, dim, coupling):
+    """Lab-frame joint Hamiltonian and jumps of the protocol model."""
+    a = annihilation(dim)
+    ad = a.conj().T
+    eye_q, eye_m = np.eye(2), np.eye(dim)
+    h = cfg.omega * np.kron(eye_q, ad @ a) + coupling * np.kron(SIGMA_Z, a + ad)
+    jumps = [
+        (cfg.nbar * cfg.gamma_m, np.kron(eye_q, ad)),
+        ((cfg.nbar + 1.0) * cfg.gamma_m, np.kron(eye_q, a)),
+        (cfg.gamma_a, np.kron(SIGMA_Z, eye_m)),
+    ]
+    return h, jumps
+
+
+def _dense_rhs(h, jumps):
+    n = h.shape[0]
+    return lambda t, y: _lindblad_rhs(h, jumps, y.reshape(n, n)).ravel()
+
+
+def _apply(rhs, t, blocks):
+    return rhs(t, blocks.ravel()).reshape(blocks.shape)
+
+
 # ---------------------------------------------------------------------------
-# generator construction
+# block kernel
 # ---------------------------------------------------------------------------
 
 
 def test_hamiltonian_layout():
+    # noiseless, in the rotating frame: block (s, s') evolves as
+    # -i(V_s rho - rho V_s') with V_up = 0.3 (a e^{-i w t} + ad e^{i w t})
+    # and the qubit-down block's coupling flipped; the 2 ad a term is gone
     cfg = ProtocolConfig(omega=2.0, g=0.3, dim=12)
-    h = build_hamiltonian(cfg)
-    # qubit-up block: 2*n + 0.3*(a+ad); qubit-down block flips the coupling
-    up = h[:12, :12]
-    down = h[12:, 12:]
-    assert up[1, 1] == pytest.approx(2.0)
-    assert up[0, 1] == pytest.approx(0.3)
-    assert down[0, 1] == pytest.approx(-0.3)
-    assert np.allclose(h, h.conj().T)
-    assert np.allclose(h[:12, 12:], 0.0)
+    a = annihilation(12)
+    rng = np.random.default_rng(1)
+    blocks = split_blocks(_random_state(rng, 24))
+    rhs = _rotating_rhs(cfg, 12, 0.3)
+    for t, turn in ((0.0, 1.0), (math.pi / 4.0, -1j)):
+        v_up = 0.3 * (turn * a + np.conj(turn) * a.conj().T)
+        v = [v_up, -v_up]
+        want = np.stack([-1j * (v[s] @ blocks[k] - blocks[k] @ v[r])
+                         for k, (s, r) in enumerate([(0, 0), (1, 1), (0, 1)])])
+        assert np.max(np.abs(_apply(rhs, t, blocks) - want)) < 1e-14
 
 
 def test_standard_jump_rates():
     cfg = ProtocolConfig(g=0.1, gamma_m=0.02, gamma_a=0.005, nbar=3.0, dim=16)
-    jumps = standard_jump_ops(cfg, 16)
-    rates = sorted(rate for rate, _ in jumps)
-    assert rates == pytest.approx(sorted([3.0 * 0.02, 4.0 * 0.02, 0.005]))
-    # no mechanical jumps when gamma_m = 0
+    rhs = _rotating_rhs(cfg, 16, 0.0)
+    proj = np.eye(16, dtype=complex)
+    blocks = np.stack([np.outer(proj[0], proj[0]), np.outer(proj[1], proj[1]),
+                       np.outer(proj[0], proj[0])])
+    d = _apply(rhs, 0.0, blocks)
+    up, down = 3.0 * 0.02, 4.0 * 0.02  # rates of the ad and a jumps
+    assert d[0, 1, 1] == pytest.approx(up) and d[0, 0, 0] == pytest.approx(-up)
+    assert d[1, 0, 0] == pytest.approx(down) and d[1, 2, 2] == pytest.approx(2 * up)
+    assert d[1, 1, 1] == pytest.approx(-down - 2 * up)
+    assert d[2, 0, 0] == pytest.approx(-up - 2 * 0.005)
+    # no mechanical jumps when gamma_m = 0: only the coherence dephases
     cfg2 = ProtocolConfig(g=0.1, gamma_a=0.005, nbar=3.0, dim=16)
-    assert len(standard_jump_ops(cfg2, 16)) == 1
+    d2 = _apply(_rotating_rhs(cfg2, 16, 0.0), 0.0, blocks)
+    assert np.max(np.abs(d2[:2])) == 0.0
+    assert np.max(np.abs(d2[2] + 2 * 0.005 * blocks[2])) < 1e-18
 
 
-def test_liouvillian_action_matches_rhs():
+def test_protocol_rhs_matches_dense_lindblad():
+    # rotating frame rho~ = U rho U^dag, U = exp(i omega N t):
+    # d rho~/dt = i omega [N, rho~] + U L(U^dag rho~ U) U^dag
     rng = np.random.default_rng(3)
-    n = 6
-    h = _rand_herm(rng, n)
-    jumps = [
-        (0.13, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
-        (0.07, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
-    ]
-    sup = build_liouvillian(h, jumps)
-    assert sparse.issparse(sup) and sup.format == "csr"
-    rho = _rand_herm(rng, n)
-    got = (sup @ rho.reshape(-1)).reshape(n, n)
-    assert np.max(np.abs(got - _lindblad_rhs(h, jumps, rho))) < 1e-12
+    for dim in (6, 12):
+        cfg = ProtocolConfig(omega=1.3, g=0.2, gamma_m=0.05, gamma_a=0.02, nbar=0.7)
+        h, jumps = _joint_model(cfg, dim, 0.35)
+        rhs = _rotating_rhs(cfg, dim, 0.35)
+        levels = np.tile(np.arange(dim), 2)
+        for t in (0.0, 0.9):
+            rho = _random_state(rng, 2 * dim)
+            u = np.diag(np.exp(1j * cfg.omega * levels * t))
+            n_op = np.diag(levels.astype(complex))
+            want = 1j * cfg.omega * (n_op @ rho - rho @ n_op) + u @ _lindblad_rhs(
+                h, jumps, u.conj().T @ rho @ u) @ u.conj().T
+            got = _apply(rhs, t, split_blocks(rho))
+            assert np.max(np.abs(got - split_blocks(want))) < 1e-12
 
 
-def test_liouvillian_is_csr_at_every_size():
-    rng = np.random.default_rng(4)
-    for n in (6, 42):
-        sup = build_liouvillian(_rand_herm(rng, n), [])
-        assert sparse.issparse(sup) and sup.format == "csr"
-
-
-def test_liouvillian_sparse_action_matches_dense_formula():
+def test_separable_rhs_matches_dense_lindblad():
     rng = np.random.default_rng(5)
-    n = 42
-    h = _rand_herm(rng, n)
-    jumps = [(0.2, rng.normal(size=(n, n)) + 0j)]
-    sup = build_liouvillian(h, jumps)
-    rho = _rand_herm(rng, n)
-    got = (sup @ rho.reshape(-1)).reshape(n, n)
-    assert np.max(np.abs(got - _lindblad_rhs(h, jumps, rho))) < 1e-11
+    for dim, seed in ((6, 2), (12, 3)):
+        spec = random_separable_spec(seed, dim)
+        assert spec.oscillator_lindblads and spec.qubit_dephasing > 0
+        eye_q, eye_m = np.eye(2), np.eye(dim)
+        h = spec.qubit_splitting * np.kron(SIGMA_Z, eye_m) + np.kron(
+            eye_q, spec.oscillator_hamiltonian)
+        jumps = [(spec.gamma, np.kron(SIGMA_Z, spec.b_operator)),
+                 (spec.qubit_dephasing, np.kron(SIGMA_Z, eye_m))]
+        jumps += [(rate, np.kron(eye_q, op)) for op, rate in spec.oscillator_lindblads]
+        rho = _random_state(rng, 2 * dim)
+        got = _apply(_block_rhs(spec), 0.0, split_blocks(rho))
+        assert np.max(np.abs(got - split_blocks(_lindblad_rhs(h, jumps, rho)))) < 1e-12
 
 
-def test_liouvillian_rejects_negative_rate():
-    with pytest.raises(ValueError):
-        build_liouvillian(np.eye(3, dtype=complex), [(-0.1, np.eye(3, dtype=complex))])
-
-
-def test_liouvillian_annihilates_steady_state():
+def test_protocol_rhs_annihilates_steady_state():
     # with thermal jumps and no coupling, the thermal state is stationary
-    from revivalsim.algebra import thermal_density
-
     cfg = ProtocolConfig(g=0.0, gamma_m=0.1, nbar=2.0, dim=50)
-    h = build_hamiltonian(cfg)
-    sup = build_liouvillian(h, standard_jump_ops(cfg, 50))
     rho = np.kron(np.diag([1.0, 0.0]).astype(complex), thermal_density(2.0, 50))
-    resid = sup @ rho.reshape(-1)
+    resid = _apply(_rotating_rhs(cfg, 50, 0.0), 1.7, split_blocks(rho))
     assert np.max(np.abs(resid)) < 1e-9  # truncation-limited, not solver-limited
+
+
+def test_echo_gate_swaps_blocks():
+    rho = _random_state(np.random.default_rng(6), 14)
+    flip = np.kron(SIGMA_X, np.eye(7))
+    got = join_blocks(_flip(split_blocks(rho)))
+    assert np.max(np.abs(got - flip @ rho @ flip)) < 1e-15
+    assert np.max(np.abs(join_blocks(split_blocks(rho)) - rho)) < 1e-15
+
+
+@pytest.mark.parametrize("protocol", ["basic", "spin_echo"])
+def test_kept_states_are_lab_frame_density_matrices(protocol):
+    dim, n_pi = 20, 1
+    cfg = ProtocolConfig(g=0.15, nbar=0.3, gamma_m=0.02, gamma_a=0.01, dim=dim,
+                         t_max=1.5, protocol=protocol, n_pi=n_pi,
+                         samples_per_period=24)
+    trace = run_protocol(cfg, keep_states=True)
+    states = trace.states
+    assert states.shape == (len(trace.times), 2 * dim, 2 * dim)
+    assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) == 0.0
+    traces = np.trace(states, axis1=1, axis2=2)
+    assert np.max(np.abs(traces - 1.0)) < 1e-9
+    # the lab-frame joint master equation, integrated densely, gives the
+    # same states; in the rotating frame the coherences would be off by
+    # the phases exp(i omega (i - j) t)
+    h, jumps = _joint_model(cfg, dim, cfg.g)
+    rhs = _dense_rhs(h, jumps)
+    if protocol == "basic":
+        segments = [(cfg.resolved_t_max(), False)]
+    else:
+        segments = [(math.pi, j not in (2 * n_pi, 4 * n_pi)) for j in range(1, 4 * n_pi + 1)]
+    flip = np.kron(SIGMA_X, np.eye(dim))
+    rho, t_now, want = initial_state(cfg), 0.0, []
+    for idx, (duration, flip_after) in enumerate(segments):
+        t_eval = trace.times[(trace.times >= t_now - 1e-12)
+                             & (trace.times <= t_now + duration + 1e-12)] - t_now
+        t_eval = np.concatenate([[0.0], t_eval[t_eval > 1e-12]])
+        sol = solve_ivp(rhs, (0.0, duration), rho.ravel(), method="DOP853",
+                        t_eval=t_eval, rtol=1e-12, atol=1e-14)
+        path = sol.y.T.reshape(-1, 2 * dim, 2 * dim)
+        want.extend(path if idx == 0 else path[1:])
+        rho = flip @ path[-1] @ flip if flip_after else path[-1]
+        t_now += duration
+    assert len(want) == len(states)
+    assert np.max(np.abs(states - np.array(want))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +240,15 @@ def test_thermal_trace_matches_closed_form():
     pred = visibility_thermal(CouplingParams(coupling=0.1, nbar=12.0), trace.times)
     assert np.max(np.abs(trace.visibility - pred)) < 1e-6
     assert trace.visibility[-1] == pytest.approx(math.exp(-2.0), abs=1e-6)
+
+
+def test_worst_corner_matches_thermal_closed_form():
+    # lam = 0.3, nbar = 5 is the envelope's largest Fock dim; the remaining
+    # error is set by atol
+    cfg = ProtocolConfig(g=0.3, nbar=5.0, t_max=2.0 * math.pi, samples_per_period=100)
+    trace = run_protocol(cfg)
+    pred = visibility_thermal(CouplingParams(coupling=0.3, nbar=5.0), trace.times)
+    assert np.max(np.abs(trace.visibility - pred)) < 5e-9
 
 
 def test_damped_trace_matches_expansion():
@@ -204,6 +292,22 @@ def test_spin_echo_pre_closing_and_closure():
     )
     assert trace.visibility[-1] == pytest.approx(1.0, abs=1e-6)
     assert trace.times[-1] == pytest.approx(2.0 * t_mid, abs=1e-9)
+
+
+def test_stats_record_dim_segments_and_worst_diagnostics():
+    cfg = ProtocolConfig(g=0.05, gamma_m=0.01, protocol="spin_echo", n_pi=2,
+                         samples_per_period=20)
+    trace = run_protocol(cfg)
+    stats = trace.stats
+    assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "default_dim")
+    assert len(stats["segments"]) == 8
+    assert all(s["nfev"] > 0 and s["wall_s"] > 0 for s in stats["segments"])
+    assert sum(s["duration"] for s in stats["segments"]) == pytest.approx(8 * math.pi)
+    assert stats["worst_trace_error"] == trace.trace_error.max()
+    assert stats["worst_tail_mass"] == trace.tail_mass.max()
+    assert stats["trace_error_bound"] == 1e-7 and stats["tail_mass_bound"] == 1e-6
+    forced = run_protocol(ProtocolConfig(g=0.05, dim=30, samples_per_period=20))
+    assert (forced.stats["dim"], forced.stats["dim_rule"]) == (30, "config")
 
 
 def test_diagnostics_stay_small_on_clean_run():

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revivalsim.lindblad import ProtocolConfig, initial_state, negativity
+from revivalsim.lindblad import (
+    ProtocolConfig,
+    initial_state,
+    negativities,
+    negativity,
+    run_protocol,
+)
 from revivalsim.witness import (
     SeparableChannelSpec,
     check_monotonic,
@@ -122,6 +128,38 @@ def test_arbitrary_seeds_stay_monotonic(seed):
 # ---------------------------------------------------------------------------
 
 
+def _negativity_loop(rho):
+    """Per-state reference: partial transpose over the qubit, one eigvalsh."""
+    dim = rho.shape[0] // 2
+    pt = rho.reshape(2, dim, 2, dim).transpose(2, 1, 0, 3).reshape(2 * dim, 2 * dim)
+    eigs = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
+    return float(-eigs[eigs < 0].sum())
+
+
+def test_batched_negativity_matches_per_state():
+    trace = run_protocol(
+        ProtocolConfig(g=0.25, t_max=2.0 * math.pi, samples_per_period=20),
+        keep_states=True,
+    )
+    want = np.array([_negativity_loop(rho) for rho in trace.states])
+    assert np.max(np.abs(negativities(trace.states) - want)) < 1e-12
+    assert check_monotonic(trace).negativity_peak == pytest.approx(want.max(), abs=1e-12)
+    assert want.max() > 0.3
+
+
+def test_separable_stats_and_states():
+    spec = random_separable_spec(4, 6)
+    trace = simulate_separable(spec, random_product_state(4, 6), 2.0, samples=40)
+    assert trace.states.shape == (41, 12, 12)
+    assert trace.stats["dim"] == 6 and trace.stats["dim_rule"] == "spec"
+    assert trace.stats["segments"][0]["nfev"] > 0
+    assert trace.stats["worst_trace_error"] == trace.trace_error.max() < 1e-9
+    unkept = simulate_separable(spec, random_product_state(4, 6), 2.0, samples=40,
+                                keep_states=False)
+    assert unkept.states is None
+    assert np.array_equal(unkept.visibility, trace.visibility)
+
+
 def test_coupled_case_revives_and_entangles():
     report = coupled_contrast_case(0.25)
     assert not report.monotonic
@@ -187,3 +225,5 @@ def test_simulate_rejects_bad_horizon():
     spec = _unitary_b_spec(4, 0.1)
     with pytest.raises(ValueError):
         simulate_separable(spec, random_product_state(0, 4), 0.0)
+    with pytest.raises(ValueError):
+        simulate_separable(spec, random_product_state(0, 4), 1.0, samples=0)
