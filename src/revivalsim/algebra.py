@@ -13,6 +13,13 @@ import numpy as np
 
 DEFAULT_TAIL_BOUND = 1e-8
 
+# Largest Fock dim a run may use.  One (3, d, d) complex block state takes
+# 48 d^2 bytes (12.6 MB at 512) and the integrator holds about 16 of them
+# plus one per sample, so a dim far beyond the supported envelope (129 at
+# lambda = 0.3, nbar = 5; 268 at lambda = 0.3, nbar = 12) asks for gigabytes
+# or more and is refused before anything is built.
+MAX_DIM = 512
+
 
 class TruncationError(RuntimeError):
     """Fock-space truncation too small for the requested state/evolution."""
@@ -75,21 +82,19 @@ def thermal_tail_mass(nbar: float, dim: int) -> float:
     return math.exp(dim * math.log(nbar / (nbar + 1.0)))
 
 
-def thermal_density(
-    nbar: float, dim: int, *, tail_bound: float = DEFAULT_TAIL_BOUND
-) -> np.ndarray:
+def thermal_density(nbar: float, dim: int) -> np.ndarray:
     """Truncated thermal density matrix, renormalized to unit trace.
 
     Raises TruncationError if the untruncated state has more than
-    ``tail_bound`` probability mass at or above level ``dim``.
+    ``DEFAULT_TAIL_BOUND`` probability mass at or above level ``dim``.
     """
     dim = _check_dim(dim)
     if nbar < 0 or not math.isfinite(nbar):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     tail = thermal_tail_mass(nbar, dim)
-    if tail > tail_bound:
+    if tail > DEFAULT_TAIL_BOUND:
         raise TruncationError(
-            f"thermal tail mass {tail:.3e} exceeds bound {tail_bound:.3e} "
+            f"thermal tail mass {tail:.3e} exceeds bound {DEFAULT_TAIL_BOUND:.3e} "
             f"at dim={dim} (nbar={nbar}); increase dim",
             tail_mass=tail,
         )
@@ -103,18 +108,13 @@ def thermal_density(
     return np.diag(probs).astype(complex)
 
 
-def default_dim(
-    nbar: float,
-    max_displacement: float,
-    *,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-) -> int:
+def default_dim(nbar: float, max_displacement: float) -> int:
     """Fock dimension for a thermal state pushed around by displacements
     of magnitude up to ``max_displacement``.
 
     Uses nbar + 10*sqrt(nbar+1) + 16*|alpha|^2 + 20 as the base heuristic
     and additionally guarantees the initial thermal tail is below
-    ``tail_bound``.
+    ``DEFAULT_TAIL_BOUND``.
     """
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
@@ -124,7 +124,7 @@ def default_dim(
     if nbar > 0:
         # displacing the thermal tail spreads it up by ~2|alpha|sqrt(n);
         # pad generously so the revival error stays below the tail bound
-        tail_dim = math.log(tail_bound) / math.log(nbar / (nbar + 1.0))
+        tail_dim = math.log(DEFAULT_TAIL_BOUND) / math.log(nbar / (nbar + 1.0))
         pad = 3.0 * max_displacement * math.sqrt(tail_dim)
         need = max(need, tail_dim + pad + disp_levels + 4.0)
     return max(2, math.ceil(need))

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, design, witness
-from .algebra import TruncationError, thermal_occupation
+from .algebra import MAX_DIM, TruncationError, thermal_occupation
 from .config import ConfigError, get_int, get_number, parse_config_file, require_keys
+from .constants import ATOMIC_MASS
 from .design import GeometryError, PhysicalConfig
 from .lindblad import IntegrationError, ProtocolConfig, run_protocol
 
@@ -52,56 +53,50 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
-class ManifestWriter:
-    """Collects output files and writes the run manifest last."""
-
-    def __init__(self, command: str, config_echo: dict):
-        self.command = command
-        self.config_echo = config_echo
-        self.started_at = datetime.now(timezone.utc).isoformat()
-        self.outputs: list[dict] = []
-
-    def add(self, path) -> None:
-        path = Path(path)
-        self.outputs.append(
-            {
-                "path": str(path),
-                "sha256": _sha256(path),
-                "bytes": path.stat().st_size,
-            }
-        )
-
-    def write(self, out_path, **extra) -> None:
-        payload = {
-            "command": self.command,
-            "config": self.config_echo,
-            "tool_version": __version__,
-            "started_at": self.started_at,
-            "finished_at": datetime.now(timezone.utc).isoformat(),
-            "outputs": self.outputs,
-            **extra,
-        }
-        write_json(str(out_path) + ".manifest.json", payload)
+def write_manifest(args, config: dict, **extra) -> None:
+    """Write ``<args.out>.manifest.json`` once the output is complete: the
+    command, its config echo, the tool version, when the command started and
+    finished, the output's sha256 and size, and any extra fields."""
+    path = Path(args.out)
+    data = path.read_bytes()
+    write_json(f"{args.out}.manifest.json", {
+        "command": args.command,
+        "config": config,
+        "tool_version": __version__,
+        "started_at": args.started_at,
+        "finished_at": _now(),
+        "outputs": [{"path": str(path), "sha256": hashlib.sha256(data).hexdigest(),
+                     "bytes": len(data)}],
+        **extra,
+    })
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _config_kwargs(values: dict, cls) -> dict:
+    """The fields of dataclass cls that the config file gives, typed by the
+    field's annotation: strings as read, integers through `get_int`, the
+    rest through `get_number`.  Absent fields keep the dataclass default."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            kind = str(f.type)
+            if "str" in kind:
+                kwargs[f.name] = values[f.name]
+            else:
+                kwargs[f.name] = (get_int if "int" in kind else get_number)(values, f.name)
+    return kwargs
 
 
 # ---------------------------------------------------------------- analytic
@@ -184,36 +179,16 @@ def cmd_analytic(args) -> int:
 
     echo = {k: getattr(args, k) for k in _FLAG_NAMES}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    manifest = ManifestWriter("analytic", _json_safe(echo))
     write_csv(args.out, ["omega_t", "visibility"], rows)
-    manifest.add(args.out)
-    manifest.write(args.out)
+    write_manifest(args, echo)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
 
-_SIMULATE_KEYS = {
-    "units",
-    "omega",
-    "tau",
-    "g",
-    "g_prime",
-    "gamma_m",
-    "gamma_a",
-    "nbar",
-    "temperature",
-    "dim",
-    "t_max",
-    "t_max_periods",
-    "protocol",
-    "n_pi",
-    "samples_per_period",
-    "dt_initial",
-    "rtol",
-    "atol",
-}
+_SIMULATE_KEYS = {f.name for f in dataclasses.fields(ProtocolConfig)} | {
+    "units", "tau", "temperature", "t_max_periods"}
 
 
 def _protocol_config_from_file(values: dict, protocol_override: str | None) -> ProtocolConfig:
@@ -221,59 +196,41 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
     units = values.get("units", "si")
     if units not in ("si", "natural"):
         raise ConfigError(f"units must be 'si' or 'natural', got {units!r}")
+    kwargs = _config_kwargs(values, ProtocolConfig)
 
     if units == "natural":
-        omega = get_number(values, "omega", 1.0)
         if "tau" in values:
             raise ConfigError("tau is an SI key; natural units take omega directly")
-    else:
-        if "tau" in values:
-            omega = 2.0 * math.pi / get_number(values, "tau")
-        elif "omega" in values:
-            omega = get_number(values, "omega")
-        else:
-            raise ConfigError("SI units need tau (seconds) or omega (rad/s)")
+    elif "tau" in values:
+        tau = get_number(values, "tau")
+        if tau <= 0:
+            raise ConfigError(f"tau must be positive, got {tau!r}")
+        kwargs["omega"] = 2.0 * math.pi / tau
+    elif "omega" not in values:
+        raise ConfigError("SI units need tau (seconds) or omega (rad/s)")
+    omega = kwargs.get("omega", ProtocolConfig.omega)
 
     if "nbar" in values and "temperature" in values:
         raise ConfigError("give either nbar or temperature, not both")
-    if "nbar" in values:
-        nbar = get_number(values, "nbar")
-    elif "temperature" in values:
+    if "temperature" in values:
         temp = get_number(values, "temperature")
         if units == "natural":
-            nbar = thermal_occupation(omega, temp, hbar=1.0, k_boltzmann=1.0)
+            kwargs["nbar"] = thermal_occupation(omega, temp, hbar=1.0, k_boltzmann=1.0)
         else:
-            nbar = thermal_occupation(omega, temp)
-    else:
-        nbar = 0.0
+            kwargs["nbar"] = thermal_occupation(omega, temp)
 
     if "t_max" in values and "t_max_periods" in values:
         raise ConfigError("give either t_max or t_max_periods, not both")
-    t_max = get_number(values, "t_max")
     if "t_max_periods" in values:
-        t_max = get_number(values, "t_max_periods") * 2.0 * math.pi / omega
+        kwargs["t_max"] = get_number(values, "t_max_periods") * 2.0 * math.pi / omega
 
-    protocol = protocol_override or values.get("protocol", "basic")
-    if protocol == "spin-echo":
-        protocol = "spin_echo"
+    if protocol_override:
+        kwargs["protocol"] = protocol_override
+    if kwargs.get("protocol") == "spin-echo":
+        kwargs["protocol"] = "spin_echo"
 
     try:
-        return ProtocolConfig(
-            omega=omega,
-            g=get_number(values, "g", 0.0),
-            g_prime=get_number(values, "g_prime", 0.0),
-            gamma_m=get_number(values, "gamma_m", 0.0),
-            gamma_a=get_number(values, "gamma_a", 0.0),
-            nbar=nbar,
-            dim=get_int(values, "dim"),
-            t_max=t_max,
-            dt_initial=get_number(values, "dt_initial", 1e-3),
-            protocol=protocol,
-            n_pi=get_int(values, "n_pi", 1),
-            samples_per_period=get_int(values, "samples_per_period", 200),
-            rtol=get_number(values, "rtol", 1e-10),
-            atol=get_number(values, "atol", 1e-12),
-        )
+        return ProtocolConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -282,7 +239,6 @@ def cmd_simulate(args) -> int:
     values = parse_config_file(args.config)
     cfg = _protocol_config_from_file(values, args.protocol)
     trace = run_protocol(cfg)
-    manifest = ManifestWriter("simulate", _json_safe(dataclasses.asdict(cfg)))
     columns = {
         "t": trace.times,
         "visibility": trace.visibility,
@@ -295,9 +251,8 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         write_csv(args.out, list(columns), list(zip(*values)))
     else:
-        write_json(args.out, dict(zip(columns, values), config=_json_safe(trace.config)))
-    manifest.add(args.out)
-    manifest.write(args.out, stats=_json_safe(trace.stats))
+        write_json(args.out, dict(zip(columns, values), config=trace.config))
+    write_manifest(args, dataclasses.asdict(cfg), stats=trace.stats)
     print(
         f"wrote {args.out} ({len(trace.times)} samples, "
         f"final V = {trace.visibility[-1]:.6f})"
@@ -311,8 +266,8 @@ def cmd_verify(args) -> int:
     if args.seeds < 1:
         print("error: --seeds must be >= 1 (empty suite rejected)", file=sys.stderr)
         return EXIT_USAGE
-    if args.dim < 2:
-        print("error: --dim must be >= 2", file=sys.stderr)
+    if not 2 <= args.dim <= MAX_DIM:
+        print(f"error: --dim must be between 2 and MAX_DIM={MAX_DIM}", file=sys.stderr)
         return EXIT_USAGE
     if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
@@ -351,26 +306,21 @@ def cmd_verify(args) -> int:
     contrast_ok = (not contrast.monotonic) and contrast.negativity_peak > 0.01
 
     if args.out:
-        manifest = ManifestWriter(
-            "verify",
-            {
-                "seeds": args.seeds,
-                "dim": args.dim,
-                "tol": args.tol,
-                "t_max": args.t_max,
-                "samples": args.samples,
-                "negativity_tol": args.negativity_tol,
-                "contrast_coupling": args.contrast_coupling,
-            },
-        )
         write_csv(
             args.out,
             ["kind", "seed", "monotonic", "max_violation", "negativity_peak",
              "decay_rate_fit"],
             table,
         )
-        manifest.add(args.out)
-        manifest.write(args.out)
+        write_manifest(args, {
+            "seeds": args.seeds,
+            "dim": args.dim,
+            "tol": args.tol,
+            "t_max": args.t_max,
+            "samples": args.samples,
+            "negativity_tol": args.negativity_tol,
+            "contrast_coupling": args.contrast_coupling,
+        })
 
     n_bad = sum(1 for r in rows if not r["monotonic"])
     print(
@@ -390,38 +340,19 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- design
 
-_DESIGN_KEYS = {
-    "atom_mass_amu",
-    "atom_mass_kg",
-    "density",
-    "splitting",
-    "distance",
-    "sphere_radius",
-    "kappa",
-    "hold_time",
-    "temperature",
-    "oscillator_mass",
-    "geometry",
-}
+_DESIGN_KEYS = {f.name for f in dataclasses.fields(PhysicalConfig)} - {"atom_mass"} | {
+    "atom_mass_amu", "atom_mass_kg"}
 
 
 def _physical_config_from_file(values: dict) -> PhysicalConfig:
     require_keys(values, _DESIGN_KEYS, "design")
     if "atom_mass_amu" in values and "atom_mass_kg" in values:
         raise ConfigError("give either atom_mass_amu or atom_mass_kg, not both")
-    kwargs = {}
+    kwargs = _config_kwargs(values, PhysicalConfig)
     if "atom_mass_amu" in values:
-        from .constants import ATOMIC_MASS
-
         kwargs["atom_mass"] = get_number(values, "atom_mass_amu") * ATOMIC_MASS
     if "atom_mass_kg" in values:
         kwargs["atom_mass"] = get_number(values, "atom_mass_kg")
-    for key in ("density", "splitting", "distance", "sphere_radius", "kappa",
-                "hold_time", "temperature", "oscillator_mass"):
-        if key in values:
-            kwargs[key] = get_number(values, key)
-    if "geometry" in values:
-        kwargs["geometry"] = values["geometry"]
     try:
         return PhysicalConfig(**kwargs)
     except GeometryError:
@@ -445,23 +376,16 @@ def cmd_design(args) -> int:
             print("error: --sweep requires --out", file=sys.stderr)
             return EXIT_USAGE
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
-        manifest = ManifestWriter(
-            "design",
-            _json_safe(
-                {
-                    "config": dataclasses.asdict(cfg),
-                    "tau_range": list(args.tau_range),
-                    "temp_range": list(args.temp_range),
-                }
-            ),
-        )
         write_csv(
             args.out,
             ["tau_s", "temperature_K", "log10_delta_v", "log10_delta_v_boosted"],
             [tuple(r.values()) for r in rows],
         )
-        manifest.add(args.out)
-        manifest.write(args.out)
+        write_manifest(args, {
+            "config": dataclasses.asdict(cfg),
+            "tau_range": list(args.tau_range),
+            "temp_range": list(args.temp_range),
+        })
         print(f"wrote {args.out} ({len(rows)} grid cells)")
         return EXIT_OK
 
@@ -477,14 +401,10 @@ def cmd_design(args) -> int:
             "outside their validity range",
             file=sys.stderr,
         )
-    text = json.dumps(_json_safe(payload), sort_keys=True, indent=2)
     if args.out:
-        manifest = ManifestWriter("design", _json_safe(dataclasses.asdict(cfg)))
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-        manifest.add(args.out)
-        manifest.write(args.out)
-    print(text)
+        write_json(args.out, payload)
+        write_manifest(args, dataclasses.asdict(cfg))
+    print(_json_text(payload), end="")
     return EXIT_OK
 
 
@@ -515,7 +435,9 @@ def _range_triple(raw: str) -> tuple[float, float, int]:
     parts = raw.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo,hi,n — got {raw!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = _positive_float(parts[0]), _positive_float(parts[1]), int(parts[2])
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n must be >= 1, got {raw!r}")
     return lo, hi, n
 
 
@@ -584,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="lo,hi,n (seconds, log-spaced)")
     p.add_argument("--temp-range", dest="temp_range", type=_range_triple,
                    default=None, help="lo,hi,n (kelvin, log-spaced)")
-    p.add_argument("--sigma-level", dest="sigma_level", type=float, default=5.0)
+    p.add_argument("--sigma-level", dest="sigma_level", type=_positive_float,
+                   default=5.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_design)
 
@@ -597,6 +520,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started_at = _now()
     try:
         return args.func(args)
     except ConfigError as exc:

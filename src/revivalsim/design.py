@@ -164,11 +164,12 @@ def k_squared(cfg: PhysicalConfig) -> float:
     )
 
 
-def delta_v(cfg: PhysicalConfig) -> float:
-    """Full-period visibility deficit of the unboosted protocol."""
+def _contrasts(cfg: PhysicalConfig, nbar: float) -> tuple[float, float]:
+    """Full-period visibility deficit of the unboosted protocol, and the
+    half-to-full-period contrast with an optimally boosted first stage, at
+    thermal occupation nbar."""
     omega = cfg.omega
-    nbar = thermal_occupation(omega, cfg.temperature)
-    return (
+    delta_v = (
         math.pi
         * G_NEWTON**2
         * cfg.atom_mass**2
@@ -176,13 +177,7 @@ def delta_v(cfg: PhysicalConfig) -> float:
         * (8.0 + nbar)
         / (3.0 * math.sqrt(2.0) * cfg.splitting * omega**3 * HBAR)
     )
-
-
-def delta_v_boosted(cfg: PhysicalConfig) -> float:
-    """Half-to-full-period contrast with an optimally boosted first stage."""
-    omega = cfg.omega
-    nbar = thermal_occupation(omega, cfg.temperature)
-    return (
+    delta_v_boosted = (
         2.0 ** 0.25
         * G_NEWTON
         * cfg.atom_mass
@@ -190,6 +185,7 @@ def delta_v_boosted(cfg: PhysicalConfig) -> float:
             cfg.density * (8.0 + nbar) / (3.0 * cfg.splitting * omega**3 * HBAR)
         )
     )
+    return delta_v, delta_v_boosted
 
 
 def atoms_required(visibility_contrast: float, sigma_level: float) -> float:
@@ -211,6 +207,7 @@ def derive(cfg: PhysicalConfig) -> DerivedParams:
     ratio = K_B * cfg.temperature / (HBAR * omega)
     g = coupling_g(cfg)
     x0 = math.sqrt(HBAR / (2.0 * cfg.sphere_mass() * omega))
+    delta_v, delta_v_boosted = _contrasts(cfg, nbar)
     return DerivedParams(
         omega=omega,
         nbar=nbar,
@@ -219,8 +216,8 @@ def derive(cfg: PhysicalConfig) -> DerivedParams:
         coupling=g,
         coupling_ratio=g / omega,
         k_squared=k_squared(cfg),
-        delta_v=delta_v(cfg),
-        delta_v_boosted=delta_v_boosted(cfg),
+        delta_v=delta_v,
+        delta_v_boosted=delta_v_boosted,
         low_temperature_flag=ratio < LOW_TEMPERATURE_RATIO,
     )
 
@@ -252,8 +249,7 @@ def sweep_grid(
     for tau in _log_grid(tau_lo, tau_hi, int(n_tau)):
         for temp in _log_grid(t_lo, t_hi, int(n_temp)):
             point = dataclasses.replace(cfg, hold_time=tau, temperature=temp)
-            dv = delta_v(point)
-            dvb = delta_v_boosted(point)
+            dv, dvb = _contrasts(point, thermal_occupation(point.omega, temp))
             rows.append(
                 {
                     "tau_s": tau,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import TruncationError, default_dim, thermal_density
+from .algebra import MAX_DIM, TruncationError, default_dim, thermal_density
 
 TRACE_ERROR_BOUND = 1e-7   # max tolerated |Tr rho - 1| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
@@ -67,7 +67,8 @@ class ProtocolConfig:
     gamma_m    oscillator damping rate
     gamma_a    qubit dephasing rate
     nbar       thermal occupation of the oscillator and its bath
-    dim        Fock truncation; None selects `algebra.default_dim`
+    dim        Fock truncation; None selects `algebra.default_dim`; at most
+               `algebra.MAX_DIM`
     t_max      evolution time for basic/boosted; spin_echo derives its own
                duration 2*n_pi*(2*pi/omega) and ignores t_max
     n_pi       echo iterations per block (spin_echo only)
@@ -87,11 +88,6 @@ class ProtocolConfig:
     samples_per_period: int = 200
     rtol: float = 1e-10
     atol: float = 1e-12
-    tail_bound: float = 1e-8
-    # the embedded 4/5 pair at rtol 1e-10 accumulates ~2e-8 of global error
-    # over a full revival at the (lam=0.5, nbar=5) corner of the supported
-    # envelope; the higher-order embedded pair is faster and ~20x tighter
-    method: str = "DOP853"
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -124,10 +120,13 @@ class ProtocolConfig:
     def resolved_dim(self) -> int:
         dim = self.dim
         if dim is None:
-            dim = default_dim(
-                self.nbar, self.max_displacement(), tail_bound=self.tail_bound
-            )
+            dim = default_dim(self.nbar, self.max_displacement())
         dim = int(dim)
+        if dim > MAX_DIM:
+            raise TruncationError(
+                f"dim={dim} exceeds MAX_DIM={MAX_DIM}; the coupling or nbar is "
+                "too large for the truncated-Fock engine"
+            )
         lam = abs(self.g) / self.omega
         lamp = abs(self.g_prime) / self.omega
         floor = 16.0 * (lam + lamp) ** 2 + self.nbar + 10.0 * math.sqrt(self.nbar + 1)
@@ -257,13 +256,16 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
 
 
 def integrate_blocks(rhs, blocks0, t_eval, *, rtol=1e-10, atol=1e-12,
-                     first_step=None, method="DOP853") -> tuple[np.ndarray, int]:
+                     first_step=None) -> tuple[np.ndarray, int]:
     """Integrate the flattened stacked blocks under rhs(t, y).
 
     Returns the blocks at t_eval, shape (len(t_eval), 3, d, d), and nfev.
     """
+    # the embedded 4/5 pair at rtol 1e-10 accumulates ~2e-8 of global error
+    # over a full revival at the (lam=0.5, nbar=5) corner of the supported
+    # envelope; the higher-order embedded pair is faster and ~20x tighter
     sol = solve_ivp(rhs, (float(t_eval[0]), float(t_eval[-1])),
-                    np.asarray(blocks0, dtype=complex).ravel(), method=method,
+                    np.asarray(blocks0, dtype=complex).ravel(), method="DOP853",
                     t_eval=t_eval, rtol=rtol, atol=atol, first_step=first_step)
     if not sol.success:
         raise IntegrationError(f"master-equation solver failed: {sol.message}")
@@ -291,7 +293,7 @@ def initial_state(cfg: ProtocolConfig, dim: int | None = None) -> np.ndarray:
     """|+><+| (x) thermal(nbar) on the joint space."""
     if dim is None:
         dim = cfg.resolved_dim()
-    rho_m = thermal_density(cfg.nbar, dim, tail_bound=cfg.tail_bound)
+    rho_m = thermal_density(cfg.nbar, dim)
     return np.kron(PLUS_STATE, rho_m)
 
 
@@ -323,7 +325,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         started = time.perf_counter()
         path, nfev = integrate_blocks(
             rhs_by_coupling[coupling], blocks, t_local, rtol=cfg.rtol, atol=cfg.atol,
-            first_step=min(cfg.dt_initial, duration / 2), method=cfg.method,
+            first_step=min(cfg.dt_initial, duration / 2),
         )
         segment_stats.append({"duration": duration, "coupling": coupling, "nfev": nfev,
                               "wall_s": time.perf_counter() - started})

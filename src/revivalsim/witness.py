@@ -102,26 +102,23 @@ def _block_rhs(spec: SeparableChannelSpec):
 
 
 def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: float, *,
-                       samples: int = 400, rtol: float = 1e-10, atol: float = 1e-12,
-                       keep_states: bool = True) -> VisibilityTrace:
+                       samples: int = 400) -> VisibilityTrace:
     """Evolve the joint state rho0 under the separable channel and sample
-    its visibility; kept states are joint (n, 2d, 2d) matrices."""
+    its visibility; the trace keeps the joint (n, 2d, 2d) states."""
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     t_eval = np.linspace(0.0, float(t_max), samples + 1)
     started = time.perf_counter()
-    path, nfev = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval,
-                                  rtol=rtol, atol=atol)
+    path, nfev = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval)
     segment = {"duration": float(t_max), "nfev": nfev,
                "wall_s": time.perf_counter() - started}
     config = {"kind": "separable_channel", "dim": spec.dim, "gamma": spec.gamma,
               "qubit_splitting": spec.qubit_splitting,
               "qubit_dephasing": spec.qubit_dephasing,
               "n_local_lindblads": len(spec.oscillator_lindblads)}
-    return make_trace(t_eval, [observables(path)], config,
-                      join_blocks(path) if keep_states else None,
+    return make_trace(t_eval, [observables(path)], config, join_blocks(path),
                       {"dim": spec.dim, "dim_rule": "spec", "segments": [segment]})
 
 

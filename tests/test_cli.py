@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from revivalsim import __version__
+from revivalsim.algebra import MAX_DIM
 from revivalsim.cli import main
 from revivalsim.lindblad import ProtocolConfig, run_protocol
 from revivalsim.analytic import CouplingParams, boosted_swing, spin_echo_overlap
@@ -202,6 +204,17 @@ def test_simulate_manifest_records_solver_stats(tmp_path):
     assert stats["tail_mass_bound"] == 1e-6
 
 
+def test_manifest_started_at_precedes_the_work(tmp_path):
+    out = tmp_path / "echo.csv"
+    assert main(["simulate", "--config", f"{CONFIGS}/demo_spin_echo.cfg",
+                 "--out", str(out)]) == 0
+    manifest = _read_manifest(out)
+    started, finished = (datetime.fromisoformat(manifest[k])
+                         for k in ("started_at", "finished_at"))
+    work = sum(s["wall_s"] for s in manifest["stats"]["segments"])
+    assert (finished - started).total_seconds() >= work > 0.0
+
+
 def test_simulate_manifest_names_configured_dim(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("units = natural\ng = 0.1\ndim = 40\nprotocol = boosted\n"
@@ -284,6 +297,10 @@ def test_simulate_si_units_need_timescale(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "tau" in capsys.readouterr().err
+    cfg.write_text("units = si\ntau = 0\ng = 0.1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "tau must be positive" in capsys.readouterr().err
 
 
 def test_simulate_missing_config(tmp_path):
@@ -336,6 +353,21 @@ def test_verify_rejects_empty_sample_grid(capsys):
         assert "--samples" in capsys.readouterr().err
 
 
+def test_fock_dim_above_cap_fails_before_allocation(tmp_path, capsys):
+    # these used to reach numpy as requests for terabytes (exit 1, traceback)
+    assert main(["verify", "--seeds", "1", f"--dim={MAX_DIM + 1}"]) == 2
+    assert "--dim" in capsys.readouterr().err
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", "4", "--samples", "8",
+                 "--contrast-coupling", "1e6", "--out", str(out)]) == 4
+    assert "MAX_DIM" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 1e6\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "MAX_DIM" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=-1e-6", "--negativity-tol=nan",
                                   "--negativity-tol=-1", "--t-max=nan", "--t-max=0",
                                   "--contrast-coupling=nan",
@@ -383,6 +415,28 @@ def test_design_sweep(tmp_path):
     assert len(rows) == 6
     assert float(rows[1][2]) == pytest.approx(-14.114110717665413, rel=1e-12)
     assert float(rows[-1][3]) == pytest.approx(-5.1551152973478063, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau-range", "nan,100,3"), ("--tau-range", "10,inf,3"), ("--tau-range", "0,100,3"),
+    ("--tau-range", "-10,100,3"), ("--tau-range", "10,100,0"),
+    ("--temp-range", "10,nan,2"), ("--temp-range", "inf,300,2"),
+    ("--temp-range", "10,0,2"), ("--temp-range", "10,-300,2"), ("--temp-range", "10,300,0"),
+    ("--sigma-level", "nan"), ("--sigma-level", "inf"), ("--sigma-level", "0"),
+    ("--sigma-level", "-5"),
+])
+def test_design_rejects_bad_flags(flag, value, tmp_path, capsys):
+    # NaN used to reach the sweep CSV and the point JSON with exit 0, and an
+    # infinite range exited 3 as a domain error
+    out = tmp_path / "design.out"
+    if flag == "--sigma-level":
+        argv = ["design", "--point", f"{flag}={value}"]
+    else:
+        ranges = {"--tau-range": "10,100,3", "--temp-range": "10,300,2", flag: value}
+        argv = ["design", "--sweep", *(f"{k}={v}" for k, v in ranges.items())]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_design_sweep_requires_ranges_and_out(tmp_path, capsys):

@@ -18,8 +18,6 @@ from revivalsim.design import (
     PhysicalConfig,
     atoms_required,
     coupling_g,
-    delta_v,
-    delta_v_boosted,
     derive,
     k_squared,
     sweep_grid,
@@ -42,10 +40,9 @@ def test_k_squared_reference_points():
 
 
 def test_contrast_reference_values():
-    assert delta_v(REFERENCE) == pytest.approx(7.689343855898295e-11, rel=1e-12)
-    assert delta_v_boosted(REFERENCE) == pytest.approx(
-        6.9965622524194218e-06, rel=1e-12
-    )
+    d = derive(REFERENCE)
+    assert d.delta_v == pytest.approx(7.689343855898295e-11, rel=1e-12)
+    assert d.delta_v_boosted == pytest.approx(6.9965622524194218e-06, rel=1e-12)
 
 
 def test_boosted_contrast_squared_over_plain_is_two_over_pi():
@@ -56,12 +53,13 @@ def test_boosted_contrast_squared_over_plain_is_two_over_pi():
         PhysicalConfig(temperature=4.0),
         PhysicalConfig(atom_mass=87 * 1.66053906660e-27, density=19300.0),
     ):
-        ratio = delta_v_boosted(cfg) ** 2 / delta_v(cfg)
+        d = derive(cfg)
+        ratio = d.delta_v_boosted ** 2 / d.delta_v
         assert ratio == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 def test_atoms_required_reference():
-    n = atoms_required(delta_v_boosted(REFERENCE), 5.0)
+    n = atoms_required(derive(REFERENCE).delta_v_boosted, 5.0)
     assert n == pytest.approx(510705580421.52692, rel=1e-12)
     assert 4.5e11 < n < 5.7e11
 
@@ -74,8 +72,6 @@ def test_derive_bundle_consistency():
     assert d.thermal_ratio == pytest.approx(d.nbar, rel=1e-12)  # deep classical
     assert d.coupling_ratio == pytest.approx(8.7681989570905415e-14, rel=1e-12)
     assert d.k_squared == k_squared(REFERENCE)
-    assert d.delta_v == delta_v(REFERENCE)
-    assert d.delta_v_boosted == delta_v_boosted(REFERENCE)
     assert not d.low_temperature_flag
 
 
@@ -215,7 +211,7 @@ def test_sweep_single_point_grid():
     rows = sweep_grid(REFERENCE, (100.0, 100.0, 1), (300.0, 300.0, 1))
     assert len(rows) == 1
     assert rows[0]["log10_delta_v_boosted"] == pytest.approx(
-        math.log10(delta_v_boosted(REFERENCE)), rel=1e-12
+        math.log10(derive(REFERENCE).delta_v_boosted), rel=1e-12
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from revivalsim.algebra import TruncationError, annihilation, thermal_density
+from revivalsim.algebra import MAX_DIM, TruncationError, annihilation, thermal_density
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -400,6 +400,15 @@ def test_spin_echo_duration_ignores_t_max():
 def test_resolved_dim_floor_guard():
     with pytest.raises(TruncationError):
         ProtocolConfig(g=0.5, nbar=5.0, dim=10).resolved_dim()
+
+
+def test_resolved_dim_refuses_dims_above_cap():
+    # only the dim is computed here: nothing of that size is allocated
+    assert ProtocolConfig(dim=MAX_DIM).resolved_dim() == MAX_DIM
+    for cfg in (ProtocolConfig(dim=MAX_DIM + 1), ProtocolConfig(g=1e6),
+                ProtocolConfig(nbar=1e9)):
+        with pytest.raises(TruncationError, match="MAX_DIM"):
+            cfg.resolved_dim()
 
 
 def test_thermal_tail_guard_on_forced_dim():

@@ -154,10 +154,6 @@ def test_separable_stats_and_states():
     assert trace.stats["dim"] == 6 and trace.stats["dim_rule"] == "spec"
     assert trace.stats["segments"][0]["nfev"] > 0
     assert trace.stats["worst_trace_error"] == trace.trace_error.max() < 1e-9
-    unkept = simulate_separable(spec, random_product_state(4, 6), 2.0, samples=40,
-                                keep_states=False)
-    assert unkept.states is None
-    assert np.array_equal(unkept.visibility, trace.visibility)
 
 
 def test_coupled_case_revives_and_entangles():
