@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .constants import HBAR, K_B
+
 DEFAULT_TAIL_BOUND = 1e-8
 
 # Largest Fock dim a run may use.  One (3, d, d) complex block state takes
@@ -46,19 +48,13 @@ def thermal_occupation(
     omega: float,
     temperature: float,
     *,
-    hbar: float | None = None,
-    k_boltzmann: float | None = None,
+    hbar: float = HBAR,
+    k_boltzmann: float = K_B,
 ) -> float:
     """Bose-Einstein occupation nbar = 1/(exp(hbar*omega/kT) - 1).
 
     Defaults to SI constants; pass hbar=1, k_boltzmann=1 for natural units.
     """
-    from .constants import HBAR, K_B
-
-    if hbar is None:
-        hbar = HBAR
-    if k_boltzmann is None:
-        k_boltzmann = K_B
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if temperature < 0:

@@ -5,8 +5,8 @@ equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
 ``<out>.manifest.json`` with the config echo, tool version, timestamps and
 sha256 of each output; outputs themselves are deterministic for identical
-inputs.  Exit codes: 0 success, 2 usage/config error, 3 domain error,
-4 integration/truncation failure, 5 witness-suite failure.
+inputs.  Exit codes: 0 success, 2 usage/config error, 3 domain error or a value
+out of range, 4 integration/truncation failure, 5 witness-suite failure.
 """
 
 from __future__ import annotations
@@ -118,6 +118,13 @@ _FLAG_NAMES = {
     "n_atoms": "--n-atoms",
     "n_pi": "--n-pi",
 }
+# flags that set a `CouplingParams` field; absent ones keep its default
+_PARAM_FIELDS = {
+    "lam_prime": "boost_coupling",
+    "nbar": "nbar",
+    "q": "q_factor",
+    "gamma_a": "qubit_decay",
+}
 
 
 def cmd_analytic(args) -> int:
@@ -127,29 +134,21 @@ def cmd_analytic(args) -> int:
     stray = passed - allowed
     if stray:
         names = ", ".join(sorted(_FLAG_NAMES[k] for k in stray))
-        print(
-            f"error: {names} not applicable to --formula {formula}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError(f"{names} not applicable to --formula {formula}")
     if formula == "spin-echo" and (args.t_max is not None or args.samples is not None):
-        print(
-            "error: --t-max/--samples conflict with --formula spin-echo "
-            "(rows are echo iterations)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError("--t-max/--samples conflict with --formula spin-echo "
+                          "(rows are echo iterations)")
 
     lam = args.lam if args.lam is not None else 0.0
-    nbar = args.nbar if args.nbar is not None else 0.0
     t_max = args.t_max if args.t_max is not None else 2.0
     samples = args.samples if args.samples is not None else 400
     if samples < 2:
-        print("error: --samples must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--samples must be >= 2")
 
     if formula == "spin-echo":
         n_pi = args.n_pi if args.n_pi is not None else 1
+        if n_pi < 1:
+            raise ConfigError(f"--n-pi must be >= 1, got {n_pi}")
         rows = [
             (2.0 * math.pi * k, analytic.spin_echo_overlap(k, lam))
             for k in range(1, n_pi + 1)
@@ -159,13 +158,9 @@ def cmd_analytic(args) -> int:
         if formula == "ground":
             vis = analytic.visibility_ground(lam, grid)
         else:
-            params = analytic.CouplingParams(
-                coupling=lam,
-                boost_coupling=args.lam_prime if args.lam_prime is not None else 0.0,
-                nbar=nbar,
-                q_factor=args.q if args.q is not None else math.inf,
-                qubit_decay=args.gamma_a if args.gamma_a is not None else 0.0,
-            )
+            given = {field: getattr(args, k) for k, field in _PARAM_FIELDS.items()
+                     if getattr(args, k) is not None}
+            params = analytic.CouplingParams(coupling=lam, **given)
             if formula == "thermal":
                 vis = analytic.visibility_thermal(params, grid)
             elif formula == "damped":
@@ -264,54 +259,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.seeds < 1:
-        print("error: --seeds must be >= 1 (empty suite rejected)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--seeds must be >= 1 (empty suite rejected)")
     if not 2 <= args.dim <= MAX_DIM:
-        print(f"error: --dim must be between 2 and MAX_DIM={MAX_DIM}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--dim must be between 2 and MAX_DIM={MAX_DIM}")
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--samples must be >= 1")
 
-    rows = witness.run_property_suite(
+    reports = witness.run_property_suite(
         args.seeds, args.dim, tol=args.tol, t_max=args.t_max, samples=args.samples
     )
     contrast = witness.coupled_contrast_case(args.contrast_coupling, tol=args.tol)
 
-    table = [
-        (
-            "random",
-            r["seed"],
-            r["monotonic"],
-            r["max_violation"],
-            r["negativity_peak"],
-            r["decay_rate_fit"],
-        )
-        for r in rows
-    ]
-    table.append(
-        (
-            "contrast",
-            -1,
-            contrast.monotonic,
-            contrast.max_violation,
-            contrast.negativity_peak,
-            contrast.decay_rate_fit,
-        )
-    )
-
-    separable_ok = all(r["monotonic"] for r in rows) and all(
-        r["negativity_peak"] <= args.negativity_tol for r in rows
+    separable_ok = all(r.monotonic for r in reports) and all(
+        r.negativity_peak <= args.negativity_tol for r in reports
     )
     contrast_ok = (not contrast.monotonic) and contrast.negativity_peak > 0.01
 
     if args.out:
-        write_csv(
-            args.out,
-            ["kind", "seed", "monotonic", "max_violation", "negativity_peak",
-             "decay_rate_fit"],
-            table,
-        )
+        header = ["kind", "seed"] + [f.name for f in dataclasses.fields(witness.WitnessReport)]
+        rows = [("random", seed, *dataclasses.astuple(r)) for seed, r in enumerate(reports)]
+        rows.append(("contrast", -1, *dataclasses.astuple(contrast)))
+        write_csv(args.out, header, rows)
         write_manifest(args, {
             "seeds": args.seeds,
             "dim": args.dim,
@@ -322,10 +290,10 @@ def cmd_verify(args) -> int:
             "contrast_coupling": args.contrast_coupling,
         })
 
-    n_bad = sum(1 for r in rows if not r["monotonic"])
+    n_bad = sum(1 for r in reports if not r.monotonic)
     print(
         f"separable channels: {args.seeds - n_bad}/{args.seeds} monotonic, "
-        f"max negativity {max(r['negativity_peak'] for r in rows):.2e}"
+        f"max negativity {max(r.negativity_peak for r in reports):.2e}"
     )
     print(
         f"coupled contrast: monotonic={contrast.monotonic}, "
@@ -367,14 +335,9 @@ def cmd_design(args) -> int:
 
     if args.sweep:
         if args.tau_range is None or args.temp_range is None:
-            print(
-                "error: --sweep requires --tau-range and --temp-range",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ConfigError("--sweep requires --tau-range and --temp-range")
         if not args.out:
-            print("error: --sweep requires --out", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError("--sweep requires --out")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
         write_csv(
             args.out,
@@ -532,6 +495,9 @@ def main(argv=None) -> int:
     except (TruncationError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except OverflowError as exc:
+        print(f"error: a value is out of range: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

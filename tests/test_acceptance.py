@@ -112,9 +112,9 @@ def test_acceptance_4_damped_trace_agreement():
 
 def test_acceptance_5_separable_monotonicity_suite():
     t0 = time.perf_counter()
-    rows = run_property_suite(100, 16, tol=1e-6)
-    all_monotonic = all(r["monotonic"] for r in rows)
-    worst_neg = max(r["negativity_peak"] for r in rows)
+    reports = run_property_suite(100, 16, tol=1e-6)
+    all_monotonic = all(r.monotonic for r in reports)
+    worst_neg = max(r.negativity_peak for r in reports)
 
     contrast = coupled_contrast_case(0.25, tol=1e-6)
     revival_dev = abs(contrast.max_violation - (1.0 - math.exp(-0.5)))
@@ -128,7 +128,7 @@ def test_acceptance_5_separable_monotonicity_suite():
         and contrast.negativity_peak > 0.01
         and elapsed < 600.0
     )
-    _report(5, ok, f"{sum(r['monotonic'] for r in rows)}/100 monotonic, "
+    _report(5, ok, f"{sum(r.monotonic for r in reports)}/100 monotonic, "
                    f"max negativity {worst_neg:.1e}; coupled revival "
                    f"{contrast.max_violation:.4f} (dev {revival_dev:.1e}), "
                    f"negativity {contrast.negativity_peak:.3f}, {elapsed:.0f} s")

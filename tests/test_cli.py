@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from revivalsim.algebra import MAX_DIM
 from revivalsim.cli import main
 from revivalsim.lindblad import ProtocolConfig, run_protocol
 from revivalsim.analytic import CouplingParams, boosted_swing, spin_echo_overlap
+from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -105,6 +107,16 @@ def test_analytic_spin_echo_grid_flags_conflict(tmp_path, capsys):
                  "--t-max", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "spin-echo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_pi", ["0", "-2"])
+def test_analytic_rejects_n_pi_below_one(n_pi, tmp_path, capsys):
+    # an empty echo range used to write a header-only CSV and exit 0
+    out = tmp_path / "echo.csv"
+    assert main(["analytic", "--formula", "spin-echo", "--lambda", "0.1",
+                 f"--n-pi={n_pi}", "--out", str(out)]) == 2
+    assert "--n-pi" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analytic_domain_error_exit_code(tmp_path):
@@ -303,6 +315,17 @@ def test_simulate_si_units_need_timescale(tmp_path, capsys):
     assert "tau must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["rtol", "atol", "dt_initial"])
+def test_simulate_rejects_removed_solver_keys(key, tmp_path, capsys):
+    # the solver tolerances and first step are constants of the engine
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = natural\ng = 0.05\n{key} = 1e-6\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -340,6 +363,24 @@ def test_verify_small_suite(tmp_path, capsys):
     manifest = _read_manifest(out)
     assert manifest["command"] == "verify"
     assert manifest["config"]["seeds"] == 3
+
+
+def test_verify_rows_are_the_witness_reports(tmp_path):
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "3", "--dim", "8", "--t-max", "4",
+                 "--samples", "120", "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == ["kind", "seed"] + [f.name for f in fields(WitnessReport)]
+    reports = run_property_suite(3, 8, tol=1e-6, t_max=4.0, samples=120)
+    expected = [("random", seed, r) for seed, r in enumerate(reports)]
+    expected.append(("contrast", -1, coupled_contrast_case(0.25, tol=1e-6)))
+    assert len(rows) == len(expected)
+    for row, (kind, seed, report) in zip(rows, expected):
+        assert row[:2] == [kind, str(seed)]
+        for name, text in zip(header[2:], row[2:]):
+            want = getattr(report, name)
+            got = text == "true" if isinstance(want, bool) else float(text)
+            assert got == want, (kind, seed, name)
 
 
 def test_verify_rejects_empty_suite(capsys):
@@ -477,6 +518,21 @@ def test_version_flag():
 
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("command", ["ground", "thermal", "boosted", "spin-echo",
+                                     "design", "simulate"])
+def test_overflow_is_a_domain_error(command, tmp_path, capsys):
+    # float overflow used to end in an OverflowError traceback (exit 1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 1e200\n")
+    argv = {"design": ["design", "--point", "--sigma-level", "1e200"],
+            "simulate": ["simulate", "--config", str(cfg)]}.get(
+        command, ["analytic", "--formula", command, "--lambda", "1e200"])
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "out of range" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_bad_range_syntax(tmp_path):

@@ -100,12 +100,16 @@ def test_random_product_state_is_valid():
 
 
 def test_property_suite_rows():
-    rows = run_property_suite(8, 8, tol=1e-6, t_max=6.0, samples=200)
-    assert len(rows) == 8
-    assert [r["seed"] for r in rows] == list(range(8))
-    assert all(r["monotonic"] for r in rows)
-    assert all(r["negativity_peak"] <= 1e-8 for r in rows)
-    assert all(r["max_violation"] <= 1e-6 for r in rows)
+    reports = run_property_suite(8, 8, tol=1e-6, t_max=6.0, samples=200)
+    assert len(reports) == 8
+    # report k is seed k
+    for k in (0, 5):
+        trace = simulate_separable(random_separable_spec(k, 8), random_product_state(k, 8),
+                                   6.0, samples=200)
+        assert reports[k] == check_monotonic(trace, 1e-6)
+    assert all(r.monotonic for r in reports)
+    assert all(r.negativity_peak <= 1e-8 for r in reports)
+    assert all(r.max_violation <= 1e-6 for r in reports)
 
 
 def test_property_suite_rejects_empty():
