@@ -15,11 +15,13 @@ from .constants import HBAR, K_B
 
 DEFAULT_TAIL_BOUND = 1e-8
 
-# Largest Fock dim a run may use.  One (3, d, d) complex block state takes
-# 48 d^2 bytes (12.6 MB at 512) and the integrator holds about 16 of them
-# plus one per sample, so a dim far beyond the supported envelope (129 at
-# lambda = 0.3, nbar = 5; 268 at lambda = 0.3, nbar = 12) asks for gigabytes
-# or more and is refused before anything is built.
+# Largest Fock dim a run may use.  One (2, d, d) complex protocol state takes
+# 32 d^2 bytes (8.4 MB at 512) and the integrator holds about 16 of them; a
+# run that keeps its states adds a (2d, 2d) joint state per sample (the
+# witness integrates (3, d, d) blocks and always keeps them).  So a dim far
+# beyond the supported envelope (129 at lambda = 0.3, nbar = 5; 268 at
+# lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
+# anything is built.
 MAX_DIM = 512
 
 

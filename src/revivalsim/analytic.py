@@ -72,11 +72,14 @@ def visibility_damped(params: CouplingParams, omega_t) -> ArrayLike:
 
         V = exp[-qubit_decay omega t] * exp[-8 lam^2 (2 nbar + 1) f(t)]
         f = (1/4)/(1 + 1/(4Q^2)) * (2 - 2 cos(x) e^{-x/2Q} + x/Q
-                                      - (8/Q) sin(x) e^{-x/2Q}),  x = omega t
+                                      - (2/Q) sin(x) e^{-x/2Q}),  x = omega t
 
     qubit_decay is the coherence decay rate over omega.  The engine's
     sqrt(gamma_a) sigma_z jump decays coherence at 2 gamma_a, so it matches
     qubit_decay = 2 gamma_a/omega, not gamma_a/omega.
+
+    The 1/Q part of f is (x cos x + x - 2 sin x)/(4Q), the first-order term
+    of the exact damped visibility, so the expansion is off by O(1/Q^2).
 
     Reduces to `visibility_thermal` as 1/Q -> 0, qubit_decay -> 0.
     Half-period contrast is exp[-pi qubit_decay] exp[-8 lam^2 (2 nbar + 1)]
@@ -99,7 +102,7 @@ def visibility_damped(params: CouplingParams, omega_t) -> ArrayLike:
     x = omega_t
     env = np.exp(-0.5 * x * inv_q)
     f = (0.25 / (1.0 + 0.25 * inv_q**2)) * (
-        2.0 - 2.0 * np.cos(x) * env + x * inv_q - 8.0 * inv_q * np.sin(x) * env
+        2.0 - 2.0 * np.cos(x) * env + x * inv_q - 2.0 * inv_q * np.sin(x) * env
     )
     expo = 8.0 * params.coupling**2 * (2.0 * params.nbar + 1.0)
     out = np.exp(-expo * f) * np.exp(-params.qubit_decay * x)

@@ -35,6 +35,11 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICS = 4
 EXIT_WITNESS = 5
 
+# `analytic` row limits, checked before the grid is built: 10^7 rows of
+# omega_t and visibility take 160 MB, and the benchmark's largest grid is 50,000
+MAX_SAMPLES = 10**7
+MAX_N_PI = 10**6
+
 
 # ---------------------------------------------------------------- helpers
 
@@ -144,11 +149,17 @@ def cmd_analytic(args) -> int:
     samples = args.samples if args.samples is not None else 400
     if samples < 2:
         raise ConfigError("--samples must be >= 2")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
+    if args.n_atoms is not None and args.n_atoms < 1:
+        raise ConfigError(f"--n-atoms must be >= 1, got {args.n_atoms}")
 
     if formula == "spin-echo":
         n_pi = args.n_pi if args.n_pi is not None else 1
         if n_pi < 1:
             raise ConfigError(f"--n-pi must be >= 1, got {n_pi}")
+        if n_pi > MAX_N_PI:
+            raise ConfigError(f"--n-pi must be <= {MAX_N_PI}, got {n_pi}")
         rows = [
             (2.0 * math.pi * k, analytic.spin_echo_overlap(k, lam))
             for k in range(1, n_pi + 1)

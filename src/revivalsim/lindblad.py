@@ -9,17 +9,26 @@ The noise model is
 with H = omega ad a + coupling (a + ad) sigma_z and jump operators
 sqrt(nbar*gamma_m) ad, sqrt((nbar+1)*gamma_m) a and sqrt(gamma_a) sigma_z.
 
-Every generator keeps the sigma_z block structure, so the state is the
+Every generator keeps the sigma_z block structure, so a joint state is the
 stacked (3, d, d) array [rho00, rho11, rho01] (rho10 = rho01^dag) and block
 (s, s') evolves on its own as -i(H_s rho - rho H_s') + jump terms, with
-H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).  The sigma_x echo
-gate maps (rho00, rho11, rho01) to (rho11, rho00, rho01^dag).
-`run_protocol` integrates in the frame rotating with omega ad a, exact for
-the truncated operators: the coupling becomes coupling (a e^{-i omega t} +
-ad e^{i omega t}), the dissipators are unchanged, and the right-hand side
-is six banded shifts of the flat blocks.  Tr rho01 and the populations are
-frame-independent; states return to the lab frame at each segment end
+H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).
+
+The protocol model has one more symmetry: parity P = (-1)^{ad a} maps H_0
+onto H_1 and leaves the thermal state and both dissipators unchanged, so
+rho11 = P rho00 P at all times.  `run_protocol` therefore integrates only
+the two blocks [rho00, rho01]; the sigma_x echo gate maps them to
+(P rho00 P, rho01^dag), and rho11 is rebuilt only for kept states.  It
+integrates in the frame rotating with omega ad a, exact for the truncated
+operators: the coupling becomes coupling (a e^{-i omega t} + ad e^{i omega
+t}), the dissipators are unchanged, and the right-hand side is six banded
+shifts of the flat blocks.  Tr rho01 and the populations (twice diag rho00)
+are frame-independent; states return to the lab frame at each segment end
 (before a gate) and when kept.
+
+`integrate_blocks` steps the DOP853 solver itself and hands each sample to
+the caller as soon as the solver passes it, so a run holds O(d^2) memory
+unless it keeps its states.
 
 Visibility is reported normalized to V(0) = 1, i.e. V = 2 |Tr rho01|; the
 raw coherence <sigma_minus> is exported alongside.  The trace is never
@@ -34,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .algebra import MAX_DIM, TruncationError, default_dim, thermal_density
 
@@ -52,6 +61,8 @@ PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
 BLOCK_LEFT = np.array([0, 1, 0])
 BLOCK_RIGHT = np.array([0, 1, 1])
 Z_LEVEL = SIGMA_Z.diagonal().real
+# the blocks run_protocol integrates, [rho00, rho01]; rho11 = P rho00 P
+PROTOCOL_BLOCKS = [0, 2]
 
 PROTOCOLS = ("basic", "boosted", "spin_echo")
 
@@ -158,8 +169,9 @@ class VisibilityTrace:
     across gates).  tail_mass is the occupation of the top two Fock levels.
     states, when kept, holds the joint lab-frame density matrices, shape
     (n, 2d, 2d).  stats records the run: the Fock dim and the rule that
-    chose it, per-segment solver work (nfev, wall time) and the worst
-    trace drift and tail mass next to their bounds.
+    chose it, per-segment solver work (nfev, accepted and rejected steps,
+    dense outputs, wall time) and the worst trace drift and tail mass next
+    to their bounds.
     """
 
     times: np.ndarray
@@ -188,9 +200,16 @@ def join_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bottom], axis=-2)
 
 
+def _parity(rho: np.ndarray) -> np.ndarray:
+    """P rho P with P = (-1)^{ad a}, on (..., d, d) oscillator blocks."""
+    level = np.arange(rho.shape[-1])
+    return rho * (1 - 2 * ((level[:, None] + level) % 2))
+
+
 def _flip(blocks: np.ndarray) -> np.ndarray:
-    """(sigma_x (x) 1) rho (sigma_x (x) 1) on stacked blocks."""
-    return np.stack([blocks[1], blocks[0], blocks[2].conj().T])
+    """(sigma_x (x) 1) rho (sigma_x (x) 1) on the protocol blocks
+    [rho00, rho01]: rho00 becomes rho11 = P rho00 P, rho01 becomes rho10."""
+    return np.stack([_parity(blocks[0]), blocks[1].conj().T])
 
 
 def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
@@ -201,13 +220,16 @@ def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
 
 
 def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
-    """Right-hand side for the flat blocks in the rotating frame.
+    """Right-hand side for the flat protocol blocks [rho00, rho01] in the
+    rotating frame.
 
     Each term adds weights * y shifted by a row (d), a column (1) or both
     (d + 1); a zero weight on a block's last row or column keeps every
     shift inside its block.
     """
-    n_flat = 3 * dim * dim
+    left, right = BLOCK_LEFT[PROTOCOL_BLOCKS], BLOCK_RIGHT[PROTOCOL_BLOCKS]
+    n_blocks = len(PROTOCOL_BLOCKS)
+    n_flat = n_blocks * dim * dim
     root = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # <i|a|i+1>, 0 at the edge
     level = np.arange(dim, dtype=float)
     down = cfg.gamma_m * (cfg.nbar + 1.0)  # rate of the a jump
@@ -215,17 +237,17 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
     # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); on rho01
     # the sigma_z jump nets -2 gamma_a
     rate = -0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
-    decay = np.stack([rate, rate, rate - 2.0 * cfg.gamma_a]).astype(complex).ravel()
+    decay = np.stack([rate, rate - 2.0 * cfg.gamma_a]).astype(complex).ravel()
 
     def flat(weights, shift):
-        weights = np.broadcast_to(weights, (3, dim, dim)).astype(complex)
+        weights = np.broadcast_to(weights, (n_blocks, dim, dim)).astype(complex)
         return weights.ravel()[: n_flat - shift]
 
     # (shift, y read at the lower flat index, weights, phase slot)
     terms = []
     if coupling:
-        rows = flat((coupling * Z_LEVEL[BLOCK_LEFT])[:, None, None] * root[:, None], dim)
-        cols = flat((coupling * Z_LEVEL[BLOCK_RIGHT])[:, None, None] * root, 1)
+        rows = flat((coupling * Z_LEVEL[left])[:, None, None] * root[:, None], dim)
+        cols = flat((coupling * Z_LEVEL[right])[:, None, None] * root, 1)
         terms += [(dim, False, rows, 0),  # -i z_s g e^{-i omega t} a rho
                   (dim, True, rows, 1),   # -i z_s g e^{+i omega t} ad rho
                   (1, True, cols, 2),     # +i z_s' g e^{-i omega t} rho a
@@ -253,31 +275,54 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
     return rhs
 
 
-def integrate_blocks(rhs, blocks0, t_eval, *, first_step=None) -> tuple[np.ndarray, dict]:
-    """Integrate the flattened stacked blocks under rhs(t, y) at RTOL/ATOL.
+def integrate_blocks(rhs, blocks0, t_eval, sample, *, first_step=None
+                     ) -> tuple[np.ndarray, dict]:
+    """Integrate the flattened stacked blocks under rhs(t, y) from t = 0 to
+    t_eval[-1] at RTOL/ATOL, and pass the samples at the sorted times t_eval
+    to sample(t, blocks) as the solver steps past them; blocks has shape
+    (len(t), *blocks0.shape).
 
-    Returns the blocks at t_eval, shape (len(t_eval), 3, d, d), and the
-    segment record {duration, nfev, wall_s}.
+    Samples come from each accepted step's dense output, taken at the
+    t_eval points in (t_old, t] (the first step also takes t = 0), the
+    rule and the calls of solve_ivp with t_eval.  Returns the blocks at
+    t_eval[-1] and the segment record {duration, nfev, steps, rejected,
+    dense_outputs, wall_s}.
     """
     started = time.perf_counter()
+    t_end = float(t_eval[-1])
     # the embedded 4/5 pair at rtol 1e-10 accumulates ~2e-8 of global error
     # over a full revival at the (lam=0.5, nbar=5) corner of the supported
     # envelope; the higher-order embedded pair is faster and ~20x tighter
-    sol = solve_ivp(rhs, (float(t_eval[0]), float(t_eval[-1])),
-                    np.asarray(blocks0, dtype=complex).ravel(), method="DOP853",
-                    t_eval=t_eval, rtol=RTOL, atol=ATOL, first_step=first_step)
-    if not sol.success:
-        raise IntegrationError(f"master-equation solver failed: {sol.message}")
-    record = {"duration": float(t_eval[-1] - t_eval[0]), "nfev": sol.nfev,
+    solver = DOP853(rhs, 0.0, np.asarray(blocks0, dtype=complex).ravel(), t_end,
+                    rtol=RTOL, atol=ATOL, first_step=first_step)
+    setup_nfev = solver.nfev
+    steps = dense_outputs = taken = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"master-equation solver failed: {message}")
+        steps += 1
+        upto = np.searchsorted(t_eval, solver.t, side="right")
+        if upto > taken:
+            t_step = t_eval[taken:upto]
+            blocks = solver.dense_output()(t_step).T.reshape(len(t_step), *blocks0.shape)
+            dense_outputs += 1
+            sample(t_step, blocks)
+            taken = upto
+    # a DOP853 trial costs n_stages evaluations, a dense output len(A_EXTRA)
+    dense_nfev = len(DOP853.A_EXTRA) * dense_outputs
+    trials = (solver.nfev - setup_nfev - dense_nfev) // DOP853.n_stages
+    record = {"duration": t_end, "nfev": solver.nfev, "steps": steps,
+              "rejected": trials - steps, "dense_outputs": dense_outputs,
               "wall_s": time.perf_counter() - started}
-    return sol.y.T.reshape(len(t_eval), *blocks0.shape), record
+    return blocks[-1], record
 
 
-def observables(blocks: np.ndarray):
-    """<sigma_minus>, |Tr rho - 1| and top-two-level occupation per sample."""
-    diag = np.diagonal(blocks, axis1=-2, axis2=-1)
-    pops = diag[:, 0].real + diag[:, 1].real
-    return diag[:, 2].sum(axis=-1), np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
+def observables(d00: np.ndarray, d11: np.ndarray, d01: np.ndarray):
+    """<sigma_minus>, |Tr rho - 1| and top-two-level occupation per sample,
+    from the (n, d) diagonals of rho00, rho11 and rho01."""
+    pops = d00.real + d11.real
+    return d01.sum(axis=-1), np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
 
 
 def make_trace(times, rows, config, states, stats) -> VisibilityTrace:
@@ -316,24 +361,31 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     period = 2.0 * math.pi / cfg.omega
     rhs_by_coupling = {}
     times, rows, kept, segment_stats = [], [], [], []
-    blocks = split_blocks(initial_state(cfg, dim))
+    blocks = split_blocks(initial_state(cfg, dim))[PROTOCOL_BLOCKS]
     t_now = 0.0
+
+    def sample(t, path):
+        # populations: diag(P rho00 P) = diag(rho00)
+        diag = np.diagonal(path, axis1=-2, axis2=-1)
+        rows.append(observables(diag[:, 0], diag[:, 0], diag[:, 1]))
+        times.append(t_now + t)
+        if keep_states:
+            r00, r01 = np.moveaxis(_to_lab(path, cfg.omega, t), -3, 0)
+            kept.append(join_blocks(np.stack([r00, _parity(r00), r01], axis=-3)))
+
     for seg_idx, (duration, coupling, flip) in enumerate(segments):
         if coupling not in rhs_by_coupling:
             rhs_by_coupling[coupling] = _rotating_rhs(cfg, dim, coupling)
         n_int = max(2, round(cfg.samples_per_period * duration / period))
         t_local = np.linspace(0.0, duration, n_int + 1)
-        path, record = integrate_blocks(rhs_by_coupling[coupling], blocks, t_local,
-                                        first_step=min(FIRST_STEP, duration / 2))
+        # a later segment's t = 0 is the previous one's last sample
+        end, record = integrate_blocks(rhs_by_coupling[coupling], blocks,
+                                       t_local if seg_idx == 0 else t_local[1:], sample,
+                                       first_step=min(FIRST_STEP, duration / 2))
         segment_stats.append({**record, "coupling": coupling})
-        blocks = _to_lab(path[-1], cfg.omega, duration)
+        blocks = _to_lab(end, cfg.omega, duration)
         if flip:
             blocks = _flip(blocks)
-        keep = slice(None) if seg_idx == 0 else slice(1, None)
-        times.append(t_now + t_local[keep])
-        rows.append(observables(path[keep]))
-        if keep_states:
-            kept.append(join_blocks(_to_lab(path[keep], cfg.omega, t_local[keep])))
         t_now += duration
 
     stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",

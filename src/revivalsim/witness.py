@@ -109,12 +109,19 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     t_eval = np.linspace(0.0, float(t_max), samples + 1)
-    path, segment = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval)
+    rows, states = [], []
+
+    def sample(t, blocks):
+        diag = np.diagonal(blocks, axis1=-2, axis2=-1)
+        rows.append(observables(diag[:, 0], diag[:, 1], diag[:, 2]))
+        states.append(join_blocks(blocks))
+
+    _, segment = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval, sample)
     config = {"kind": "separable_channel", "dim": spec.dim, "gamma": spec.gamma,
               "qubit_splitting": spec.qubit_splitting,
               "qubit_dephasing": spec.qubit_dephasing,
               "n_local_lindblads": len(spec.oscillator_lindblads)}
-    return make_trace(t_eval, [observables(path)], config, join_blocks(path),
+    return make_trace(t_eval, rows, config, np.concatenate(states),
                       {"dim": spec.dim, "dim_rule": "spec", "segments": [segment]})
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from revivalsim import __version__
 from revivalsim.algebra import MAX_DIM
-from revivalsim.cli import main
+from revivalsim.cli import MAX_N_PI, MAX_SAMPLES, main
 from revivalsim.lindblad import ProtocolConfig, run_protocol
 from revivalsim.analytic import CouplingParams, boosted_swing, spin_echo_overlap
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
@@ -116,6 +116,22 @@ def test_analytic_rejects_n_pi_below_one(n_pi, tmp_path, capsys):
     assert main(["analytic", "--formula", "spin-echo", "--lambda", "0.1",
                  f"--n-pi={n_pi}", "--out", str(out)]) == 2
     assert "--n-pi" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ("--formula", "many-atom", "--n-atoms", "0"),
+    ("--formula", "many-atom", "--n-atoms", "-3"),
+    ("--formula", "thermal", "--samples", str(MAX_SAMPLES + 1)),
+    ("--formula", "thermal", "--samples", "1000000000"),
+    ("--formula", "spin-echo", "--n-pi", str(MAX_N_PI + 1)),
+], ids=["n_atoms_0", "n_atoms_neg", "samples_cap", "samples_1e9", "n_pi_cap"])
+def test_analytic_rejects_out_of_range_counts(flags, tmp_path, capsys):
+    # --n-atoms 0 was a domain error (exit 3), and --samples 1e9 asked numpy
+    # for a 7.45 GiB grid (exit 1); the bounds apply before anything is built
+    out = tmp_path / "x.csv"
+    assert main(["analytic", "--lambda", "0.1", *flags, "--out", str(out)]) == 2
+    assert flags[2] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -24,17 +24,19 @@ from revivalsim.analytic import (
 from revivalsim.cli import main
 from revivalsim.lindblad import (
     PLUS_STATE,
+    PROTOCOL_BLOCKS,
     SIGMA_Z,
     ProtocolConfig,
     _flip,
     _rotating_rhs,
     initial_state,
+    integrate_blocks,
     join_blocks,
     negativity,
     run_protocol,
     split_blocks,
 )
-from revivalsim.witness import _block_rhs, random_separable_spec
+from revivalsim.witness import _block_rhs, random_product_state, random_separable_spec
 
 FIG_NBAR = 1.5414940825367982  # thermal occupation at omega = 1, T = 2
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -79,6 +81,11 @@ def _apply(rhs, t, blocks):
     return rhs(t, blocks.ravel()).reshape(blocks.shape)
 
 
+def _protocol_blocks(rho):
+    """The blocks [rho00, rho01] that run_protocol integrates."""
+    return split_blocks(rho)[PROTOCOL_BLOCKS]
+
+
 # ---------------------------------------------------------------------------
 # block kernel
 # ---------------------------------------------------------------------------
@@ -91,13 +98,13 @@ def test_hamiltonian_layout():
     cfg = ProtocolConfig(omega=2.0, g=0.3, dim=12)
     a = annihilation(12)
     rng = np.random.default_rng(1)
-    blocks = split_blocks(_random_state(rng, 24))
+    blocks = _protocol_blocks(_random_state(rng, 24))
     rhs = _rotating_rhs(cfg, 12, 0.3)
     for t, turn in ((0.0, 1.0), (math.pi / 4.0, -1j)):
         v_up = 0.3 * (turn * a + np.conj(turn) * a.conj().T)
         v = [v_up, -v_up]
         want = np.stack([-1j * (v[s] @ blocks[k] - blocks[k] @ v[r])
-                         for k, (s, r) in enumerate([(0, 0), (1, 1), (0, 1)])])
+                         for k, (s, r) in enumerate([(0, 0), (0, 1)])])
         assert np.max(np.abs(_apply(rhs, t, blocks) - want)) < 1e-14
 
 
@@ -105,19 +112,21 @@ def test_standard_jump_rates():
     cfg = ProtocolConfig(g=0.1, gamma_m=0.02, gamma_a=0.005, nbar=3.0, dim=16)
     rhs = _rotating_rhs(cfg, 16, 0.0)
     proj = np.eye(16, dtype=complex)
-    blocks = np.stack([np.outer(proj[0], proj[0]), np.outer(proj[1], proj[1]),
-                       np.outer(proj[0], proj[0])])
-    d = _apply(rhs, 0.0, blocks)
+    ground, excited = np.outer(proj[0], proj[0]), np.outer(proj[1], proj[1])
+    # blocks [rho00, rho01]; rho00 takes the Fock projectors in turn
+    d0 = _apply(rhs, 0.0, np.stack([ground, ground]))
+    d1 = _apply(rhs, 0.0, np.stack([excited, ground]))
     up, down = 3.0 * 0.02, 4.0 * 0.02  # rates of the ad and a jumps
-    assert d[0, 1, 1] == pytest.approx(up) and d[0, 0, 0] == pytest.approx(-up)
-    assert d[1, 0, 0] == pytest.approx(down) and d[1, 2, 2] == pytest.approx(2 * up)
-    assert d[1, 1, 1] == pytest.approx(-down - 2 * up)
-    assert d[2, 0, 0] == pytest.approx(-up - 2 * 0.005)
+    assert d0[0, 1, 1] == pytest.approx(up) and d0[0, 0, 0] == pytest.approx(-up)
+    assert d1[0, 0, 0] == pytest.approx(down) and d1[0, 2, 2] == pytest.approx(2 * up)
+    assert d1[0, 1, 1] == pytest.approx(-down - 2 * up)
+    assert d0[1, 0, 0] == pytest.approx(-up - 2 * 0.005)
     # no mechanical jumps when gamma_m = 0: only the coherence dephases
     cfg2 = ProtocolConfig(g=0.1, gamma_a=0.005, nbar=3.0, dim=16)
+    blocks = np.stack([ground, ground])
     d2 = _apply(_rotating_rhs(cfg2, 16, 0.0), 0.0, blocks)
-    assert np.max(np.abs(d2[:2])) == 0.0
-    assert np.max(np.abs(d2[2] + 2 * 0.005 * blocks[2])) < 1e-18
+    assert np.max(np.abs(d2[0])) == 0.0
+    assert np.max(np.abs(d2[1] + 2 * 0.005 * blocks[1])) < 1e-18
 
 
 def test_protocol_rhs_matches_dense_lindblad():
@@ -135,8 +144,8 @@ def test_protocol_rhs_matches_dense_lindblad():
             n_op = np.diag(levels.astype(complex))
             want = 1j * cfg.omega * (n_op @ rho - rho @ n_op) + u @ _lindblad_rhs(
                 h, jumps, u.conj().T @ rho @ u) @ u.conj().T
-            got = _apply(rhs, t, split_blocks(rho))
-            assert np.max(np.abs(got - split_blocks(want))) < 1e-12
+            got = _apply(rhs, t, _protocol_blocks(rho))
+            assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-12
 
 
 def test_separable_rhs_matches_dense_lindblad():
@@ -159,24 +168,33 @@ def test_protocol_rhs_annihilates_steady_state():
     # with thermal jumps and no coupling, the thermal state is stationary
     cfg = ProtocolConfig(g=0.0, gamma_m=0.1, nbar=2.0, dim=50)
     rho = np.kron(np.diag([1.0, 0.0]).astype(complex), thermal_density(2.0, 50))
-    resid = _apply(_rotating_rhs(cfg, 50, 0.0), 1.7, split_blocks(rho))
+    resid = _apply(_rotating_rhs(cfg, 50, 0.0), 1.7, _protocol_blocks(rho))
     assert np.max(np.abs(resid)) < 1e-9  # truncation-limited, not solver-limited
 
 
 def test_echo_gate_swaps_blocks():
+    # a parity-symmetric state (rho11 = P rho00 P), as every protocol state is
     rho = _random_state(np.random.default_rng(6), 14)
+    parity = np.diag((-1.0) ** np.arange(7))
+    sym = np.kron(SIGMA_X, parity)
+    rho = 0.5 * (rho + sym @ rho @ sym)
     flip = np.kron(SIGMA_X, np.eye(7))
-    got = join_blocks(_flip(split_blocks(rho)))
-    assert np.max(np.abs(got - flip @ rho @ flip)) < 1e-15
+    want = flip @ rho @ flip
+    got = _flip(_protocol_blocks(rho))
+    assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-15
+    joint = join_blocks(np.stack([got[0], parity @ got[0] @ parity, got[1]]))
+    assert np.max(np.abs(joint - want)) < 1e-15
     assert np.max(np.abs(join_blocks(split_blocks(rho)) - rho)) < 1e-15
 
 
-@pytest.mark.parametrize("protocol", ["basic", "spin_echo"])
+@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
 def test_kept_states_are_lab_frame_density_matrices(protocol):
     dim, n_pi = 20, 1
-    cfg = ProtocolConfig(g=0.15, nbar=0.3, gamma_m=0.02, gamma_a=0.01, dim=dim,
-                         t_max=1.5, protocol=protocol, n_pi=n_pi,
-                         samples_per_period=24)
+    boosted = protocol == "boosted"
+    cfg = ProtocolConfig(g=0.15, g_prime=0.1 if boosted else 0.0, nbar=0.3,
+                         gamma_m=0.02, gamma_a=0.01, dim=dim,
+                         t_max=4.0 if boosted else 1.5, protocol=protocol,
+                         n_pi=n_pi, samples_per_period=24)
     trace = run_protocol(cfg, keep_states=True)
     states = trace.states
     assert states.shape == (len(trace.times), 2 * dim, 2 * dim)
@@ -186,15 +204,18 @@ def test_kept_states_are_lab_frame_density_matrices(protocol):
     # the lab-frame joint master equation, integrated densely, gives the
     # same states; in the rotating frame the coherences would be off by
     # the phases exp(i omega (i - j) t)
-    h, jumps = _joint_model(cfg, dim, cfg.g)
-    rhs = _dense_rhs(h, jumps)
     if protocol == "basic":
-        segments = [(cfg.resolved_t_max(), False)]
+        segments = [(cfg.resolved_t_max(), cfg.g, False)]
+    elif boosted:
+        segments = [(math.pi, cfg.g + cfg.g_prime, False),
+                    (cfg.resolved_t_max() - math.pi, cfg.g, False)]
     else:
-        segments = [(math.pi, j not in (2 * n_pi, 4 * n_pi)) for j in range(1, 4 * n_pi + 1)]
+        segments = [(math.pi, cfg.g, j not in (2 * n_pi, 4 * n_pi))
+                    for j in range(1, 4 * n_pi + 1)]
     flip = np.kron(SIGMA_X, np.eye(dim))
     rho, t_now, want = initial_state(cfg), 0.0, []
-    for idx, (duration, flip_after) in enumerate(segments):
+    for idx, (duration, coupling, flip_after) in enumerate(segments):
+        rhs = _dense_rhs(*_joint_model(cfg, dim, coupling))
         t_eval = trace.times[(trace.times >= t_now - 1e-12)
                              & (trace.times <= t_now + duration + 1e-12)] - t_now
         t_eval = np.concatenate([[0.0], t_eval[t_eval > 1e-12]])
@@ -206,6 +227,50 @@ def test_kept_states_are_lab_frame_density_matrices(protocol):
         t_now += duration
     assert len(want) == len(states)
     assert np.max(np.abs(states - np.array(want))) < 1e-8
+
+
+@pytest.mark.parametrize("first_step", [None, 4.0])
+def test_streamed_integration_equals_solve_ivp(first_step):
+    # the stepped DOP853 must reproduce solve_ivp(t_eval=...) bit for bit;
+    # t_eval holds step ends of the same solve and the final t_bound, and a
+    # too-large first step forces rejected trials
+    dim, t_end = 6, 8.0
+    rhs = _block_rhs(random_separable_spec(4, dim))
+    blocks0 = split_blocks(random_product_state(4, dim))
+    options = dict(method="DOP853", rtol=1e-10, atol=1e-12, first_step=first_step)
+    free = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), **options)
+    grid, step_ends = np.linspace(0.0, t_end, 41), free.t[1:-1:3]
+    assert not np.isin(step_ends, grid).any()
+    t_eval = np.unique(np.concatenate([grid, step_ends]))
+    sol = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), t_eval=t_eval, **options)
+    chunks = []
+    end, record = integrate_blocks(rhs, blocks0, t_eval,
+                                   lambda t, b: chunks.append((t.copy(), b.copy())),
+                                   first_step=first_step)
+    times = np.concatenate([t for t, _ in chunks])
+    path = np.concatenate([b for _, b in chunks])
+    assert np.array_equal(times, sol.t) and times[-1] == t_end
+    assert np.array_equal(path, sol.y.T.reshape(len(t_eval), *blocks0.shape))
+    assert np.array_equal(end, path[-1])
+    assert record["nfev"] == sol.nfev
+    assert record["steps"] == len(free.t) - 1
+    # solve_ivp evaluates once at t0 and, with no first step, once to choose it
+    setup = 1 if first_step else 2
+    trials = record["steps"] + record["rejected"]
+    assert record["nfev"] == setup + 12 * trials + 3 * record["dense_outputs"]
+    assert record["dense_outputs"] == len(chunks)
+    assert (record["rejected"] > 0) == (first_step is not None)
+
+
+@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
+def test_keep_states_leaves_visibility_bit_identical(protocol):
+    cfg = ProtocolConfig(g=0.1, g_prime=0.05 if protocol == "boosted" else 0.0,
+                         nbar=1.0, gamma_m=0.01, gamma_a=0.002, protocol=protocol,
+                         samples_per_period=30)
+    kept, bare = run_protocol(cfg, keep_states=True), run_protocol(cfg)
+    assert bare.states is None and len(kept.states) == len(kept.times)
+    for name in ("times", "visibility", "sigma_minus", "trace_error", "tail_mass"):
+        assert np.array_equal(getattr(kept, name), getattr(bare, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +325,16 @@ def test_damped_trace_matches_expansion():
     assert np.max(np.abs(trace.visibility - visibility_damped(p, trace.times))) < 1e-3
 
 
+@pytest.mark.parametrize("q_factor, bound", [(100.0, 1e-4), (1000.0, 1e-6)])
+def test_damped_expansion_is_second_order_in_one_over_q(q_factor, bound):
+    # lam = 0.2, nbar = 3 over two periods: 1.8e-5 at Q = 100 and 1.8e-7 at
+    # Q = 1000; a wrong 1/Q term shows as 1.7e-2 and 1.7e-3
+    cfg = ProtocolConfig(g=0.2, nbar=3.0, gamma_m=1.0 / q_factor, samples_per_period=40)
+    trace = run_protocol(cfg)
+    p = CouplingParams(coupling=0.2, nbar=3.0, q_factor=q_factor)
+    assert np.max(np.abs(trace.visibility - visibility_damped(p, trace.times))) < bound
+
+
 def test_qubit_dephasing_rate():
     cfg = ProtocolConfig(g=0.0, gamma_a=0.1, t_max=5.0, samples_per_period=40)
     trace = run_protocol(cfg)
@@ -302,6 +377,11 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
     assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "default_dim")
     assert len(stats["segments"]) == 8
     assert all(s["nfev"] > 0 and s["wall_s"] > 0 for s in stats["segments"])
+    # one evaluation at t = 0, 12 per DOP853 trial, 3 per dense output
+    for s in stats["segments"]:
+        assert s["steps"] > 0 and s["rejected"] >= 0
+        assert 0 < s["dense_outputs"] <= s["steps"]
+        assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
     assert sum(s["duration"] for s in stats["segments"]) == pytest.approx(8 * math.pi)
     assert stats["worst_trace_error"] == trace.trace_error.max()
     assert stats["worst_tail_mass"] == trace.tail_mass.max()
