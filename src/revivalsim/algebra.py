@@ -1,8 +1,8 @@
-"""Truncated Fock-space operators and thermal-state helpers.
+"""Thermal occupations, truncated thermal states and the Fock dim rule.
 
-All matrix-valued helpers act on a Fock space truncated to ``dim`` levels
-|0>, ..., |dim-1>; states near the truncation edge are the caller's
-responsibility (see `default_dim` and the tail diagnostics).
+A thermal state is truncated to ``dim`` levels |0>, ..., |dim-1>; states
+near the truncation edge are the caller's responsibility (see `default_dim`
+and the tail diagnostics).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ DEFAULT_TAIL_BOUND = 1e-8
 # Largest Fock dim a run may use.  One (2, d, d) complex protocol state takes
 # 32 d^2 bytes (8.4 MB at 512) and the integrator holds about 16 of them; a
 # run that keeps its states adds a (2d, 2d) joint state per sample (the
-# witness integrates (3, d, d) blocks and always keeps them).  So a dim far
+# witness integrates (3, d, d) blocks and always keeps them, so `verify`
+# also bounds samples x dim^2 by `cli.MAX_STATE_VALUES`).  So a dim far
 # beyond the supported envelope (129 at lambda = 0.3, nbar = 5; 268 at
 # lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
 # anything is built.
@@ -31,19 +32,6 @@ class TruncationError(RuntimeError):
     def __init__(self, message: str, tail_mass: float = float("nan")):
         super().__init__(message)
         self.tail_mass = tail_mass
-
-
-def _check_dim(dim: int) -> int:
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError(f"Fock dimension must be >= 2, got {dim}")
-    return dim
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Truncated annihilation operator a."""
-    dim = _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def thermal_occupation(
@@ -86,7 +74,9 @@ def thermal_density(nbar: float, dim: int) -> np.ndarray:
     Raises TruncationError if the untruncated state has more than
     ``DEFAULT_TAIL_BOUND`` probability mass at or above level ``dim``.
     """
-    dim = _check_dim(dim)
+    dim = int(dim)
+    if dim < 2:
+        raise ValueError(f"Fock dimension must be >= 2, got {dim}")
     if nbar < 0 or not math.isfinite(nbar):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     tail = thermal_tail_mass(nbar, dim)

@@ -50,12 +50,9 @@ class CouplingParams:
 
 
 def visibility_ground(coupling: float, omega_t) -> ArrayLike:
-    """Ground-state contrast exp[-8 lam^2 sin^2(omega t/2)]."""
-    if not math.isfinite(coupling):
-        raise ValueError(f"coupling must be finite, got {coupling}")
-    omega_t = np.asarray(omega_t, dtype=float)
-    out = np.exp(-8.0 * coupling**2 * np.sin(omega_t / 2.0) ** 2)
-    return out if out.ndim else float(out)
+    """Ground-state contrast exp[-8 lam^2 sin^2(omega t/2)]: the thermal
+    contrast at nbar = 0."""
+    return visibility_thermal(CouplingParams(coupling), omega_t)
 
 
 def visibility_thermal(params: CouplingParams, omega_t) -> ArrayLike:
@@ -129,26 +126,6 @@ def visibility_boosted(params: CouplingParams, omega_t) -> ArrayLike:
     second = np.exp(-pref * (lamp**2 + (2.0 * lam * lamp + lam**2) * s2))
     out = np.where(omega_t <= math.pi, first, second)
     return out if out.ndim else float(out)
-
-
-def boosted_swing(params: CouplingParams) -> float:
-    """Half-to-full-period visibility rise of the boosted protocol:
-
-        exp[-8(2nbar+1) lam'^2] - exp[-8(2nbar+1) (lam+lam')^2]
-
-    ~ 16 (2nbar+1) lam lam' exp[-8(2nbar+1) lam'^2] for small lam.
-    """
-    pref = 8.0 * (2.0 * params.nbar + 1.0)
-    lam = params.coupling
-    lamp = params.boost_coupling
-    return math.exp(-pref * lamp**2) - math.exp(-pref * (lam + lamp) ** 2)
-
-
-def optimal_boost_coupling(nbar: float) -> float:
-    """lam' maximizing the boosted signal: 1/sqrt(8 (2 nbar + 1))."""
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    return 1.0 / math.sqrt(8.0 * (2.0 * nbar + 1.0))
 
 
 def visibility_many_atom(

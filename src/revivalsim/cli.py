@@ -36,9 +36,14 @@ EXIT_NUMERICS = 4
 EXIT_WITNESS = 5
 
 # `analytic` row limits, checked before the grid is built: 10^7 rows of
-# omega_t and visibility take 160 MB, and the benchmark's largest grid is 50,000
+# omega_t and visibility take 160 MB, and the benchmark's largest grid is
+# 50,000; MAX_SAMPLES also caps the cells of a `design --sweep`
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
+# `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
+# its peak memory is about four times those (430 MB above import for the
+# 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB
+MAX_STATE_VALUES = 2**24
 
 
 # ---------------------------------------------------------------- helpers
@@ -114,31 +119,26 @@ _FORMULA_FLAGS = {
     "many-atom": {"lam", "nbar", "n_atoms"},
     "spin-echo": {"lam", "n_pi"},
 }
-_FLAG_NAMES = {
-    "lam": "--lambda",
-    "lam_prime": "--lambda-prime",
-    "nbar": "--nbar",
-    "q": "--q",
-    "gamma_a": "--gamma-a",
-    "n_atoms": "--n-atoms",
-    "n_pi": "--n-pi",
-}
-# flags that set a `CouplingParams` field; absent ones keep its default
-_PARAM_FIELDS = {
-    "lam_prime": "boost_coupling",
-    "nbar": "nbar",
-    "q": "q_factor",
-    "gamma_a": "qubit_decay",
+# each formula flag's option string and the `CouplingParams` field it sets
+# (None: read by cmd_analytic itself); absent flags keep the field's default
+_FLAGS = {
+    "lam": ("--lambda", None),
+    "lam_prime": ("--lambda-prime", "boost_coupling"),
+    "nbar": ("--nbar", "nbar"),
+    "q": ("--q", "q_factor"),
+    "gamma_a": ("--gamma-a", "qubit_decay"),
+    "n_atoms": ("--n-atoms", None),
+    "n_pi": ("--n-pi", None),
 }
 
 
 def cmd_analytic(args) -> int:
     formula = args.formula
     allowed = _FORMULA_FLAGS[formula]
-    passed = {k for k in _FLAG_NAMES if getattr(args, k) is not None}
+    passed = {k for k in _FLAGS if getattr(args, k) is not None}
     stray = passed - allowed
     if stray:
-        names = ", ".join(sorted(_FLAG_NAMES[k] for k in stray))
+        names = ", ".join(sorted(_FLAGS[k][0] for k in stray))
         raise ConfigError(f"{names} not applicable to --formula {formula}")
     if formula == "spin-echo" and (args.t_max is not None or args.samples is not None):
         raise ConfigError("--t-max/--samples conflict with --formula spin-echo "
@@ -166,24 +166,21 @@ def cmd_analytic(args) -> int:
         ]
     else:
         grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
-        if formula == "ground":
-            vis = analytic.visibility_ground(lam, grid)
-        else:
-            given = {field: getattr(args, k) for k, field in _PARAM_FIELDS.items()
-                     if getattr(args, k) is not None}
-            params = analytic.CouplingParams(coupling=lam, **given)
-            if formula == "thermal":
-                vis = analytic.visibility_thermal(params, grid)
-            elif formula == "damped":
-                vis = analytic.visibility_damped(params, grid)
-            elif formula == "boosted":
-                vis = analytic.visibility_boosted(params, grid)
-            else:  # many-atom
-                n_atoms = args.n_atoms if args.n_atoms is not None else 1
-                vis = analytic.visibility_many_atom(n_atoms, params, grid)
+        given = {field: getattr(args, k) for k, (_, field) in _FLAGS.items()
+                 if field and getattr(args, k) is not None}
+        params = analytic.CouplingParams(coupling=lam, **given)
+        if formula in ("ground", "thermal"):  # ground is thermal at nbar = 0
+            vis = analytic.visibility_thermal(params, grid)
+        elif formula == "damped":
+            vis = analytic.visibility_damped(params, grid)
+        elif formula == "boosted":
+            vis = analytic.visibility_boosted(params, grid)
+        else:  # many-atom
+            n_atoms = args.n_atoms if args.n_atoms is not None else 1
+            vis = analytic.visibility_many_atom(n_atoms, params, grid)
         rows = list(zip(grid.tolist(), np.asarray(vis).tolist()))
 
-    echo = {k: getattr(args, k) for k in _FLAG_NAMES}
+    echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
     write_csv(args.out, ["omega_t", "visibility"], rows)
     write_manifest(args, echo)
@@ -254,11 +251,12 @@ def cmd_simulate(args) -> int:
         "tail_mass": trace.tail_mass,
     }
     values = [c.tolist() for c in columns.values()]
+    echo = dataclasses.asdict(cfg)
     if args.format == "csv":
         write_csv(args.out, list(columns), list(zip(*values)))
     else:
-        write_json(args.out, dict(zip(columns, values), config=trace.config))
-    write_manifest(args, dataclasses.asdict(cfg), stats=trace.stats)
+        write_json(args.out, dict(zip(columns, values), config=echo))
+    write_manifest(args, echo, stats=trace.stats)
     print(
         f"wrote {args.out} ({len(trace.times)} samples, "
         f"final V = {trace.visibility[-1]:.6f})"
@@ -275,6 +273,11 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--dim must be between 2 and MAX_DIM={MAX_DIM}")
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    kept = (args.samples + 1) * (2 * args.dim) ** 2
+    if kept > MAX_STATE_VALUES:
+        raise ConfigError(
+            f"--samples {args.samples} at --dim {args.dim} keeps {kept} state values "
+            f"per channel, more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
 
     reports = witness.run_property_suite(
         args.seeds, args.dim, tol=args.tol, t_max=args.t_max, samples=args.samples
@@ -349,6 +352,10 @@ def cmd_design(args) -> int:
             raise ConfigError("--sweep requires --tau-range and --temp-range")
         if not args.out:
             raise ConfigError("--sweep requires --out")
+        cells = args.tau_range[2] * args.temp_range[2]
+        if cells > MAX_SAMPLES:
+            raise ConfigError(f"--tau-range and --temp-range give {cells} grid cells, "
+                              f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
         write_csv(
             args.out,
@@ -410,6 +417,8 @@ def _range_triple(raw: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo,hi,n — got {raw!r}")
     lo, hi, n = _positive_float(parts[0]), _positive_float(parts[1]), int(parts[2])
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"hi must be >= lo, got {raw!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"n must be >= 1, got {raw!r}")
     return lo, hi, n

@@ -55,9 +55,7 @@ def require_keys(values: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} config keys: {', '.join(unknown)}")
 
 
-def get_number(values: dict, key: str, default=None):
-    if key not in values:
-        return default
+def get_number(values: dict, key: str):
     v = values[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config key {key!r} must be numeric, got {v!r}")
@@ -66,8 +64,8 @@ def get_number(values: dict, key: str, default=None):
     return v
 
 
-def get_int(values: dict, key: str, default=None):
-    v = get_number(values, key, default)
-    if v is not None and not isinstance(v, int):
+def get_int(values: dict, key: str):
+    v = get_number(values, key)
+    if not isinstance(v, int):
         raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
     return v

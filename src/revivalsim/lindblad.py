@@ -17,14 +17,14 @@ H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).
 The protocol model has one more symmetry: parity P = (-1)^{ad a} maps H_0
 onto H_1 and leaves the thermal state and both dissipators unchanged, so
 rho11 = P rho00 P at all times.  `run_protocol` therefore integrates only
-the two blocks [rho00, rho01]; the sigma_x echo gate maps them to
-(P rho00 P, rho01^dag), and rho11 is rebuilt only for kept states.  It
-integrates in the frame rotating with omega ad a, exact for the truncated
-operators: the coupling becomes coupling (a e^{-i omega t} + ad e^{i omega
-t}), the dissipators are unchanged, and the right-hand side is six banded
-shifts of the flat blocks.  Tr rho01 and the populations (twice diag rho00)
-are frame-independent; states return to the lab frame at each segment end
-(before a gate) and when kept.
+the two blocks [rho00, rho01], both thermal(nbar)/2 at t = 0; the sigma_x
+echo gate maps them to (P rho00 P, rho01^dag), and rho11 is rebuilt only
+for kept states.  It integrates in the frame rotating with omega ad a,
+exact for the truncated operators: the coupling becomes coupling (a
+e^{-i omega t} + ad e^{i omega t}), the dissipators are unchanged, and the
+right-hand side is six banded shifts of the flat blocks.  Tr rho01 and the
+populations (twice diag rho00) are frame-independent; states return to the
+lab frame at each segment end (before a gate) and when kept.
 
 `integrate_blocks` steps the DOP853 solver itself and hands each sample to
 the caller as soon as the solver passes it, so a run holds O(d^2) memory
@@ -37,7 +37,6 @@ renormalized: its drift is a solver diagnostic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -53,16 +52,13 @@ RTOL = 1e-10               # solver relative tolerance
 ATOL = 1e-12               # solver absolute tolerance
 FIRST_STEP = 1e-3          # first solver step of each protocol segment
 
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
 
 # qubit levels (s, s') of the stacked blocks [rho00, rho11, rho01], and
 # the sigma_z eigenvalue z_s of each level
 BLOCK_LEFT = np.array([0, 1, 0])
 BLOCK_RIGHT = np.array([0, 1, 1])
-Z_LEVEL = SIGMA_Z.diagonal().real
-# the blocks run_protocol integrates, [rho00, rho01]; rho11 = P rho00 P
-PROTOCOL_BLOCKS = [0, 2]
+Z_LEVEL = np.array([1.0, -1.0])
 
 PROTOCOLS = ("basic", "boosted", "spin_echo")
 
@@ -127,6 +123,9 @@ class ProtocolConfig:
         return 2.0 * lam
 
     def resolved_dim(self) -> int:
+        """The configured or `default_dim` Fock dim, checked against
+        `MAX_DIM` and against the floor 4|alpha|^2 + nbar + 10 sqrt(nbar+1)
+        with |alpha| = `max_displacement()`."""
         dim = self.dim
         if dim is None:
             dim = default_dim(self.nbar, self.max_displacement())
@@ -136,13 +135,12 @@ class ProtocolConfig:
                 f"dim={dim} exceeds MAX_DIM={MAX_DIM}; the coupling or nbar is "
                 "too large for the truncated-Fock engine"
             )
-        lam = abs(self.g) / self.omega
-        lamp = abs(self.g_prime) / self.omega
-        floor = 16.0 * (lam + lamp) ** 2 + self.nbar + 10.0 * math.sqrt(self.nbar + 1)
+        disp = self.max_displacement()
+        floor = 4.0 * disp**2 + self.nbar + 10.0 * math.sqrt(self.nbar + 1)
         if dim <= floor:
             raise TruncationError(
                 f"dim={dim} is below the safe floor {floor:.1f} for "
-                f"lam={lam:.3g}, lam'={lamp:.3g}, nbar={self.nbar:.3g}"
+                f"displacement {disp:.3g}, nbar={self.nbar:.3g}"
             )
         return dim
 
@@ -179,7 +177,6 @@ class VisibilityTrace:
     sigma_minus: np.ndarray
     trace_error: np.ndarray
     tail_mass: np.ndarray
-    config: dict = field(default_factory=dict)
     states: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
@@ -227,8 +224,9 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
     (d + 1); a zero weight on a block's last row or column keeps every
     shift inside its block.
     """
-    left, right = BLOCK_LEFT[PROTOCOL_BLOCKS], BLOCK_RIGHT[PROTOCOL_BLOCKS]
-    n_blocks = len(PROTOCOL_BLOCKS)
+    # sigma_z eigenvalues z_s, z_s' of the blocks rho00 and rho01
+    z_left, z_right = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    n_blocks = 2
     n_flat = n_blocks * dim * dim
     root = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # <i|a|i+1>, 0 at the edge
     level = np.arange(dim, dtype=float)
@@ -246,8 +244,8 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
     # (shift, y read at the lower flat index, weights, phase slot)
     terms = []
     if coupling:
-        rows = flat((coupling * Z_LEVEL[left])[:, None, None] * root[:, None], dim)
-        cols = flat((coupling * Z_LEVEL[right])[:, None, None] * root, 1)
+        rows = flat((coupling * z_left)[:, None, None] * root[:, None], dim)
+        cols = flat((coupling * z_right)[:, None, None] * root, 1)
         terms += [(dim, False, rows, 0),  # -i z_s g e^{-i omega t} a rho
                   (dim, True, rows, 1),   # -i z_s g e^{+i omega t} ad rho
                   (1, True, cols, 2),     # +i z_s' g e^{-i omega t} rho a
@@ -325,22 +323,14 @@ def observables(d00: np.ndarray, d11: np.ndarray, d01: np.ndarray):
     return d01.sum(axis=-1), np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
 
 
-def make_trace(times, rows, config, states, stats) -> VisibilityTrace:
+def make_trace(times, rows, states, stats) -> VisibilityTrace:
     """Trace from per-segment `observables`; stats gains the worst diagnostics."""
     sigma, trace_err, tail = (np.concatenate(column) for column in zip(*rows))
     stats.update(worst_trace_error=float(trace_err.max()),
                  trace_error_bound=TRACE_ERROR_BOUND,
                  worst_tail_mass=float(tail.max()), tail_mass_bound=TAIL_MASS_BOUND)
     return VisibilityTrace(times, 2.0 * np.abs(sigma), sigma, trace_err, tail,
-                           config, states, stats)
-
-
-def initial_state(cfg: ProtocolConfig, dim: int | None = None) -> np.ndarray:
-    """|+><+| (x) thermal(nbar) on the joint space."""
-    if dim is None:
-        dim = cfg.resolved_dim()
-    rho_m = thermal_density(cfg.nbar, dim)
-    return np.kron(PLUS_STATE, rho_m)
+                           states, stats)
 
 
 def _enforce_diagnostics(stats: dict) -> None:
@@ -361,7 +351,9 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     period = 2.0 * math.pi / cfg.omega
     rhs_by_coupling = {}
     times, rows, kept, segment_stats = [], [], [], []
-    blocks = split_blocks(initial_state(cfg, dim))[PROTOCOL_BLOCKS]
+    # |+><+| (x) thermal(nbar): rho00 = rho01 = thermal/2
+    half = 0.5 * thermal_density(cfg.nbar, dim)
+    blocks = np.stack([half, half])
     t_now = 0.0
 
     def sample(t, path):
@@ -390,7 +382,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
 
     stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
              "segments": segment_stats}
-    trace = make_trace(np.concatenate(times), rows, dataclasses.asdict(cfg),
+    trace = make_trace(np.concatenate(times), rows,
                        np.concatenate(kept) if keep_states else None, stats)
     _enforce_diagnostics(stats)
     return trace

