@@ -128,15 +128,12 @@ def visibility_boosted(params: CouplingParams, omega_t) -> ArrayLike:
     return out if out.ndim else float(out)
 
 
-def visibility_many_atom(
-    n_atoms: int, params: CouplingParams, omega_t, *, method: str = "exact"
-) -> ArrayLike:
+def visibility_many_atom(n_atoms: int, params: CouplingParams, omega_t) -> ArrayLike:
     """Per-atom visibility of N uncoupled qubits sharing the oscillator.
 
     Atom-atom phase noise multiplies the single-atom curve by
-    cos^(N-1)(2*beta) with beta = lam^2 * omega * t (method="exact"), well
-    approximated by exp(-2 N beta^2) (method="gaussian").  Valid for
-    |2*beta| < pi/4.
+    cos^(N-1)(2*beta) with beta = lam^2 * omega * t, well approximated by
+    exp(-2 N beta^2).  Valid for |2*beta| < pi/4.
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
@@ -147,13 +144,7 @@ def visibility_many_atom(
             f"|2*beta| = |2*lam^2*omega*t| reaches {np.max(np.abs(2 * beta)):.4g} "
             ">= pi/4; the collective phase-noise expansion is invalid"
         )
-    if method == "exact":
-        noise = np.cos(2.0 * beta) ** (n_atoms - 1)
-    elif method == "gaussian":
-        noise = np.exp(-2.0 * n_atoms * beta**2)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = noise * visibility_thermal(params, omega_t)
+    out = np.cos(2.0 * beta) ** (n_atoms - 1) * visibility_thermal(params, omega_t)
     return out if out.ndim else float(out)
 
 

@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, design, witness
-from .algebra import MAX_DIM, TruncationError, thermal_occupation
+from .algebra import thermal_occupation
 from .config import ConfigError, get_int, get_number, parse_config_file, require_keys
 from .constants import ATOMIC_MASS
 from .design import GeometryError, PhysicalConfig
-from .lindblad import IntegrationError, ProtocolConfig, run_protocol
+from .lindblad import MAX_DIM, IntegrationError, ProtocolConfig, TruncationError, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,14 +35,16 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICS = 4
 EXIT_WITNESS = 5
 
-# `analytic` row limits, checked before the grid is built: 10^7 rows of
-# omega_t and visibility take 160 MB, and the benchmark's largest grid is
-# 50,000; MAX_SAMPLES also caps the cells of a `design --sweep`
+# `analytic` row limits, checked before the grid is built: a row costs about
+# 100 B at peak (the two columns as arrays and as lists of floats), so 10^7
+# rows take about 1 GB, and the benchmark's largest grid is 50,000;
+# MAX_SAMPLES also caps the cells of a `design --sweep`
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
 # `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
 # its peak memory is about four times those (430 MB above import for the
-# 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB
+# 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
+# The same budget bounds the contrast case's kept states.
 MAX_STATE_VALUES = 2**24
 
 
@@ -56,11 +58,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path, header: list[str], rows) -> int:
+    """Write the header and each row of the iterable rows; return the row count."""
+    count = 0
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return count
 
 
 def _json_text(payload: dict) -> str:
@@ -160,10 +165,10 @@ def cmd_analytic(args) -> int:
             raise ConfigError(f"--n-pi must be >= 1, got {n_pi}")
         if n_pi > MAX_N_PI:
             raise ConfigError(f"--n-pi must be <= {MAX_N_PI}, got {n_pi}")
-        rows = [
-            (2.0 * math.pi * k, analytic.spin_echo_overlap(k, lam))
-            for k in range(1, n_pi + 1)
-        ]
+        # columns first, so an overflowing lambda fails before the file opens
+        iterations = range(1, n_pi + 1)
+        rows = zip([2.0 * math.pi * k for k in iterations],
+                   [analytic.spin_echo_overlap(k, lam) for k in iterations])
     else:
         grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
         given = {field: getattr(args, k) for k, (_, field) in _FLAGS.items()
@@ -178,13 +183,13 @@ def cmd_analytic(args) -> int:
         else:  # many-atom
             n_atoms = args.n_atoms if args.n_atoms is not None else 1
             vis = analytic.visibility_many_atom(n_atoms, params, grid)
-        rows = list(zip(grid.tolist(), np.asarray(vis).tolist()))
+        rows = zip(grid.tolist(), np.asarray(vis).tolist())
 
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    write_csv(args.out, ["omega_t", "visibility"], rows)
+    n_rows = write_csv(args.out, ["omega_t", "visibility"], rows)
     write_manifest(args, echo)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({n_rows} rows)")
     return EXIT_OK
 
 
@@ -253,7 +258,7 @@ def cmd_simulate(args) -> int:
     values = [c.tolist() for c in columns.values()]
     echo = dataclasses.asdict(cfg)
     if args.format == "csv":
-        write_csv(args.out, list(columns), list(zip(*values)))
+        write_csv(args.out, list(columns), zip(*values))
     else:
         write_json(args.out, dict(zip(columns, values), config=echo))
     write_manifest(args, echo, stats=trace.stats)
@@ -278,6 +283,14 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"--samples {args.samples} at --dim {args.dim} keeps {kept} state values "
             f"per channel, more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
+    contrast_cfg = witness.contrast_config(args.contrast_coupling)
+    dim = contrast_cfg.resolved_dim()
+    # the contrast run keeps one period of samples_per_period + 1 joint states
+    kept = (contrast_cfg.samples_per_period + 1) * (2 * dim) ** 2
+    if kept > MAX_STATE_VALUES:
+        raise ConfigError(
+            f"--contrast-coupling {args.contrast_coupling} needs dim {dim} and keeps "
+            f"{kept} state values, more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
 
     reports = witness.run_property_suite(
         args.seeds, args.dim, tol=args.tol, t_max=args.t_max, samples=args.samples
@@ -360,7 +373,7 @@ def cmd_design(args) -> int:
         write_csv(
             args.out,
             ["tau_s", "temperature_K", "log10_delta_v", "log10_delta_v_boosted"],
-            [tuple(r.values()) for r in rows],
+            (tuple(r.values()) for r in rows),
         )
         write_manifest(args, {
             "config": dataclasses.asdict(cfg),

@@ -33,6 +33,12 @@ unless it keeps its states.
 Visibility is reported normalized to V(0) = 1, i.e. V = 2 |Tr rho01|; the
 raw coherence <sigma_minus> is exported alongside.  The trace is never
 renormalized: its drift is a solver diagnostic.
+
+`ProtocolConfig.resolved_dim` is the one Fock-truncation rule: it picks the
+default dim and refuses any dim above `MAX_DIM`, below the displacement
+floor or with more than `INITIAL_TAIL_BOUND` of the initial thermal state
+beyond it, all before anything is allocated.  A run that still reaches its
+top two levels is refused once integrated (`TAIL_MASS_BOUND`).
 """
 
 from __future__ import annotations
@@ -44,13 +50,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853
 
-from .algebra import MAX_DIM, TruncationError, default_dim, thermal_density
-
 TRACE_ERROR_BOUND = 1e-7   # max tolerated |Tr rho - 1| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
 RTOL = 1e-10               # solver relative tolerance
 ATOL = 1e-12               # solver absolute tolerance
 FIRST_STEP = 1e-3          # first solver step of each protocol segment
+INITIAL_TAIL_BOUND = 1e-8  # max thermal mass at Fock levels >= dim at t = 0
+
+# Largest Fock dim a run may use.  One (2, d, d) complex protocol state takes
+# 32 d^2 bytes (8.4 MB at 512) and the integrator holds about 16 of them; a
+# run that keeps its states adds a (2d, 2d) joint state per sample (so
+# `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).  So a dim far
+# beyond the supported envelope (129 at lambda = 0.3, nbar = 5; 268 at
+# lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
+# anything is built.
+MAX_DIM = 512
 
 PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
 
@@ -67,6 +81,10 @@ class IntegrationError(RuntimeError):
     """Master-equation integration failed or its diagnostics exceeded bounds."""
 
 
+class TruncationError(RuntimeError):
+    """A Fock dim refused by `ProtocolConfig.resolved_dim`, or outgrown by a run."""
+
+
 @dataclass
 class ProtocolConfig:
     """Parameters of a numerical protocol run.
@@ -77,10 +95,13 @@ class ProtocolConfig:
     gamma_m    oscillator damping rate
     gamma_a    qubit dephasing rate
     nbar       thermal occupation of the oscillator and its bath
-    dim        Fock truncation; None selects `algebra.default_dim`; at most
-               `algebra.MAX_DIM`
-    t_max      evolution time for basic/boosted; spin_echo derives its own
+    dim        Fock truncation; None selects the `resolved_dim` default;
+               at most `MAX_DIM`
+    t_max      evolution time for basic/boosted, positive and, boosted,
+               beyond the first half period; spin_echo derives its own
                duration 2*n_pi*(2*pi/omega) and ignores t_max
+
+    A non-finite float field raises ValueError here, at construction.
     n_pi       echo iterations per block (spin_echo only)
     """
 
@@ -97,6 +118,10 @@ class ProtocolConfig:
     samples_per_period: int = 200
 
     def __post_init__(self):
+        for name in ("omega", "g", "g_prime", "gamma_m", "gamma_a", "nbar", "t_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.nbar < 0:
@@ -111,6 +136,13 @@ class ProtocolConfig:
             raise ValueError(f"n_pi must be >= 1, got {self.n_pi}")
         if self.samples_per_period < 4:
             raise ValueError("samples_per_period must be >= 4")
+        t_max = self.resolved_t_max()
+        if t_max <= 0:
+            raise ValueError(f"t_max must be positive, got {t_max}")
+        if self.protocol == "boosted" and t_max <= math.pi / self.omega:
+            raise ValueError(
+                "boosted protocol needs t_max beyond the first half period"
+            )
 
     def max_displacement(self) -> float:
         """Largest conditional displacement the protocol can reach."""
@@ -123,24 +155,47 @@ class ProtocolConfig:
         return 2.0 * lam
 
     def resolved_dim(self) -> int:
-        """The configured or `default_dim` Fock dim, checked against
-        `MAX_DIM` and against the floor 4|alpha|^2 + nbar + 10 sqrt(nbar+1)
-        with |alpha| = `max_displacement()`."""
+        """The run's Fock dim: the only code that picks or refuses one.
+
+        With |alpha| = `max_displacement()`, the default is the ceiling of
+        nbar + 10 sqrt(nbar+1) + 16|alpha|^2 + 20, raised for nbar > 0 to
+        n_tail + 3|alpha| sqrt(n_tail) + 16|alpha|^2 + 4, where n_tail is the
+        level above which the thermal state holds `INITIAL_TAIL_BOUND`.  Any
+        dim raises TruncationError above `MAX_DIM`, at or below the floor
+        4|alpha|^2 + nbar + 10 sqrt(nbar+1), or when the thermal state holds
+        more than `INITIAL_TAIL_BOUND` at levels >= dim.
+        """
+        disp = self.max_displacement()
+        # log of the thermal ratio nbar/(nbar+1): p_n ~ ratio^n
+        log_ratio = math.log(self.nbar / (self.nbar + 1.0)) if self.nbar else -math.inf
         dim = self.dim
         if dim is None:
-            dim = default_dim(self.nbar, self.max_displacement())
+            disp_levels = 16.0 * disp**2
+            dim = self.nbar + 10.0 * math.sqrt(self.nbar + 1.0) + disp_levels + 20.0
+            if self.nbar > 0:
+                # displacing the thermal tail spreads it up by ~2|alpha|sqrt(n);
+                # pad generously so the revival error stays below the tail bound
+                tail_dim = math.log(INITIAL_TAIL_BOUND) / log_ratio
+                pad = 3.0 * disp * math.sqrt(tail_dim)
+                dim = max(dim, tail_dim + pad + disp_levels + 4.0)
+            dim = math.ceil(dim)
         dim = int(dim)
         if dim > MAX_DIM:
             raise TruncationError(
                 f"dim={dim} exceeds MAX_DIM={MAX_DIM}; the coupling or nbar is "
                 "too large for the truncated-Fock engine"
             )
-        disp = self.max_displacement()
         floor = 4.0 * disp**2 + self.nbar + 10.0 * math.sqrt(self.nbar + 1)
         if dim <= floor:
             raise TruncationError(
                 f"dim={dim} is below the safe floor {floor:.1f} for "
                 f"displacement {disp:.3g}, nbar={self.nbar:.3g}"
+            )
+        tail = math.exp(dim * log_ratio)  # sum_{n >= dim} p_n = ratio^dim
+        if tail > INITIAL_TAIL_BOUND:
+            raise TruncationError(
+                f"thermal tail mass {tail:.3e} exceeds bound {INITIAL_TAIL_BOUND:.3e} "
+                f"at dim={dim} (nbar={self.nbar}); increase dim"
             )
         return dim
 
@@ -148,14 +203,7 @@ class ProtocolConfig:
         period = 2.0 * math.pi / self.omega
         if self.protocol == "spin_echo":
             return 2.0 * self.n_pi * period
-        t_max = 2.0 * period if self.t_max is None else float(self.t_max)
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        if self.protocol == "boosted" and t_max <= 0.5 * period:
-            raise ValueError(
-                "boosted protocol needs t_max beyond the first half period"
-            )
-        return t_max
+        return 2.0 * period if self.t_max is None else float(self.t_max)
 
 
 @dataclass
@@ -341,7 +389,16 @@ def _enforce_diagnostics(stats: dict) -> None:
     if worst_tail > TAIL_MASS_BOUND:
         raise TruncationError(
             f"Fock tail mass {worst_tail:.3e} exceeds {TAIL_MASS_BOUND:.1e}; "
-            "increase dim", tail_mass=worst_tail)
+            "increase dim")
+
+
+def _thermal_state(nbar: float, dim: int) -> np.ndarray:
+    """thermal(nbar) on Fock levels 0..dim-1, renormalized to unit trace."""
+    probs = np.zeros(dim)
+    probs[0] = 1.0
+    if nbar:
+        probs = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0)))
+    return np.diag(probs / probs.sum()).astype(complex)
 
 
 def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
@@ -352,7 +409,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     rhs_by_coupling = {}
     times, rows, kept, segment_stats = [], [], [], []
     # |+><+| (x) thermal(nbar): rho00 = rho01 = thermal/2
-    half = 0.5 * thermal_density(cfg.nbar, dim)
+    half = 0.5 * _thermal_state(cfg.nbar, dim)
     blocks = np.stack([half, half])
     t_now = 0.0
 

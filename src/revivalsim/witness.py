@@ -218,17 +218,18 @@ def run_property_suite(
     return reports
 
 
+def contrast_config(coupling_ratio: float) -> ProtocolConfig:
+    """The coupled contrast run: basic protocol at lam = coupling_ratio over
+    one period, no noise."""
+    return ProtocolConfig(omega=1.0, g=coupling_ratio, t_max=2.0 * math.pi)
+
+
 def coupled_contrast_case(
     coupling_ratio: float = 0.25, *, tol: float = 1e-6
 ) -> WitnessReport:
-    """Witness on the genuinely coupled protocol: sigma_z(a+ad) coupling at
-    lam = coupling_ratio, no noise.  Expected: non-monotonic, revival
-    amplitude 1 - exp(-8 lam^2), positive negativity at the half period."""
-    cfg = ProtocolConfig(
-        omega=1.0,
-        g=coupling_ratio,
-        t_max=2.0 * math.pi,
-        protocol="basic",
-    )
-    trace = run_protocol(cfg, keep_states=True)
+    """Witness on the genuinely coupled protocol (`contrast_config`):
+    sigma_z(a+ad) coupling at lam = coupling_ratio, no noise.  Expected:
+    non-monotonic, revival amplitude 1 - exp(-8 lam^2), positive negativity
+    at the half period."""
+    trace = run_protocol(contrast_config(coupling_ratio), keep_states=True)
     return check_monotonic(trace, tol)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import visibility_many_atom_gaussian
 from revivalsim.algebra import thermal_occupation
 from revivalsim.analytic import (
     CouplingParams,
@@ -195,8 +196,8 @@ def test_acceptance_8_many_atom_consistency():
     for n_atoms in (1, 10, 100, 1000, 10000):
         for lam in (1e-3, 5e-3, 1e-2):
             p = CouplingParams(coupling=lam, nbar=0.5)
-            exact = visibility_many_atom(n_atoms, p, x, method="exact")
-            approx = visibility_many_atom(n_atoms, p, x, method="gaussian")
+            exact = visibility_many_atom(n_atoms, p, x)
+            approx = visibility_many_atom_gaussian(n_atoms, p, x)
             worst_rel = max(worst_rel, float(np.max(np.abs(approx / exact - 1.0))))
     p = CouplingParams(coupling=1e-2, nbar=2.0)
     single_dev = float(

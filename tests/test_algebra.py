@@ -1,7 +1,10 @@
-"""Tests for the truncated Fock-space operators and thermal-state helpers.
+"""Tests for thermal occupations, the reference thermal state and the Fock
+dim rule.
 
 Thermal occupations and truncated thermal states have exact closed forms,
-so the checks here are against hand-evaluated values.
+so the checks here are against hand-evaluated values.  The dim rule is
+`lindblad.ProtocolConfig.resolved_dim`; its pinned values and its floor and
+cap refusals are checked in test_lindblad.
 """
 
 import math
@@ -9,15 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import annihilation
-from revivalsim.algebra import (
-    DEFAULT_TAIL_BOUND,
-    TruncationError,
-    default_dim,
-    thermal_density,
-    thermal_occupation,
-    thermal_tail_mass,
-)
+from oracles import annihilation, thermal_density
+from revivalsim.algebra import thermal_occupation
+from revivalsim.lindblad import INITIAL_TAIL_BOUND, ProtocolConfig, TruncationError
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +33,10 @@ def test_annihilation_matrix_elements():
 
 
 def test_bad_dim_rejected():
-    with pytest.raises(ValueError):
-        thermal_density(0.0, 0)
+    # no configured dim below the floor nbar + 10 sqrt(nbar + 1) >= 10 runs
+    for dim in (-1, 0, 1, 2, 10):
+        with pytest.raises(TruncationError, match="safe floor"):
+            ProtocolConfig(dim=dim).resolved_dim()
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +105,19 @@ def test_thermal_density_mean_occupation():
 
 
 def test_thermal_density_tail_guard():
-    with pytest.raises(TruncationError) as err:
-        thermal_density(5.0, 10)
-    assert err.value.tail_mass > DEFAULT_TAIL_BOUND
+    # dim 30 clears the floor 29.5 at nbar = 5, but (5/6)^30 of the thermal
+    # state lies beyond it
+    with pytest.raises(TruncationError, match="thermal tail mass"):
+        ProtocolConfig(nbar=5.0, dim=30).resolved_dim()
 
 
 def test_thermal_tail_mass_formula():
-    assert thermal_tail_mass(1.0, 20) == pytest.approx(0.5**20, rel=1e-12)
-    assert thermal_tail_mass(0.0, 5) == 0.0
+    # the refusal reports sum_{n >= dim} p_n = (nbar/(nbar+1))^dim
+    with pytest.raises(TruncationError) as err:
+        ProtocolConfig(nbar=1.0, dim=20).resolved_dim()
+    assert f"thermal tail mass {0.5**20:.3e} exceeds bound {INITIAL_TAIL_BOUND:.3e}" in str(
+        err.value)
+    assert ProtocolConfig(nbar=0.0, dim=11).resolved_dim() == 11
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +125,18 @@ def test_thermal_tail_mass_formula():
 # ---------------------------------------------------------------------------
 
 
+def _default_dim(nbar, displacement):
+    # basic protocol: max_displacement() = 2 g / omega
+    return ProtocolConfig(g=displacement / 2.0, nbar=nbar).resolved_dim()
+
+
 def test_default_dim_floor_and_monotonicity():
-    assert default_dim(0.0, 0.0) >= 2
-    assert default_dim(2.0, 0.5) >= default_dim(1.0, 0.5)
-    assert default_dim(1.0, 1.0) >= default_dim(1.0, 0.2)
+    assert _default_dim(0.0, 0.0) >= 2
+    assert _default_dim(2.0, 0.5) >= _default_dim(1.0, 0.5)
+    assert _default_dim(1.0, 1.0) >= _default_dim(1.0, 0.2)
 
 
 def test_default_dim_keeps_thermal_tail_below_bound():
     for nbar in (0.5, 2.0, 5.0):
-        dim = default_dim(nbar, 0.0)
-        assert thermal_tail_mass(nbar, dim) < DEFAULT_TAIL_BOUND
-
+        dim = _default_dim(nbar, 0.0)
+        assert (nbar / (nbar + 1.0)) ** dim < INITIAL_TAIL_BOUND

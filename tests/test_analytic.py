@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boosted_swing, optimal_boost_coupling
+from oracles import boosted_swing, optimal_boost_coupling, visibility_many_atom_gaussian
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -231,8 +231,8 @@ def test_many_atom_exact_vs_gaussian():
     x = np.linspace(0.0, 2.0 * math.pi, 64)
     for n_atoms in (10, 1000, 10000):
         p = CouplingParams(coupling=0.01, nbar=1.0)
-        exact = visibility_many_atom(n_atoms, p, x, method="exact")
-        approx = visibility_many_atom(n_atoms, p, x, method="gaussian")
+        exact = visibility_many_atom(n_atoms, p, x)
+        approx = visibility_many_atom_gaussian(n_atoms, p, x)
         rel = np.max(np.abs(approx / exact - 1.0))
         assert rel < 1e-3
 
@@ -255,8 +255,6 @@ def test_many_atom_argument_validation():
     p = CouplingParams(coupling=0.01)
     with pytest.raises(ValueError):
         visibility_many_atom(0, p, 1.0)
-    with pytest.raises(ValueError):
-        visibility_many_atom(5, p, 1.0, method="pade")
 
 
 # ---------------------------------------------------------------------------

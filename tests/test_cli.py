@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from oracles import boosted_swing
-from revivalsim import __version__
-from revivalsim.algebra import MAX_DIM
+from revivalsim import __version__, witness
 from revivalsim.cli import MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES, main
-from revivalsim.lindblad import ProtocolConfig, run_protocol
+from revivalsim.lindblad import MAX_DIM, ProtocolConfig, run_protocol
 from revivalsim.analytic import CouplingParams, spin_echo_overlap
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
@@ -343,6 +342,20 @@ def test_simulate_rejects_removed_solver_keys(key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("t_max = -1", "t_max must be positive, got -1.0"),
+    ("protocol = boosted\ng_prime = 0.1\nt_max_periods = 0.25", "first half period")])
+def test_simulate_bad_t_max_is_a_config_error(lines, message, tmp_path, capsys):
+    # both used to be checked only when the run began, outside the config
+    # reader, and exited 3 as domain errors
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = natural\ng = 0.05\n{lines}\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -436,6 +449,22 @@ def test_verify_rejects_kept_states_over_budget(dim, samples, tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--samples" in err and "--dim" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coupling, dim", [(1.4, 156), (2.7, 497)])
+def test_verify_rejects_contrast_states_over_budget(coupling, dim, tmp_path, capsys,
+                                                    monkeypatch):
+    # the contrast case keeps 201 joint states at its own default dim:
+    # 2.0e8 values (3.2 GB) at 2.7.  The refusal must come before any
+    # integration, so reaching the suite (now None) fails the test.
+    monkeypatch.setattr(witness, "run_property_suite", None)
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", "4", "--contrast-coupling",
+                 str(coupling), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--contrast-coupling {coupling} needs dim {dim}" in err
+    assert f"keeps {201 * (2 * dim) ** 2} state values" in err
     assert not out.exists()
 
 

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import SIGMA_Z, annihilation, initial_state
-from revivalsim.algebra import MAX_DIM, TruncationError, thermal_density
+from oracles import SIGMA_Z, annihilation, initial_state, thermal_density
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -27,8 +26,10 @@ from revivalsim.analytic import (
 from revivalsim.cli import _protocol_config_from_file, main
 from revivalsim.config import parse_config_file
 from revivalsim.lindblad import (
+    MAX_DIM,
     PLUS_STATE,
     ProtocolConfig,
+    TruncationError,
     _flip,
     _rotating_rhs,
     integrate_blocks,
@@ -463,6 +464,16 @@ def test_config_validation():
         ProtocolConfig(t_max=-1.0).resolved_t_max()
     with pytest.raises(ValueError):
         ProtocolConfig(protocol="boosted", t_max=2.0).resolved_t_max()
+
+
+@pytest.mark.parametrize("name", ["omega", "g", "g_prime", "gamma_m", "gamma_a",
+                                  "nbar", "t_max"])
+def test_nonfinite_fields_raise_at_construction(name):
+    # nbar = nan used to fail inside math.ceil, gamma_m = nan only once the
+    # solver gave up
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ProtocolConfig(**{name: bad})
 
 
 def test_max_displacement_per_protocol():
