@@ -5,8 +5,8 @@ equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
 ``<out>.manifest.json`` with the config echo, tool version, timestamps and
 sha256 of each output; outputs themselves are deterministic for identical
-inputs.  Exit codes: 0 success, 2 usage/config error, 3 domain error or a value
-out of range, 4 integration/truncation failure, 5 witness-suite failure.
+inputs.  Exit codes: 0 success, 2 usage/config error, 3 domain error or value
+out of range, 4 solver, truncation or linalg failure, 5 witness-suite failure.
 """
 
 from __future__ import annotations
@@ -525,7 +525,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (TruncationError, IntegrationError) as exc:
+    except (TruncationError, IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except OverflowError as exc:

@@ -16,19 +16,21 @@ H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).
 
 The protocol model has one more symmetry: parity P = (-1)^{ad a} maps H_0
 onto H_1 and leaves the thermal state and both dissipators unchanged, so
-rho11 = P rho00 P at all times.  `run_protocol` therefore integrates only
-the two blocks [rho00, rho01], both thermal(nbar)/2 at t = 0; the sigma_x
-echo gate maps them to (P rho00 P, rho01^dag), and rho11 is rebuilt only
-for kept states.  It integrates in the frame rotating with omega ad a,
-exact for the truncated operators: the coupling becomes coupling (a
-e^{-i omega t} + ad e^{i omega t}), the dissipators are unchanged, and the
-right-hand side is six banded shifts of the flat blocks.  Tr rho01 and the
+rho11 = P rho00 P at all times.  `run_protocol` therefore evolves only
+rho00 and rho01, both thermal(nbar)/2 at t = 0; the sigma_x echo gate maps
+them to (P rho00 P, rho01^dag), and rho11 is rebuilt only for kept states.
+The blocks never mix, so each segment solves them one after the other under
+their own error norms: rho00 (populations only) takes far fewer steps than
+rho01 (the signal).  Both evolve in the frame rotating with omega ad a,
+exact for the truncated operators: the coupling becomes coupling (a e^{-i
+omega t} + ad e^{i omega t}), the dissipators are unchanged, and the
+right-hand side is six banded shifts of the flat block.  Tr rho01 and the
 populations (twice diag rho00) are frame-independent; states return to the
 lab frame at each segment end (before a gate) and when kept.
 
 `integrate_blocks` steps the DOP853 solver itself and hands each sample to
 the caller as soon as the solver passes it, so a run holds O(d^2) memory
-unless it keeps its states.
+unless it keeps its states, which go straight into one (n, 2d, 2d) array.
 
 Visibility is reported normalized to V(0) = 1, i.e. V = 2 |Tr rho01|; the
 raw coherence <sigma_minus> is exported alongside.  The trace is never
@@ -43,7 +45,9 @@ top two levels is refused once integrated (`TAIL_MASS_BOUND`).
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -57,8 +61,8 @@ ATOL = 1e-12               # solver absolute tolerance
 FIRST_STEP = 1e-3          # first solver step of each protocol segment
 INITIAL_TAIL_BOUND = 1e-8  # max thermal mass at Fock levels >= dim at t = 0
 
-# Largest Fock dim a run may use.  One (2, d, d) complex protocol state takes
-# 32 d^2 bytes (8.4 MB at 512) and the integrator holds about 16 of them; a
+# Largest Fock dim a run may use.  One (d, d) complex protocol block takes
+# 16 d^2 bytes (4.2 MB at 512) and its solver holds about 16 of them; a
 # run that keeps its states adds a (2d, 2d) joint state per sample (so
 # `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).  So a dim far
 # beyond the supported envelope (129 at lambda = 0.3, nbar = 5; 268 at
@@ -101,8 +105,9 @@ class ProtocolConfig:
                beyond the first half period; spin_echo derives its own
                duration 2*n_pi*(2*pi/omega) and ignores t_max
 
-    A non-finite float field raises ValueError here, at construction.
     n_pi       echo iterations per block (spin_echo only)
+
+    Non-finite floats and non-integral counts raise ValueError at construction.
     """
 
     omega: float = 1.0
@@ -122,6 +127,10 @@ class ProtocolConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("dim", "n_pi", "samples_per_period"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.nbar < 0:
@@ -215,9 +224,10 @@ class VisibilityTrace:
     across gates).  tail_mass is the occupation of the top two Fock levels.
     states, when kept, holds the joint lab-frame density matrices, shape
     (n, 2d, 2d).  stats records the run: the Fock dim and the rule that
-    chose it, per-segment solver work (nfev, accepted and rejected steps,
-    dense outputs, wall time) and the worst trace drift and tail mass next
-    to their bounds.
+    chose it, one record per segment (duration, coupling, total wall time,
+    and each block's solver work under rho00 and rho01: nfev, accepted and
+    rejected steps, dense outputs, wall time) and the worst trace drift and
+    tail mass next to their bounds.
     """
 
     times: np.ndarray
@@ -258,46 +268,43 @@ def _flip(blocks: np.ndarray) -> np.ndarray:
 
 
 def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
-    """Undo the rotating frame at time t (scalar, or one per leading sample)."""
+    """Undo the rotating frame at time t: a scalar for any stack of blocks,
+    or one time per sample of an (n, d, d) block path."""
     level = np.arange(blocks.shape[-1])
-    phase = np.exp(-1j * omega * np.multiply.outer(t, level[:, None] - level))
-    return blocks * phase[..., None, :, :]
+    return blocks * np.exp(-1j * omega * np.multiply.outer(t, level[:, None] - level))
 
 
-def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
-    """Right-hand side for the flat protocol blocks [rho00, rho01] in the
-    rotating frame.
+def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float, z_right: float):
+    """Right-hand side for one flat protocol block in the rotating frame:
+    rho00 with z_right = +1 or rho01 with z_right = -1, the sigma_z
+    eigenvalue of the block's column level (its row level is +1).
 
     Each term adds weights * y shifted by a row (d), a column (1) or both
-    (d + 1); a zero weight on a block's last row or column keeps every
-    shift inside its block.
+    (d + 1); a zero weight on the last column keeps a shift from wrapping
+    into the next row.
     """
-    # sigma_z eigenvalues z_s, z_s' of the blocks rho00 and rho01
-    z_left, z_right = np.array([1.0, 1.0]), np.array([1.0, -1.0])
-    n_blocks = 2
-    n_flat = n_blocks * dim * dim
+    n_flat = dim * dim
     root = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # <i|a|i+1>, 0 at the edge
     level = np.arange(dim, dtype=float)
     down = cfg.gamma_m * (cfg.nbar + 1.0)  # rate of the a jump
     up = cfg.gamma_m * cfg.nbar            # rate of the ad jump
-    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); on rho01
-    # the sigma_z jump nets -2 gamma_a
+    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); the sigma_z
+    # jump adds gamma_a (z_right - 1): nothing on rho00, -2 gamma_a on rho01
     rate = -0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
-    decay = np.stack([rate, rate - 2.0 * cfg.gamma_a]).astype(complex).ravel()
+    decay = (rate + cfg.gamma_a * (z_right - 1.0)).astype(complex).ravel()
 
     def flat(weights, shift):
-        weights = np.broadcast_to(weights, (n_blocks, dim, dim)).astype(complex)
-        return weights.ravel()[: n_flat - shift]
+        return np.broadcast_to(weights, (dim, dim)).astype(complex).ravel()[: n_flat - shift]
 
     # (shift, y read at the lower flat index, weights, phase slot)
     terms = []
     if coupling:
-        rows = flat((coupling * z_left)[:, None, None] * root[:, None], dim)
-        cols = flat((coupling * z_right)[:, None, None] * root, 1)
-        terms += [(dim, False, rows, 0),  # -i z_s g e^{-i omega t} a rho
-                  (dim, True, rows, 1),   # -i z_s g e^{+i omega t} ad rho
-                  (1, True, cols, 2),     # +i z_s' g e^{-i omega t} rho a
-                  (1, False, cols, 3)]    # +i z_s' g e^{+i omega t} rho ad
+        rows = flat(coupling * root[:, None], dim)
+        cols = flat(coupling * z_right * root, 1)
+        terms += [(dim, False, rows, 0),  # -i g e^{-i omega t} a rho
+                  (dim, True, rows, 1),   # -i g e^{+i omega t} ad rho
+                  (1, True, cols, 2),     # +i z_right g e^{-i omega t} rho a
+                  (1, False, cols, 3)]    # +i z_right g e^{+i omega t} rho ad
     if down:
         terms.append((dim + 1, False, flat(down * np.outer(root, root), dim + 1), None))
     if up:
@@ -364,11 +371,11 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, first_step=None
     return blocks[-1], record
 
 
-def observables(d00: np.ndarray, d11: np.ndarray, d01: np.ndarray):
+def observables(d00: np.ndarray, d11: np.ndarray, tr01: np.ndarray):
     """<sigma_minus>, |Tr rho - 1| and top-two-level occupation per sample,
-    from the (n, d) diagonals of rho00, rho11 and rho01."""
+    from the (n, d) diagonals of rho00 and rho11 and the (n,) Tr rho01."""
     pops = d00.real + d11.real
-    return d01.sum(axis=-1), np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
+    return tr01, np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
 
 
 def make_trace(times, rows, states, stats) -> VisibilityTrace:
@@ -403,44 +410,59 @@ def _thermal_state(nbar: float, dim: int) -> np.ndarray:
 
 def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
                   keep_states: bool) -> VisibilityTrace:
-    """Evolve through (duration, coupling, flip_after) segments."""
+    """Evolve through (duration, coupling, flip_after) segments, solving
+    rho00 and then rho01 over each."""
     dim = cfg.resolved_dim()
     period = 2.0 * math.pi / cfg.omega
-    rhs_by_coupling = {}
-    times, rows, kept, segment_stats = [], [], [], []
+    grids = []
+    for duration, _, _ in segments:
+        n_int = max(2, round(cfg.samples_per_period * duration / period))
+        # a later segment's t = 0 is the previous one's last sample
+        grids.append(np.linspace(0.0, duration, n_int + 1)[1 if grids else 0:])
+    states = np.empty((sum(map(len, grids)), 2 * dim, 2 * dim), complex) if keep_states else None
+    rhs = {(c, z): _rotating_rhs(cfg, dim, c, z)
+           for c in {seg[1] for seg in segments} for z in (1.0, -1.0)}
+    columns, segment_stats = ([], []), []  # rho00's diagonals, Tr rho01
     # |+><+| (x) thermal(nbar): rho00 = rho01 = thermal/2
     half = 0.5 * _thermal_state(cfg.nbar, dim)
     blocks = np.stack([half, half])
-    t_now = 0.0
+    filled = [0, 0]  # samples taken so far, per block
 
-    def sample(t, path):
-        # populations: diag(P rho00 P) = diag(rho00)
+    def sample(k, t, path):
+        """Reduce block k's samples, and write them into the kept states."""
         diag = np.diagonal(path, axis1=-2, axis2=-1)
-        rows.append(observables(diag[:, 0], diag[:, 0], diag[:, 1]))
-        times.append(t_now + t)
-        if keep_states:
-            r00, r01 = np.moveaxis(_to_lab(path, cfg.omega, t), -3, 0)
-            kept.append(join_blocks(np.stack([r00, _parity(r00), r01], axis=-3)))
+        # a copy: a view would pin the whole dense-output chunk
+        columns[k].append(diag.real.copy() if k == 0 else diag.sum(axis=-1))
+        rows = slice(filled[k], filled[k] + len(t))
+        filled[k] = rows.stop
+        if states is None:
+            return
+        lab = _to_lab(path, cfg.omega, t)
+        if k == 0:  # Hermitian part of rho00, and rho11 = P rho00 P
+            lab = 0.5 * (lab + lab.conj().swapaxes(-1, -2))
+            states[rows, :dim, :dim], states[rows, dim:, dim:] = lab, _parity(lab)
+        else:
+            states[rows, :dim, dim:] = lab
+            states[rows, dim:, :dim] = lab.conj().swapaxes(-1, -2)
 
-    for seg_idx, (duration, coupling, flip) in enumerate(segments):
-        if coupling not in rhs_by_coupling:
-            rhs_by_coupling[coupling] = _rotating_rhs(cfg, dim, coupling)
-        n_int = max(2, round(cfg.samples_per_period * duration / period))
-        t_local = np.linspace(0.0, duration, n_int + 1)
-        # a later segment's t = 0 is the previous one's last sample
-        end, record = integrate_blocks(rhs_by_coupling[coupling], blocks,
-                                       t_local if seg_idx == 0 else t_local[1:], sample,
-                                       first_step=min(FIRST_STEP, duration / 2))
-        segment_stats.append({**record, "coupling": coupling})
-        blocks = _to_lab(end, cfg.omega, duration)
+    for (duration, coupling, flip), t_eval in zip(segments, grids):
+        record = {"duration": duration, "coupling": coupling}
+        for k, (name, z_right) in enumerate([("rho00", 1.0), ("rho01", -1.0)]):
+            blocks[k], record[name] = integrate_blocks(
+                rhs[coupling, z_right], blocks[k], t_eval, functools.partial(sample, k),
+                first_step=min(FIRST_STEP, duration / 2))
+        record["wall_s"] = record["rho00"]["wall_s"] + record["rho01"]["wall_s"]
+        segment_stats.append(record)
+        blocks = _to_lab(blocks, cfg.omega, duration)
         if flip:
             blocks = _flip(blocks)
-        t_now += duration
 
     stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
              "segments": segment_stats}
-    trace = make_trace(np.concatenate(times), rows,
-                       np.concatenate(kept) if keep_states else None, stats)
+    d00 = np.concatenate(columns[0])  # populations: diag(P rho00 P) = diag(rho00)
+    starts = np.cumsum([0.0] + [duration for duration, _, _ in segments])
+    trace = make_trace(np.concatenate([t0 + grid for t0, grid in zip(starts, grids)]),
+                       [observables(d00, d00, np.concatenate(columns[1]))], states, stats)
     _enforce_diagnostics(stats)
     return trace
 

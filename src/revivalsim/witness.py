@@ -113,7 +113,7 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
 
     def sample(t, blocks):
         diag = np.diagonal(blocks, axis1=-2, axis2=-1)
-        rows.append(observables(diag[:, 0], diag[:, 1], diag[:, 2]))
+        rows.append(observables(diag[:, 0], diag[:, 1], diag[:, 2].sum(axis=-1)))
         states.append(join_blocks(blocks))
 
     _, segment = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval, sample)

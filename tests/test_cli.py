@@ -223,7 +223,7 @@ def test_simulate_manifest_records_solver_stats(tmp_path):
     assert stats["dim"] >= 2
     assert len(stats["segments"]) == 1
     segment = stats["segments"][0]
-    assert segment["nfev"] > 0
+    assert segment["rho00"]["nfev"] > 0 and segment["rho01"]["nfev"] > 0
     assert segment["wall_s"] > 0.0
     _, rows = _read_csv(out)
     assert stats["worst_trace_error"] == max(float(r[4]) for r in rows)
@@ -466,6 +466,20 @@ def test_verify_rejects_contrast_states_over_budget(coupling, dim, tmp_path, cap
     assert f"--contrast-coupling {coupling} needs dim {dim}" in err
     assert f"keeps {201 * (2 * dim) ** 2} state values" in err
     assert not out.exists()
+
+
+def test_verify_linalg_failure_is_a_numerics_error(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, so an eigvalsh failure in the
+    # negativities used to be reported as a domain error (exit 3)
+    def fail(states):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(witness, "negativities", fail)
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", "4", "--samples", "8",
+                 "--out", str(out)]) == 4
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=-1e-6", "--negativity-tol=nan",

@@ -89,6 +89,12 @@ def _protocol_blocks(rho):
     return split_blocks(rho)[[0, 2]]
 
 
+def _apply_protocol(cfg, dim, coupling, t, blocks):
+    """The one-block right-hand sides of rho00 and rho01 on [rho00, rho01]."""
+    return np.stack([_apply(_rotating_rhs(cfg, dim, coupling, z_right), t, block)
+                     for z_right, block in zip((1.0, -1.0), blocks)])
+
+
 # ---------------------------------------------------------------------------
 # block kernel
 # ---------------------------------------------------------------------------
@@ -102,23 +108,21 @@ def test_hamiltonian_layout():
     a = annihilation(12)
     rng = np.random.default_rng(1)
     blocks = _protocol_blocks(_random_state(rng, 24))
-    rhs = _rotating_rhs(cfg, 12, 0.3)
     for t, turn in ((0.0, 1.0), (math.pi / 4.0, -1j)):
         v_up = 0.3 * (turn * a + np.conj(turn) * a.conj().T)
         v = [v_up, -v_up]
         want = np.stack([-1j * (v[s] @ blocks[k] - blocks[k] @ v[r])
                          for k, (s, r) in enumerate([(0, 0), (0, 1)])])
-        assert np.max(np.abs(_apply(rhs, t, blocks) - want)) < 1e-14
+        assert np.max(np.abs(_apply_protocol(cfg, 12, 0.3, t, blocks) - want)) < 1e-14
 
 
 def test_standard_jump_rates():
     cfg = ProtocolConfig(g=0.1, gamma_m=0.02, gamma_a=0.005, nbar=3.0, dim=16)
-    rhs = _rotating_rhs(cfg, 16, 0.0)
     proj = np.eye(16, dtype=complex)
     ground, excited = np.outer(proj[0], proj[0]), np.outer(proj[1], proj[1])
     # blocks [rho00, rho01]; rho00 takes the Fock projectors in turn
-    d0 = _apply(rhs, 0.0, np.stack([ground, ground]))
-    d1 = _apply(rhs, 0.0, np.stack([excited, ground]))
+    d0 = _apply_protocol(cfg, 16, 0.0, 0.0, np.stack([ground, ground]))
+    d1 = _apply_protocol(cfg, 16, 0.0, 0.0, np.stack([excited, ground]))
     up, down = 3.0 * 0.02, 4.0 * 0.02  # rates of the ad and a jumps
     assert d0[0, 1, 1] == pytest.approx(up) and d0[0, 0, 0] == pytest.approx(-up)
     assert d1[0, 0, 0] == pytest.approx(down) and d1[0, 2, 2] == pytest.approx(2 * up)
@@ -127,7 +131,7 @@ def test_standard_jump_rates():
     # no mechanical jumps when gamma_m = 0: only the coherence dephases
     cfg2 = ProtocolConfig(g=0.1, gamma_a=0.005, nbar=3.0, dim=16)
     blocks = np.stack([ground, ground])
-    d2 = _apply(_rotating_rhs(cfg2, 16, 0.0), 0.0, blocks)
+    d2 = _apply_protocol(cfg2, 16, 0.0, 0.0, blocks)
     assert np.max(np.abs(d2[0])) == 0.0
     assert np.max(np.abs(d2[1] + 2 * 0.005 * blocks[1])) < 1e-18
 
@@ -139,7 +143,6 @@ def test_protocol_rhs_matches_dense_lindblad():
     for dim in (6, 12):
         cfg = ProtocolConfig(omega=1.3, g=0.2, gamma_m=0.05, gamma_a=0.02, nbar=0.7)
         h, jumps = _joint_model(cfg, dim, 0.35)
-        rhs = _rotating_rhs(cfg, dim, 0.35)
         levels = np.tile(np.arange(dim), 2)
         for t in (0.0, 0.9):
             rho = _random_state(rng, 2 * dim)
@@ -147,7 +150,7 @@ def test_protocol_rhs_matches_dense_lindblad():
             n_op = np.diag(levels.astype(complex))
             want = 1j * cfg.omega * (n_op @ rho - rho @ n_op) + u @ _lindblad_rhs(
                 h, jumps, u.conj().T @ rho @ u) @ u.conj().T
-            got = _apply(rhs, t, _protocol_blocks(rho))
+            got = _apply_protocol(cfg, dim, 0.35, t, _protocol_blocks(rho))
             assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-12
 
 
@@ -171,7 +174,7 @@ def test_protocol_rhs_annihilates_steady_state():
     # with thermal jumps and no coupling, the thermal state is stationary
     cfg = ProtocolConfig(g=0.0, gamma_m=0.1, nbar=2.0, dim=50)
     rho = np.kron(np.diag([1.0, 0.0]).astype(complex), thermal_density(2.0, 50))
-    resid = _apply(_rotating_rhs(cfg, 50, 0.0), 1.7, _protocol_blocks(rho))
+    resid = _apply_protocol(cfg, 50, 0.0, 1.7, _protocol_blocks(rho))
     assert np.max(np.abs(resid)) < 1e-9  # truncation-limited, not solver-limited
 
 
@@ -379,18 +382,35 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
     stats = trace.stats
     assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "default_dim")
     assert len(stats["segments"]) == 8
-    assert all(s["nfev"] > 0 and s["wall_s"] > 0 for s in stats["segments"])
     # one evaluation at t = 0, 12 per DOP853 trial, 3 per dense output
-    for s in stats["segments"]:
-        assert s["steps"] > 0 and s["rejected"] >= 0
-        assert 0 < s["dense_outputs"] <= s["steps"]
-        assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
+    for segment in stats["segments"]:
+        assert segment["wall_s"] == segment["rho00"]["wall_s"] + segment["rho01"]["wall_s"]
+        for s in (segment["rho00"], segment["rho01"]):
+            assert s["nfev"] > 0 and s["wall_s"] > 0
+            assert s["steps"] > 0 and s["rejected"] >= 0
+            assert 0 < s["dense_outputs"] <= s["steps"]
+            assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
     assert sum(s["duration"] for s in stats["segments"]) == pytest.approx(8 * math.pi)
     assert stats["worst_trace_error"] == trace.trace_error.max()
     assert stats["worst_tail_mass"] == trace.tail_mass.max()
     assert stats["trace_error_bound"] == 1e-7 and stats["tail_mass_bound"] == 1e-6
     forced = run_protocol(ProtocolConfig(g=0.05, dim=30, samples_per_period=20))
     assert (forced.stats["dim"], forced.stats["dim_rule"]) == (30, "config")
+
+
+@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
+def test_blocks_are_solved_on_their_own(protocol):
+    # rho00 and rho01 each get their own DOP853 solve on every segment; the
+    # populations block needs far fewer right-hand sides than the coherence
+    cfg = ProtocolConfig(g=0.1, g_prime=0.05 if protocol == "boosted" else 0.0,
+                         nbar=1.4, gamma_m=0.01, protocol=protocol)
+    segments = run_protocol(cfg).stats["segments"]
+    for segment in segments:
+        for s in (segment["rho00"], segment["rho01"]):
+            assert s["duration"] == segment["duration"]
+            assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
+    if protocol == "basic":  # 418 against 688 right-hand sides
+        assert segments[0]["rho00"]["nfev"] < segments[0]["rho01"]["nfev"]
 
 
 def test_diagnostics_stay_small_on_clean_run():
@@ -464,6 +484,12 @@ def test_config_validation():
         ProtocolConfig(t_max=-1.0).resolved_t_max()
     with pytest.raises(ValueError):
         ProtocolConfig(protocol="boosted", t_max=2.0).resolved_t_max()
+    # non-integral counts: dim used to truncate to 40, n_pi to fail in range()
+    # and samples_per_period to give 11 samples
+    for name, bad in (("dim", 40.7), ("n_pi", 2.5), ("samples_per_period", 10.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProtocolConfig(protocol="spin_echo", g=0.01, **{name: bad})
+    assert ProtocolConfig(dim=np.int64(40), n_pi=np.int32(2)).resolved_dim() == 40
 
 
 @pytest.mark.parametrize("name", ["omega", "g", "g_prime", "gamma_m", "gamma_a",
