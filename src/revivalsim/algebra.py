@@ -27,9 +27,11 @@ def thermal_occupation(
         raise ValueError(f"omega must be positive, got {omega}")
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0:
+    if k_boltzmann * temperature == 0:  # T = 0, or k_B T below the float range
         return 0.0
     x = hbar * omega / (k_boltzmann * temperature)
+    if x == 0:
+        raise OverflowError(f"nbar is beyond the float range at omega={omega}")
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

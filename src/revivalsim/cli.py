@@ -5,8 +5,9 @@ equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
 ``<out>.manifest.json`` with the config echo, tool version, timestamps and
 sha256 of each output; outputs themselves are deterministic for identical
-inputs.  Exit codes: 0 success, 2 usage/config error, 3 domain error or value
-out of range, 4 solver, truncation or linalg failure, 5 witness-suite failure.
+inputs.  Exit codes: 0 success, 2 usage/config error (an unwritable --out too),
+3 domain error or value out of range (a non-finite output value too), 4 solver,
+truncation or linalg failure, 5 witness-suite failure.
 """
 
 from __future__ import annotations
@@ -68,13 +69,23 @@ def write_csv(path, header: list[str], rows) -> int:
     return count
 
 
+def _require_finite(*columns) -> None:
+    """Refuse an output that holds a non-finite number, before it is opened."""
+    if not all(np.isfinite(np.asarray(column, dtype=float)).all() for column in columns):
+        raise OverflowError("a computed output value is not finite")
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a non-finite number
+        raise OverflowError("a computed output value is not finite") from exc
 
 
 def write_json(path, payload: dict) -> None:
+    text = _json_text(payload)
     with open(path, "w", newline="\n") as fh:
-        fh.write(_json_text(payload))
+        fh.write(text)
 
 
 def _now() -> str:
@@ -167,7 +178,7 @@ def cmd_analytic(args) -> int:
             raise ConfigError(f"--n-pi must be <= {MAX_N_PI}, got {n_pi}")
         # columns first, so an overflowing lambda fails before the file opens
         iterations = range(1, n_pi + 1)
-        rows = zip([2.0 * math.pi * k for k in iterations],
+        columns = ([2.0 * math.pi * k for k in iterations],
                    [analytic.spin_echo_overlap(k, lam) for k in iterations])
     else:
         grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
@@ -183,11 +194,13 @@ def cmd_analytic(args) -> int:
         else:  # many-atom
             n_atoms = args.n_atoms if args.n_atoms is not None else 1
             vis = analytic.visibility_many_atom(n_atoms, params, grid)
-        rows = zip(grid.tolist(), np.asarray(vis).tolist())
+        columns = (grid, vis)
 
+    _require_finite(*columns)
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    n_rows = write_csv(args.out, ["omega_t", "visibility"], rows)
+    n_rows = write_csv(args.out, ["omega_t", "visibility"],
+                       zip(*(np.asarray(c).tolist() for c in columns)))
     write_manifest(args, echo)
     print(f"wrote {args.out} ({n_rows} rows)")
     return EXIT_OK
@@ -256,6 +269,7 @@ def cmd_simulate(args) -> int:
         "tail_mass": trace.tail_mass,
     }
     values = [c.tolist() for c in columns.values()]
+    _require_finite(*columns.values())
     echo = dataclasses.asdict(cfg)
     if args.format == "csv":
         write_csv(args.out, list(columns), zip(*values))
@@ -370,6 +384,7 @@ def cmd_design(args) -> int:
             raise ConfigError(f"--tau-range and --temp-range give {cells} grid cells, "
                               f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
+        _require_finite(np.fromiter((v for r in rows for v in r.values()), float))
         write_csv(
             args.out,
             ["tau_s", "temperature_K", "log10_delta_v", "log10_delta_v_boosted"],
@@ -518,13 +533,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.started_at = _now()
     try:
+        out = None if args.out is None else Path(args.out)
+        if out and (out.is_dir() or not out.parent.is_dir()):
+            raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (TruncationError, IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

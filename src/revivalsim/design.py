@@ -33,6 +33,15 @@ class GeometryError(ValueError):
     """Inconsistent or unphysical source-mass geometry."""
 
 
+def _quotient(numerator: float, denominator: float) -> float:
+    """numerator / denominator, where the denominator is a product of
+    positive inputs: one that underflowed to 0 puts the quotient beyond the
+    float range."""
+    if denominator == 0.0:
+        raise OverflowError("a denominator underflowed to 0")
+    return numerator / denominator
+
+
 @dataclass(frozen=True)
 class PhysicalConfig:
     """Laboratory parameters, SI units.
@@ -131,36 +140,23 @@ def coupling_g(cfg: PhysicalConfig) -> float:
         return (
             G_NEWTON
             * cfg.atom_mass
-            * math.sqrt(
-                math.pi
-                * cfg.density
-                / (48.0 * math.sqrt(2.0) * cfg.splitting * omega * HBAR)
-            )
+            * math.sqrt(_quotient(math.pi * cfg.density,
+                                  48.0 * math.sqrt(2.0) * cfg.splitting * omega * HBAR))
         )
     mass = cfg.sphere_mass()
-    x0 = math.sqrt(HBAR / (2.0 * mass * omega))
+    x0 = math.sqrt(_quotient(HBAR, 2.0 * mass * omega))
     r = cfg.center_distance()
-    return (
-        cfg.kappa
-        * G_NEWTON
-        * cfg.atom_mass
-        * mass
-        * cfg.splitting
-        * x0
-        / (HBAR * r**3)
+    return _quotient(
+        cfg.kappa * G_NEWTON * cfg.atom_mass * mass * cfg.splitting * x0, HBAR * r**3
     )
 
 
 def k_squared(cfg: PhysicalConfig) -> float:
     """Squared thermal signal scale G^2 m^2 rho k_B T/(ell omega^4 hbar^2)."""
     omega = cfg.omega
-    return (
-        G_NEWTON**2
-        * cfg.atom_mass**2
-        * cfg.density
-        * K_B
-        * cfg.temperature
-        / (cfg.splitting * omega**4 * HBAR**2)
+    return _quotient(
+        G_NEWTON**2 * cfg.atom_mass**2 * cfg.density * K_B * cfg.temperature,
+        cfg.splitting * omega**4 * HBAR**2,
     )
 
 
@@ -169,21 +165,15 @@ def _contrasts(cfg: PhysicalConfig, nbar: float) -> tuple[float, float]:
     half-to-full-period contrast with an optimally boosted first stage, at
     thermal occupation nbar."""
     omega = cfg.omega
-    delta_v = (
-        math.pi
-        * G_NEWTON**2
-        * cfg.atom_mass**2
-        * cfg.density
-        * (8.0 + nbar)
-        / (3.0 * math.sqrt(2.0) * cfg.splitting * omega**3 * HBAR)
+    delta_v = _quotient(
+        math.pi * G_NEWTON**2 * cfg.atom_mass**2 * cfg.density * (8.0 + nbar),
+        3.0 * math.sqrt(2.0) * cfg.splitting * omega**3 * HBAR,
     )
     delta_v_boosted = (
         2.0 ** 0.25
         * G_NEWTON
         * cfg.atom_mass
-        * math.sqrt(
-            cfg.density * (8.0 + nbar) / (3.0 * cfg.splitting * omega**3 * HBAR)
-        )
+        * math.sqrt(_quotient(cfg.density * (8.0 + nbar), 3.0 * cfg.splitting * omega**3 * HBAR))
     )
     return delta_v, delta_v_boosted
 
@@ -204,9 +194,9 @@ def derive(cfg: PhysicalConfig) -> DerivedParams:
     """All derived quantities for a configuration."""
     omega = cfg.omega
     nbar = thermal_occupation(omega, cfg.temperature)
-    ratio = K_B * cfg.temperature / (HBAR * omega)
+    ratio = _quotient(K_B * cfg.temperature, HBAR * omega)
     g = coupling_g(cfg)
-    x0 = math.sqrt(HBAR / (2.0 * cfg.sphere_mass() * omega))
+    x0 = math.sqrt(_quotient(HBAR, 2.0 * cfg.sphere_mass() * omega))
     delta_v, delta_v_boosted = _contrasts(cfg, nbar)
     return DerivedParams(
         omega=omega,

@@ -9,9 +9,8 @@ The noise model is
 with H = omega ad a + coupling (a + ad) sigma_z and jump operators
 sqrt(nbar*gamma_m) ad, sqrt((nbar+1)*gamma_m) a and sqrt(gamma_a) sigma_z.
 
-Every generator keeps the sigma_z block structure, so a joint state is the
-stacked (3, d, d) array [rho00, rho11, rho01] (rho10 = rho01^dag) and block
-(s, s') evolves on its own as -i(H_s rho - rho H_s') + jump terms, with
+Every generator keeps the sigma_z block structure: block (s, s') of a
+joint state evolves on its own as -i(H_s rho - rho H_s') + jump terms, with
 H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).
 
 The protocol model has one more symmetry: parity P = (-1)^{ad a} maps H_0
@@ -19,14 +18,15 @@ onto H_1 and leaves the thermal state and both dissipators unchanged, so
 rho11 = P rho00 P at all times.  `run_protocol` therefore evolves only
 rho00 and rho01, both thermal(nbar)/2 at t = 0; the sigma_x echo gate maps
 them to (P rho00 P, rho01^dag), and rho11 is rebuilt only for kept states.
-The blocks never mix, so each segment solves them one after the other under
-their own error norms: rho00 (populations only) takes far fewer steps than
-rho01 (the signal).  Both evolve in the frame rotating with omega ad a,
-exact for the truncated operators: the coupling becomes coupling (a e^{-i
-omega t} + ad e^{i omega t}), the dissipators are unchanged, and the
-right-hand side is six banded shifts of the flat block.  Tr rho01 and the
-populations (twice diag rho00) are frame-independent; states return to the
-lab frame at each segment end (before a gate) and when kept.
+The blocks never mix, not even at a gate, so a run is two `PASSES`, each
+carrying one block through every segment under its own error norm: rho00
+(populations only) takes far fewer steps than rho01 (the signal).  Both
+evolve in the frame rotating with omega ad a, exact for the truncated
+operators: the coupling becomes coupling (a e^{-i omega t} + ad e^{i omega
+t}), the dissipators are unchanged, and the right-hand side is six banded
+shifts of the flat block.  Tr rho01 and the populations (twice diag rho00)
+are frame-independent; states return to the lab frame at each segment end
+(before a gate) and when kept.
 
 `integrate_blocks` steps the DOP853 solver itself and hands each sample to
 the caller as soon as the solver passes it, so a run holds O(d^2) memory
@@ -45,7 +45,6 @@ top two levels is refused once integrated (`TAIL_MASS_BOUND`).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import time
@@ -69,14 +68,6 @@ INITIAL_TAIL_BOUND = 1e-8  # max thermal mass at Fock levels >= dim at t = 0
 # lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
 # anything is built.
 MAX_DIM = 512
-
-PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
-
-# qubit levels (s, s') of the stacked blocks [rho00, rho11, rho01], and
-# the sigma_z eigenvalue z_s of each level
-BLOCK_LEFT = np.array([0, 1, 0])
-BLOCK_RIGHT = np.array([0, 1, 1])
-Z_LEVEL = np.array([1.0, -1.0])
 
 PROTOCOLS = ("basic", "boosted", "spin_echo")
 
@@ -175,8 +166,9 @@ class ProtocolConfig:
         more than `INITIAL_TAIL_BOUND` at levels >= dim.
         """
         disp = self.max_displacement()
-        # log of the thermal ratio nbar/(nbar+1): p_n ~ ratio^n
-        log_ratio = math.log(self.nbar / (self.nbar + 1.0)) if self.nbar else -math.inf
+        # log of the thermal ratio nbar/(nbar+1), p_n ~ ratio^n; from log1p,
+        # as the ratio itself rounds to 1 for nbar >~ 1e16
+        log_ratio = -math.log1p(1.0 / self.nbar) if self.nbar else -math.inf
         dim = self.dim
         if dim is None:
             disp_levels = 16.0 * disp**2
@@ -187,13 +179,13 @@ class ProtocolConfig:
                 tail_dim = math.log(INITIAL_TAIL_BOUND) / log_ratio
                 pad = 3.0 * disp * math.sqrt(tail_dim)
                 dim = max(dim, tail_dim + pad + disp_levels + 4.0)
-            dim = math.ceil(dim)
-        dim = int(dim)
+            dim = np.ceil(dim)  # unlike math.ceil, keeps an infinite dim
         if dim > MAX_DIM:
             raise TruncationError(
-                f"dim={dim} exceeds MAX_DIM={MAX_DIM}; the coupling or nbar is "
+                f"dim={dim:.0f} exceeds MAX_DIM={MAX_DIM}; the coupling or nbar is "
                 "too large for the truncated-Fock engine"
             )
+        dim = int(dim)
         floor = 4.0 * disp**2 + self.nbar + 10.0 * math.sqrt(self.nbar + 1)
         if dim <= floor:
             raise TruncationError(
@@ -239,37 +231,20 @@ class VisibilityTrace:
     stats: dict = field(default_factory=dict)
 
 
-def split_blocks(rho: np.ndarray) -> np.ndarray:
-    """Stacked blocks [rho00, rho11, rho01] of a joint (2d, 2d) state."""
-    d = rho.shape[0] // 2
-    blocks = np.asarray(rho, dtype=complex).reshape(2, d, 2, d)
-    return np.stack([blocks[s, :, r, :] for s, r in zip(BLOCK_LEFT, BLOCK_RIGHT)])
-
-
-def join_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Hermitian joint states from stacked blocks, (..., 3, d, d) -> (..., 2d, 2d)."""
-    r00, r11, r01 = (blocks[..., k, :, :] for k in range(3))
-    r10 = r01.conj().swapaxes(-1, -2)
-    top = np.concatenate([0.5 * (r00 + r00.conj().swapaxes(-1, -2)), r01], axis=-1)
-    bottom = np.concatenate([r10, 0.5 * (r11 + r11.conj().swapaxes(-1, -2))], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
-
-
 def _parity(rho: np.ndarray) -> np.ndarray:
     """P rho P with P = (-1)^{ad a}, on (..., d, d) oscillator blocks."""
     level = np.arange(rho.shape[-1])
     return rho * (1 - 2 * ((level[:, None] + level) % 2))
 
 
-def _flip(blocks: np.ndarray) -> np.ndarray:
-    """(sigma_x (x) 1) rho (sigma_x (x) 1) on the protocol blocks
-    [rho00, rho01]: rho00 becomes rho11 = P rho00 P, rho01 becomes rho10."""
-    return np.stack([_parity(blocks[0]), blocks[1].conj().T])
+# One `_run_segments` pass per protocol block: its name, the sigma_z eigenvalue
+# z_right of its column level, and the echo gate (rho00 -> rho11, rho01 -> rho10)
+PASSES = (("rho00", 1.0, _parity), ("rho01", -1.0, lambda rho: rho.conj().T))
 
 
 def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
-    """Undo the rotating frame at time t: a scalar for any stack of blocks,
-    or one time per sample of an (n, d, d) block path."""
+    """Undo the rotating frame at time t: a scalar for one (d, d) block, or
+    one time per sample of an (n, d, d) block path."""
     level = np.arange(blocks.shape[-1])
     return blocks * np.exp(-1j * omega * np.multiply.outer(t, level[:, None] - level))
 
@@ -371,16 +346,10 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, first_step=None
     return blocks[-1], record
 
 
-def observables(d00: np.ndarray, d11: np.ndarray, tr01: np.ndarray):
-    """<sigma_minus>, |Tr rho - 1| and top-two-level occupation per sample,
-    from the (n, d) diagonals of rho00 and rho11 and the (n,) Tr rho01."""
-    pops = d00.real + d11.real
-    return tr01, np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
-
-
-def make_trace(times, rows, states, stats) -> VisibilityTrace:
-    """Trace from per-segment `observables`; stats gains the worst diagnostics."""
-    sigma, trace_err, tail = (np.concatenate(column) for column in zip(*rows))
+def make_trace(times, pops, sigma, states, stats) -> VisibilityTrace:
+    """Trace from the (n, d) Fock populations and the (n,) <sigma_minus> of
+    each sample; stats gains the worst trace drift and tail mass."""
+    trace_err, tail = np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
     stats.update(worst_trace_error=float(trace_err.max()),
                  trace_error_bound=TRACE_ERROR_BOUND,
                  worst_tail_mass=float(tail.max()), tail_mass_bound=TAIL_MASS_BOUND)
@@ -388,30 +357,16 @@ def make_trace(times, rows, states, stats) -> VisibilityTrace:
                            states, stats)
 
 
-def _enforce_diagnostics(stats: dict) -> None:
-    worst_trace, worst_tail = stats["worst_trace_error"], stats["worst_tail_mass"]
-    if worst_trace > TRACE_ERROR_BOUND:
-        raise IntegrationError(
-            f"trace drift {worst_trace:.3e} exceeds {TRACE_ERROR_BOUND:.1e}")
-    if worst_tail > TAIL_MASS_BOUND:
-        raise TruncationError(
-            f"Fock tail mass {worst_tail:.3e} exceeds {TAIL_MASS_BOUND:.1e}; "
-            "increase dim")
-
-
 def _thermal_state(nbar: float, dim: int) -> np.ndarray:
     """thermal(nbar) on Fock levels 0..dim-1, renormalized to unit trace."""
-    probs = np.zeros(dim)
-    probs[0] = 1.0
-    if nbar:
-        probs = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0)))
+    probs = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0))) if nbar else np.eye(dim)[0]
     return np.diag(probs / probs.sum()).astype(complex)
 
 
 def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
                   keep_states: bool) -> VisibilityTrace:
-    """Evolve through (duration, coupling, flip_after) segments, solving
-    rho00 and then rho01 over each."""
+    """Evolve through (duration, coupling, flip_after) segments, one pass per
+    protocol block: rho00 through every segment, then rho01."""
     dim = cfg.resolved_dim()
     period = 2.0 * math.pi / cfg.omega
     grids = []
@@ -419,51 +374,55 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         n_int = max(2, round(cfg.samples_per_period * duration / period))
         # a later segment's t = 0 is the previous one's last sample
         grids.append(np.linspace(0.0, duration, n_int + 1)[1 if grids else 0:])
-    states = np.empty((sum(map(len, grids)), 2 * dim, 2 * dim), complex) if keep_states else None
-    rhs = {(c, z): _rotating_rhs(cfg, dim, c, z)
-           for c in {seg[1] for seg in segments} for z in (1.0, -1.0)}
-    columns, segment_stats = ([], []), []  # rho00's diagonals, Tr rho01
+    n_samples = sum(map(len, grids))
+    # each pass's diagonal and trace, and its block atop the kept states
+    diagonals = np.empty((len(PASSES), n_samples, dim))
+    traces = np.empty((len(PASSES), n_samples), complex)
+    states = np.empty((n_samples, 2 * dim, 2 * dim), complex) if keep_states else None
+    records = [{"duration": t, "coupling": c} for t, c, _ in segments]
     # |+><+| (x) thermal(nbar): rho00 = rho01 = thermal/2
     half = 0.5 * _thermal_state(cfg.nbar, dim)
-    blocks = np.stack([half, half])
-    filled = [0, 0]  # samples taken so far, per block
+    k = taken = 0
 
-    def sample(k, t, path):
-        """Reduce block k's samples, and write them into the kept states."""
+    def sample(t, path):
+        nonlocal taken
+        rows = slice(taken, taken + len(t))
+        taken = rows.stop
         diag = np.diagonal(path, axis1=-2, axis2=-1)
-        # a copy: a view would pin the whole dense-output chunk
-        columns[k].append(diag.real.copy() if k == 0 else diag.sum(axis=-1))
-        rows = slice(filled[k], filled[k] + len(t))
-        filled[k] = rows.stop
-        if states is None:
-            return
-        lab = _to_lab(path, cfg.omega, t)
-        if k == 0:  # Hermitian part of rho00, and rho11 = P rho00 P
-            lab = 0.5 * (lab + lab.conj().swapaxes(-1, -2))
-            states[rows, :dim, :dim], states[rows, dim:, dim:] = lab, _parity(lab)
-        else:
-            states[rows, :dim, dim:] = lab
-            states[rows, dim:, :dim] = lab.conj().swapaxes(-1, -2)
+        diagonals[k, rows], traces[k, rows] = diag.real, diag.sum(axis=-1)
+        if states is not None:
+            states[rows, :dim, k * dim:(k + 1) * dim] = _to_lab(path, cfg.omega, t)
 
-    for (duration, coupling, flip), t_eval in zip(segments, grids):
-        record = {"duration": duration, "coupling": coupling}
-        for k, (name, z_right) in enumerate([("rho00", 1.0), ("rho01", -1.0)]):
-            blocks[k], record[name] = integrate_blocks(
-                rhs[coupling, z_right], blocks[k], t_eval, functools.partial(sample, k),
+    for k, (name, z_right, gate) in enumerate(PASSES):
+        rhs = {c: _rotating_rhs(cfg, dim, c, z_right) for c in {seg[1] for seg in segments}}
+        block, taken = half, 0
+        for (duration, coupling, flip), t_eval, record in zip(segments, grids, records):
+            block, record[name] = integrate_blocks(
+                rhs[coupling], block, t_eval, sample,
                 first_step=min(FIRST_STEP, duration / 2))
+            block = _to_lab(block, cfg.omega, duration)
+            if flip:
+                block = gate(block)
+    for record in records:
         record["wall_s"] = record["rho00"]["wall_s"] + record["rho01"]["wall_s"]
-        segment_stats.append(record)
-        blocks = _to_lab(blocks, cfg.omega, duration)
-        if flip:
-            blocks = _flip(blocks)
+    if states is not None:  # rho00 is Hermitian to solver accuracy only
+        for rho in states:
+            rho00 = 0.5 * (rho[:dim, :dim] + rho[:dim, :dim].conj().T)
+            rho[:dim, :dim], rho[dim:, dim:] = rho00, _parity(rho00)
+            rho[dim:, :dim] = rho[:dim, dim:].conj().T
 
     stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
-             "segments": segment_stats}
-    d00 = np.concatenate(columns[0])  # populations: diag(P rho00 P) = diag(rho00)
+             "segments": records}
     starts = np.cumsum([0.0] + [duration for duration, _, _ in segments])
+    # populations: diag(rho00) + diag(rho11), and diag(P rho00 P) = diag(rho00)
     trace = make_trace(np.concatenate([t0 + grid for t0, grid in zip(starts, grids)]),
-                       [observables(d00, d00, np.concatenate(columns[1]))], states, stats)
-    _enforce_diagnostics(stats)
+                       2.0 * diagonals[0], traces[1], states, stats)
+    if not stats["worst_trace_error"] <= TRACE_ERROR_BOUND:  # NaN fails too
+        raise IntegrationError(f"trace drift {stats['worst_trace_error']:.3e} "
+                               f"exceeds {TRACE_ERROR_BOUND:.1e}")
+    if not stats["worst_tail_mass"] <= TAIL_MASS_BOUND:
+        raise TruncationError(f"Fock tail mass {stats['worst_tail_mass']:.3e} exceeds "
+                              f"{TAIL_MASS_BOUND:.1e}; increase dim")
     return trace
 
 

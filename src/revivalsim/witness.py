@@ -7,6 +7,10 @@ qubit coherence can only decay: d<sigma_minus>/dt = -2*gamma <sigma_minus
 can generate entanglement.  Generators here use the same standard-form
 dissipator as `lindblad` (rate * (L rho L^dag - {L^dag L, rho}/2)), so for
 B^dag B = c*1 the visibility decays at exactly 2*gamma*c.
+
+These generators keep the sigma_z blocks apart but lack the protocol's
+parity symmetry, so a joint state is the stacked (3, d, d) array [rho00,
+rho11, rho01] (rho10 = rho01^dag), integrated as one flat vector.
 """
 
 from __future__ import annotations
@@ -16,11 +20,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import (BLOCK_LEFT, BLOCK_RIGHT, PLUS_STATE, Z_LEVEL, ProtocolConfig,
-                       VisibilityTrace, integrate_blocks, join_blocks, make_trace,
-                       negativities, observables, run_protocol, split_blocks)
+from .lindblad import (ProtocolConfig, VisibilityTrace, integrate_blocks, make_trace,
+                       negativities, run_protocol)
 
 HERMITICITY_TOL = 1e-12
+
+PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
+
+# qubit levels (s, s') of the stacked blocks [rho00, rho11, rho01], and
+# the sigma_z eigenvalue z_s of each level
+BLOCK_LEFT = np.array([0, 1, 0])
+BLOCK_RIGHT = np.array([0, 1, 1])
+Z_LEVEL = np.array([1.0, -1.0])
+
+
+def split_blocks(rho: np.ndarray) -> np.ndarray:
+    """Stacked blocks [rho00, rho11, rho01] of a joint (2d, 2d) state."""
+    d = len(rho) // 2
+    return np.array([rho[:d, :d], rho[d:, d:], rho[:d, d:]], dtype=complex)
+
+
+def join_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Hermitian joint states from stacked blocks, (..., 3, d, d) -> (..., 2d, 2d)."""
+    r00, r11, r01 = (blocks[..., k, :, :] for k in range(3))
+    r10 = r01.conj().swapaxes(-1, -2)
+    return np.block([[0.5 * (r00 + r00.conj().swapaxes(-1, -2)), r01],
+                     [r10, 0.5 * (r11 + r11.conj().swapaxes(-1, -2))]])
 
 
 @dataclass
@@ -109,15 +134,16 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     t_eval = np.linspace(0.0, float(t_max), samples + 1)
-    rows, states = [], []
+    pops, sigma, states = [], [], []
 
     def sample(t, blocks):
         diag = np.diagonal(blocks, axis1=-2, axis2=-1)
-        rows.append(observables(diag[:, 0], diag[:, 1], diag[:, 2].sum(axis=-1)))
+        pops.append(diag[:, 0].real + diag[:, 1].real)
+        sigma.append(diag[:, 2].sum(axis=-1))
         states.append(join_blocks(blocks))
 
     _, segment = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval, sample)
-    return make_trace(t_eval, rows, np.concatenate(states),
+    return make_trace(t_eval, *map(np.concatenate, (pops, sigma, states)),
                       {"dim": spec.dim, "dim_rule": "spec", "segments": [segment]})
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from revivalsim.analytic import visibility_thermal
-from revivalsim.lindblad import PLUS_STATE
+from revivalsim.witness import PLUS_STATE
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 

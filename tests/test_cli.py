@@ -3,17 +3,22 @@
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import boosted_swing
-from revivalsim import __version__, witness
-from revivalsim.cli import MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES, main
-from revivalsim.lindblad import MAX_DIM, ProtocolConfig, run_protocol
+from revivalsim import __version__, cli, witness
+from revivalsim.cli import (MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
+                            _protocol_config_from_file, main)
+from revivalsim.config import parse_config_file
+from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_protocol
 from revivalsim.analytic import CouplingParams, spin_echo_overlap
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
@@ -622,3 +627,161 @@ def test_overflow_is_a_domain_error(command, tmp_path, capsys):
 def test_bad_range_syntax(tmp_path):
     assert main(["design", "--sweep", "--tau-range", "10,100",
                  "--temp-range", "10,300,2", "--out", str(tmp_path / "s.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["analytic", "--formula", "thermal", "--lambda", "0.1", "--nbar", "1e308"], None, 3),
+    (["analytic", "--formula", "damped", "--lambda", "0.1", "--nbar", "1e308",
+      "--q", "100"], None, 3),
+    (["analytic", "--formula", "thermal", "--lambda", "1e154"], None, 3),
+    (["analytic", "--formula", "damped", "--lambda", "1e154", "--q", "100"], None, 3),
+    (["analytic", "--formula", "thermal", "--lambda", "0.1", "--t-max", "1e308",
+      "--samples", "2"], None, 3),
+    (["analytic", "--formula", "thermal", "--lambda", "0.1", "--t-max", "1e307",
+      "--samples", "4"], None, 3),
+    (["design"], "density = 1e308\n", 3),
+    (["design"], "temperature = 1e308\n", 3),
+    (["design", "--sweep", "--tau-range", "1,2,2", "--temp-range", "1e308,1e308,1"],
+     None, 3),
+    (["design"], "hold_time = 1e64\n", 3),
+    (["design", "--sweep", "--tau-range", "1e200,1e200,1", "--temp-range", "1,2,2"],
+     None, 3),
+    (["design"], "splitting = 1e-200\nsphere_radius = 1e-201\n", 3),
+    (["simulate"], "units = natural\ng = 0.01\nnbar = 1e16\n", 4),
+    (["simulate"], "units = natural\ng = 0.01\ntemperature = 1e20\n", 4),
+], ids=["thermal_nbar", "damped_nbar", "thermal_lambda", "damped_lambda",
+        "t_max_1e308", "t_max_1e307", "design_density", "design_temperature",
+        "sweep_temperature", "design_hold_time", "sweep_tau", "design_splitting",
+        "simulate_nbar", "simulate_temperature"])
+def test_out_of_range_values_write_nothing(argv, config, code, tmp_path, capsys):
+    # the analytic and the first three design runs exited 0 with a nan or
+    # inf in their output; the rest ended in a ZeroDivisionError traceback
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert ("a value is out of range" if code == 3 else "MAX_DIM") in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    # a missing directory and a directory ended in an OSError traceback
+    # (exit 1), simulate's only after the whole integration
+    monkeypatch.setattr(cli, "run_protocol", lambda cfg: pytest.fail("integrated"))
+    (tmp_path / "dir").mkdir()
+    argv = {"analytic": ["analytic", "--formula", "thermal", "--lambda", "0.1",
+                         "--out", str(tmp_path / "missing" / "x.csv")],
+            "simulate": ["simulate", "--config", str(CONFIGS / "demo_basic.cfg"),
+                         "--out", str(tmp_path / "dir")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out")
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
+# values that once broke a command: zero, negatives, the float extremes
+EDGE_VALUES = [0.0, -1.0, 1e-300, -1e-300, 1e308, -1e308, 0.1, 3.0, 300.0]
+_edge = st.sampled_from(EDGE_VALUES)
+
+
+def _assert_outputs_sound(code, out_dir):
+    """Exit code in the documented set; on success, each output has its
+    manifest and holds only finite numbers; on failure, nothing is written."""
+    assert code in (0, 2, 3, 4, 5)
+    files = sorted(out_dir.iterdir())
+    if code != 0:
+        assert files == []
+        return
+    outputs = [f for f in files if not f.name.endswith(".manifest.json")]
+    assert outputs
+    for path in outputs:
+        assert path.with_name(path.name + ".manifest.json").exists()
+        if path.suffix == ".csv":
+            _, *rows = path.read_text().splitlines()
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+        else:
+            numbers = [v for v in json.loads(path.read_text()).values()
+                       if isinstance(v, float)]
+            assert numbers and all(map(math.isfinite, numbers))
+
+
+def _run(argv, config=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        if config is not None:
+            (Path(tmp) / "run.cfg").write_text(
+                "".join(f"{key} = {value!r}\n" for key, value in config.items()))
+            argv = argv + ["--config", str(Path(tmp) / "run.cfg")]
+        name = "x.json" if argv[0] == "design" and "--sweep" not in argv else "x.csv"
+        _assert_outputs_sound(main(argv + ["--out", str(out_dir / name)]), out_dir)
+
+
+_counts = st.sampled_from([-1, 0, 1, 2, 7, MAX_SAMPLES + 1])
+
+
+@st.composite
+def _analytic_argv(draw):
+    """An analytic command line with a few of its formula's own flags."""
+    formula = draw(st.sampled_from(sorted(cli._FORMULA_FLAGS)))
+    flags = [cli._FLAGS[key][0] for key in sorted(cli._FORMULA_FLAGS[formula])]
+    if formula != "spin-echo":
+        flags += ["--t-max", "--samples"]
+    argv = ["analytic", "--formula", formula]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+        value = draw(_counts if flag in ("--samples", "--n-pi", "--n-atoms") else _edge)
+        argv.append(f"{flag}={value!r}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_analytic_argv())
+def test_fuzz_analytic_flags(argv):
+    _run(argv)
+
+
+_DESIGN_KEYS = ["atom_mass_amu", "density", "splitting", "distance", "sphere_radius",
+                "kappa", "hold_time", "temperature", "oscillator_mass"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=st.dictionaries(st.sampled_from(_DESIGN_KEYS), _edge, max_size=2),
+       geometry=st.sampled_from([None, "single_sphere", "four_sphere", "custom"]),
+       sweep=st.none() | st.tuples(_edge, _edge, st.sampled_from([0, 1, 2]),
+                                   _edge, _edge, st.sampled_from([1, 3])),
+       sigma_level=st.none() | _edge)
+def test_fuzz_design_config(config, geometry, sweep, sigma_level):
+    if geometry is not None:
+        config["geometry"] = geometry
+    argv = ["design"]
+    if sigma_level is not None:
+        argv.append(f"--sigma-level={sigma_level!r}")
+    if sweep is not None:
+        tau_lo, tau_hi, n_tau, t_lo, t_hi, n_temp = sweep
+        argv += ["--sweep", f"--tau-range={tau_lo!r},{tau_hi!r},{n_tau}",
+                 f"--temp-range={t_lo!r},{t_hi!r},{n_temp}"]
+    _run(argv, config)
+
+
+_SIMULATE_KEYS = ["omega", "g", "g_prime", "gamma_m", "gamma_a", "nbar", "temperature",
+                  "t_max", "tau"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=st.dictionaries(st.sampled_from(_SIMULATE_KEYS), _edge, max_size=3),
+       units=st.sampled_from(["natural", "si"]),
+       protocol=st.sampled_from(["basic", "boosted", "spin_echo"]),
+       counts=st.dictionaries(st.sampled_from(["dim", "n_pi", "samples_per_period"]),
+                              st.sampled_from([-1, 0, 1, 4, 40, MAX_DIM + 1])))
+def test_fuzz_simulate_config_and_dim(config, units, protocol, counts):
+    # only the config and the dim rule: no integration
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{key} = {value!r}\n"
+                                for key, value in {**config, **counts}.items())
+                        + f"units = {units}\nprotocol = {protocol}\n")
+        try:
+            _protocol_config_from_file(parse_config_file(path), None).resolved_dim()
+        except (ValueError, OverflowError, TruncationError):
+            pass  # exit 2, 3 or 4 from main

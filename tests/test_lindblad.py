@@ -27,18 +27,22 @@ from revivalsim.cli import _protocol_config_from_file, main
 from revivalsim.config import parse_config_file
 from revivalsim.lindblad import (
     MAX_DIM,
-    PLUS_STATE,
+    PASSES,
     ProtocolConfig,
     TruncationError,
-    _flip,
     _rotating_rhs,
     integrate_blocks,
-    join_blocks,
     negativity,
     run_protocol,
+)
+from revivalsim.witness import (
+    PLUS_STATE,
+    _block_rhs,
+    join_blocks,
+    random_product_state,
+    random_separable_spec,
     split_blocks,
 )
-from revivalsim.witness import _block_rhs, random_product_state, random_separable_spec
 
 FIG_NBAR = 1.5414940825367982  # thermal occupation at omega = 1, T = 2
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -186,7 +190,8 @@ def test_echo_gate_swaps_blocks():
     rho = 0.5 * (rho + sym @ rho @ sym)
     flip = np.kron(SIGMA_X, np.eye(7))
     want = flip @ rho @ flip
-    got = _flip(_protocol_blocks(rho))
+    assert [name for name, _, _ in PASSES] == ["rho00", "rho01"]
+    got = np.stack([gate(block) for (_, _, gate), block in zip(PASSES, _protocol_blocks(rho))])
     assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-15
     joint = join_blocks(np.stack([got[0], parity @ got[0] @ parity, got[1]]))
     assert np.max(np.abs(joint - want)) < 1e-15
