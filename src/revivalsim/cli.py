@@ -181,19 +181,21 @@ def cmd_analytic(args) -> int:
         columns = ([2.0 * math.pi * k for k in iterations],
                    [analytic.spin_echo_overlap(k, lam) for k in iterations])
     else:
-        grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
         given = {field: getattr(args, k) for k, (_, field) in _FLAGS.items()
                  if field and getattr(args, k) is not None}
         params = analytic.CouplingParams(coupling=lam, **given)
-        if formula in ("ground", "thermal"):  # ground is thermal at nbar = 0
-            vis = analytic.visibility_thermal(params, grid)
-        elif formula == "damped":
-            vis = analytic.visibility_damped(params, grid)
-        elif formula == "boosted":
-            vis = analytic.visibility_boosted(params, grid)
-        else:  # many-atom
-            n_atoms = args.n_atoms if args.n_atoms is not None else 1
-            vis = analytic.visibility_many_atom(n_atoms, params, grid)
+        # an overflow leaves a non-finite value, which _require_finite refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
+            if formula in ("ground", "thermal"):  # ground is thermal at nbar = 0
+                vis = analytic.visibility_thermal(params, grid)
+            elif formula == "damped":
+                vis = analytic.visibility_damped(params, grid)
+            elif formula == "boosted":
+                vis = analytic.visibility_boosted(params, grid)
+            else:  # many-atom
+                n_atoms = args.n_atoms if args.n_atoms is not None else 1
+                vis = analytic.visibility_many_atom(n_atoms, params, grid)
         columns = (grid, vis)
 
     _require_finite(*columns)

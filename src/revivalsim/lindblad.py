@@ -28,9 +28,15 @@ shifts of the flat block.  Tr rho01 and the populations (twice diag rho00)
 are frame-independent; states return to the lab frame at each segment end
 (before a gate) and when kept.
 
-`integrate_blocks` steps the DOP853 solver itself and hands each sample to
-the caller as soon as the solver passes it, so a run holds O(d^2) memory
-unless it keeps its states, which go straight into one (n, 2d, 2d) array.
+`integrate_blocks` runs scipy's DOP853 in its own step loop, with the class's
+tableau, its step-size controller and its arithmetic, so every sample is
+solve_ivp's bit for bit.  It hands each sample to the caller as soon as a
+step passes it and interpolates only the entries the caller reads: the
+diagonal of a bare run, whole blocks for kept states.  A run holds O(d^2)
+memory unless it keeps its states, which go straight into one (n, 2d, 2d)
+array.  An explicit step is stable only while h |rate| stays within
+`STABILITY_LENGTH`, so a run whose fastest decay needs more than
+`MAX_STEP_BOUND` steps is refused before it starts.
 
 Visibility is reported normalized to V(0) = 1, i.e. V = 2 |Tr rho01|; the
 raw coherence <sigma_minus> is exported alongside.  The trace is never
@@ -68,6 +74,19 @@ INITIAL_TAIL_BOUND = 1e-8  # max thermal mass at Fock levels >= dim at t = 0
 # lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
 # anything is built.
 MAX_DIM = 512
+
+# Real-axis stability length of DOP853: |R(-x)| <= 1 for 0 <= x <= 6.39, where
+# R is the stability polynomial of its tableau (6.3937 to four places)
+STABILITY_LENGTH = 6.39
+# Largest lower bound on a run's explicit step count (max|decay| times the
+# protocol duration over STABILITY_LENGTH) that `run_protocol` starts on.
+# The Q = 10 corner (lambda 0.3, nbar 5, gamma_m 0.1, dim 129, two periods)
+# bounds at ~280 and takes ~700-900 steps per block; a rate far above omega
+# would step for hours.
+MAX_STEP_BOUND = 100_000
+
+# scipy's DOP853 step-size controller: safety factor and step-change limits
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
 PROTOCOLS = ("basic", "boosted", "spin_echo")
 
@@ -249,6 +268,21 @@ def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
     return blocks * np.exp(-1j * omega * np.multiply.outer(t, level[:, None] - level))
 
 
+def _root(dim: int) -> np.ndarray:
+    """<i|a|i+1> on levels 0..dim-1, with 0 at the truncation edge."""
+    return np.append(np.sqrt(np.arange(1.0, dim)), 0.0)
+
+
+def _decay(cfg: ProtocolConfig, dim: int, z_right: float) -> np.ndarray:
+    """The flat diagonal of one block's generator (see `_rotating_rhs`)."""
+    root, level = _root(dim), np.arange(dim, dtype=float)
+    down, up = cfg.gamma_m * (cfg.nbar + 1.0), cfg.gamma_m * cfg.nbar
+    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); the sigma_z
+    # jump adds gamma_a (z_right - 1): nothing on rho00, -2 gamma_a on rho01
+    rate = -0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
+    return (rate + cfg.gamma_a * (z_right - 1.0)).astype(complex).ravel()
+
+
 def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float, z_right: float):
     """Right-hand side for one flat protocol block in the rotating frame:
     rho00 with z_right = +1 or rho01 with z_right = -1, the sigma_z
@@ -259,14 +293,10 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float, z_right: float
     into the next row.
     """
     n_flat = dim * dim
-    root = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # <i|a|i+1>, 0 at the edge
-    level = np.arange(dim, dtype=float)
+    root = _root(dim)
     down = cfg.gamma_m * (cfg.nbar + 1.0)  # rate of the a jump
     up = cfg.gamma_m * cfg.nbar            # rate of the ad jump
-    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); the sigma_z
-    # jump adds gamma_a (z_right - 1): nothing on rho00, -2 gamma_a on rho01
-    rate = -0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
-    decay = (rate + cfg.gamma_a * (z_right - 1.0)).astype(complex).ravel()
+    decay = _decay(cfg, dim, z_right)
 
     def flat(weights, shift):
         return np.broadcast_to(weights, (dim, dim)).astype(complex).ravel()[: n_flat - shift]
@@ -303,18 +333,24 @@ def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float, z_right: float
     return rhs
 
 
-def integrate_blocks(rhs, blocks0, t_eval, sample, *, first_step=None
+def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
                      ) -> tuple[np.ndarray, dict]:
     """Integrate the flattened stacked blocks under rhs(t, y) from t = 0 to
-    t_eval[-1] at RTOL/ATOL, and pass the samples at the sorted times t_eval
-    to sample(t, blocks) as the solver steps past them; blocks has shape
-    (len(t), *blocks0.shape).
+    t_eval[-1] > 0 at RTOL/ATOL, and pass the samples at the sorted times
+    t_eval to sample(t, values) as the steps pass them: values holds the flat
+    entries `read` of each sample, shape (len(t), len(read)), or with read
+    None the whole blocks, shape (len(t), *blocks0.shape).
 
-    Samples come from each accepted step's dense output, taken at the
-    t_eval points in (t_old, t] (the first step also takes t = 0), the
-    rule and the calls of solve_ivp with t_eval.  Returns the blocks at
-    t_eval[-1] and the segment record {duration, nfev, steps, rejected,
-    dense_outputs, wall_s}.
+    The loop is scipy's DOP853 step by step: the class's own tableau, its
+    first f and first step from its constructor, its step-size controller
+    and its numpy operations in its order, so samples and records equal
+    solve_ivp(method="DOP853", t_eval=t_eval) bit for bit.  Samples come from
+    each accepted step's dense output at the t_eval points in (t_old, t] (the
+    first step also takes t = 0).  The 7-term interpolant is built only on
+    the read entries, except on the last step, which builds it on all of
+    them.  Returns the blocks at t_eval[-1] and the segment record
+    {duration, nfev, steps, rejected, dense_outputs, wall_s}; raises
+    IntegrationError when the step size falls below 10 ulp of t.
     """
     started = time.perf_counter()
     t_end = float(t_eval[-1])
@@ -323,27 +359,116 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, first_step=None
     # envelope; the higher-order embedded pair is faster and ~20x tighter
     solver = DOP853(rhs, 0.0, np.asarray(blocks0, dtype=complex).ravel(), t_end,
                     rtol=RTOL, atol=ATOL, first_step=first_step)
-    setup_nfev = solver.nfev
-    steps = dense_outputs = taken = 0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"master-equation solver failed: {message}")
+    setup_nfev, rtol, atol, h_abs = solver.nfev, solver.rtol, solver.atol, solver.h_abs
+    n_stages, n = DOP853.n_stages, solver.n
+    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+    A_EXTRA, C_EXTRA = DOP853.A_EXTRA, DOP853.C_EXTRA
+    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    # rows: the stages, f at the step end, then the dense output's extra stages
+    K = np.empty((n_stages + 1 + len(A_EXTRA), n), dtype=complex)
+    stages = K[: n_stages + 1]
+    K[0] = solver.f
+    y, y_new = np.empty((2, n), dtype=complex)
+    y[:] = solver.y
+    del solver  # its own stage buffer
+    abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
+    dy, err5, err3 = np.empty((3, n), dtype=complex)
+    cols = slice(None) if read is None else np.asarray(read)
+    t = 0.0
+    steps = trials = dense_outputs = taken = 0
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too, which would loop for ever
+                raise IntegrationError(f"master-equation solver failed at t = {t:.6g}: "
+                                       "required step size is less than spacing "
+                                       "between numbers")
+            t_new = t + h_abs
+            if t_new - t_end > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = np.abs(h)
+            for s in range(1, n_stages):
+                np.dot(K[:s].T, A[s, :s], out=dy)
+                dy *= h
+                dy += y
+                K[s] = rhs(t + C[s] * h, dy)
+            np.dot(K[:n_stages].T, B, out=y_new)
+            y_new *= h
+            y_new += y
+            K[n_stages] = rhs(t + h, y_new)
+            trials += 1
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            np.divide(np.dot(stages.T, E5, out=err5), scale, out=err5)
+            np.divide(np.dot(stages.T, E3, out=err3), scale, out=err3)
+            err5_norm_2 = np.linalg.norm(err5) ** 2
+            err3_norm_2 = np.linalg.norm(err3) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / np.sqrt(denom * n)
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** exponent))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            rejected = True
+        t_old, t = t, t_new
+        y_old, y, y_new = y, y_new, y
+        abs_y, abs_new = abs_new, abs_y
         steps += 1
-        upto = np.searchsorted(t_eval, solver.t, side="right")
+        upto = np.searchsorted(t_eval, t, side="right")
         if upto > taken:
-            t_step = t_eval[taken:upto]
-            blocks = solver.dense_output()(t_step).T.reshape(len(t_step), *blocks0.shape)
+            for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=n_stages + 1):
+                np.dot(K[:s].T, a[:s], out=dy)
+                dy *= h
+                dy += y_old
+                K[s] = rhs(t_old + c * h, dy)
             dense_outputs += 1
-            sample(t_step, blocks)
+            # the last step interpolates every entry: its end is the block
+            final = t >= t_end
+            values = _dense_values(K, h, y_old, y, t_eval[taken:upto] - t_old,
+                                   slice(None) if final else cols)
+            if read is None:
+                sample(t_eval[taken:upto], values.reshape(-1, *blocks0.shape))
+            else:
+                # in C order, as summing a Fortran-ordered copy rounds differently
+                sample(t_eval[taken:upto], values[:, cols].copy() if final else values)
             taken = upto
-    # a DOP853 trial costs n_stages evaluations, a dense output len(A_EXTRA)
-    dense_nfev = len(DOP853.A_EXTRA) * dense_outputs
-    trials = (solver.nfev - setup_nfev - dense_nfev) // DOP853.n_stages
-    record = {"duration": t_end, "nfev": solver.nfev, "steps": steps,
-              "rejected": trials - steps, "dense_outputs": dense_outputs,
-              "wall_s": time.perf_counter() - started}
-    return blocks[-1], record
+        K[0] = K[n_stages]
+    record = {"duration": t_end,
+              "nfev": setup_nfev + n_stages * trials + len(A_EXTRA) * dense_outputs,
+              "steps": steps, "rejected": trials - steps,
+              "dense_outputs": dense_outputs, "wall_s": time.perf_counter() - started}
+    return values[-1].reshape(blocks0.shape), record
+
+
+def _dense_values(K, h, y_old, y, elapsed, cols):
+    """DOP853's 7-term dense output of the step (t_old, t_old + h) with
+    stages K, built and evaluated on the flat entries cols only, at the times
+    t_old + elapsed; shape (len(elapsed), len(cols))."""
+    delta_y = y[cols] - y_old[cols]
+    f_old, f_new = K[0, cols], K[DOP853.n_stages, cols]
+    F = np.empty((3 + len(DOP853.D), len(delta_y)), dtype=complex)
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f_new + f_old)
+    F[3:] = h * np.dot(DOP853.D, K[:, cols])
+    x = (elapsed / h)[:, None]
+    values = np.zeros((len(x), len(delta_y)), dtype=complex)
+    for i, f in enumerate(reversed(F)):
+        values += f
+        values *= x if i % 2 == 0 else 1 - x
+    values += y_old[cols]
+    return values
 
 
 def make_trace(times, pops, sigma, states, stats) -> VisibilityTrace:
@@ -368,6 +493,16 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     """Evolve through (duration, coupling, flip_after) segments, one pass per
     protocol block: rho00 through every segment, then rho01."""
     dim = cfg.resolved_dim()
+    # an explicit step is stable only while h |rate| stays within
+    # STABILITY_LENGTH, so the fastest decay bounds the step count below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where a rate overflows
+        rate = np.nanmax(np.abs(_decay(cfg, dim, PASSES[1][1])))
+    min_steps = rate * sum(duration for duration, _, _ in segments) / STABILITY_LENGTH
+    if not min_steps <= MAX_STEP_BOUND:  # NaN is refused too
+        raise IntegrationError(
+            f"stiff run: decay rate {rate:.3e} needs at least {min_steps:.3e} explicit "
+            f"steps, above {MAX_STEP_BOUND:.0e}; the damping is too fast for the "
+            "explicit solver")
     period = 2.0 * math.pi / cfg.omega
     grids = []
     for duration, _, _ in segments:
@@ -382,23 +517,27 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     records = [{"duration": t, "coupling": c} for t, c, _ in segments]
     # |+><+| (x) thermal(nbar): rho00 = rho01 = thermal/2
     half = 0.5 * _thermal_state(cfg.nbar, dim)
+    # a bare run reads only each sample's diagonal; kept states read it all
+    read = None if keep_states else np.arange(dim) * (dim + 1)
     k = taken = 0
 
-    def sample(t, path):
+    def sample(t, values):
         nonlocal taken
         rows = slice(taken, taken + len(t))
         taken = rows.stop
-        diag = np.diagonal(path, axis1=-2, axis2=-1)
+        if states is None:
+            diag = values
+        else:
+            diag = np.diagonal(values, axis1=-2, axis2=-1)
+            states[rows, :dim, k * dim:(k + 1) * dim] = _to_lab(values, cfg.omega, t)
         diagonals[k, rows], traces[k, rows] = diag.real, diag.sum(axis=-1)
-        if states is not None:
-            states[rows, :dim, k * dim:(k + 1) * dim] = _to_lab(path, cfg.omega, t)
 
     for k, (name, z_right, gate) in enumerate(PASSES):
         rhs = {c: _rotating_rhs(cfg, dim, c, z_right) for c in {seg[1] for seg in segments}}
         block, taken = half, 0
         for (duration, coupling, flip), t_eval, record in zip(segments, grids, records):
             block, record[name] = integrate_blocks(
-                rhs[coupling], block, t_eval, sample,
+                rhs[coupling], block, t_eval, sample, read=read,
                 first_step=min(FIRST_STEP, duration / 2))
             block = _to_lab(block, cfg.omega, duration)
             if flip:

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import tempfile
+import time
+import warnings
 from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
@@ -662,6 +664,34 @@ def test_out_of_range_values_write_nothing(argv, config, code, tmp_path, capsys)
     assert main(argv + ["--out", str(tmp_path / "out")]) == code
     assert ("a value is out of range" if code == 3 else "MAX_DIM") in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("flags", [["--t-max", "1e307", "--samples", "4"],
+                                   ["--nbar", "1e308"]])
+def test_analytic_refusal_is_one_stderr_line(flags, tmp_path, capsys):
+    # numpy's overflow warnings came before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analytic", "--formula", "thermal", "--lambda", "0.1", *flags,
+                     "--out", str(tmp_path / "out.csv")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rate", ["gamma_a = 1e155", "gamma_m = 1e12"])
+def test_stiff_simulate_is_refused_before_integrating(rate, tmp_path, capsys):
+    # gamma_a = 1e155 stepped past a 60 s timeout: explicit steps shrink to
+    # the decay time and nothing bounded their number
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = natural\ng = 0.05\n{rate}\n")
+    started = time.perf_counter()
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert code == 4 and time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stiff run")
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate"])

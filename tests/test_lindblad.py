@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from oracles import SIGMA_Z, annihilation, initial_state, thermal_density
 from revivalsim.analytic import (
@@ -25,11 +25,18 @@ from revivalsim.analytic import (
 )
 from revivalsim.cli import _protocol_config_from_file, main
 from revivalsim.config import parse_config_file
+from revivalsim import lindblad
 from revivalsim.lindblad import (
+    ATOL,
     MAX_DIM,
+    MAX_STEP_BOUND,
     PASSES,
+    RTOL,
+    STABILITY_LENGTH,
+    IntegrationError,
     ProtocolConfig,
     TruncationError,
+    _decay,
     _rotating_rhs,
     integrate_blocks,
     negativity,
@@ -271,6 +278,88 @@ def test_streamed_integration_equals_solve_ivp(first_step):
     assert record["nfev"] == setup + 12 * trials + 3 * record["dense_outputs"]
     assert record["dense_outputs"] == len(chunks)
     assert (record["rejected"] > 0) == (first_step is not None)
+
+
+def _scipy_step_counts(rhs, y0, t_end, first_step):
+    """Accepted and rejected steps of scipy's own DOP853, stepped to t_end."""
+    solver = DOP853(rhs, 0.0, y0, t_end, rtol=RTOL, atol=ATOL, first_step=first_step)
+    steps = trials = 0
+    while solver.status == "running":
+        before = solver.nfev
+        solver.step()
+        steps += 1
+        trials += (solver.nfev - before) // DOP853.n_stages
+    return steps, trials - steps
+
+
+@pytest.mark.parametrize("first_step", [None, 1e-3, 2.0])
+def test_diagonal_read_equals_solve_ivp(first_step):
+    # a damped, dephased, coupled rho01 block read on its diagonal only: the
+    # samples are solve_ivp's bit for bit, the returned block is its last
+    # full state, and the solver work is the same step for step
+    dim, t_end = 12, 2.0 * math.pi
+    cfg = ProtocolConfig(g=0.2, nbar=1.0, gamma_m=0.05, gamma_a=0.01)
+    rhs = _rotating_rhs(cfg, dim, cfg.g, -1.0)
+    block0 = _random_state(np.random.default_rng(7), dim)
+    t_eval = np.linspace(0.0, t_end, 41)
+    sol = solve_ivp(rhs, (0.0, t_end), block0.ravel(), method="DOP853", t_eval=t_eval,
+                    rtol=RTOL, atol=ATOL, first_step=first_step)
+    read = np.arange(dim) * (dim + 1)
+    chunks = []
+    end, record = integrate_blocks(rhs, block0, t_eval,
+                                   lambda t, values: chunks.append(values.copy()),
+                                   read=read, first_step=first_step)
+    assert all(chunk.shape[1:] == (dim,) for chunk in chunks)
+    assert np.array_equal(np.concatenate(chunks), sol.y[read].T)
+    assert np.array_equal(end, sol.y[:, -1].reshape(dim, dim))
+    assert record["nfev"] == sol.nfev
+    steps, rejected = _scipy_step_counts(rhs, block0.ravel(), t_end, first_step)
+    assert (record["steps"], record["rejected"]) == (steps, rejected)
+    assert (rejected > 0) == (first_step == 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("first_step", [None, 1e-3])
+@pytest.mark.parametrize("nan_from", [0.0, 0.5])
+def test_nan_right_hand_side_raises_integration_error(first_step, nan_from):
+    # a NaN from the first f gave scipy a NaN first step, which never falls
+    # below the minimum step and so looped for ever; a later NaN shrinks the
+    # step until it does
+    def rhs(t, y):
+        return np.full_like(y, np.nan) if t >= nan_from else -y
+
+    with pytest.raises(IntegrationError, match="spacing between numbers"):
+        integrate_blocks(rhs, np.eye(3, dtype=complex), np.linspace(0.0, 1.0, 5),
+                         lambda t, values: None, first_step=first_step)
+
+
+def test_stability_length_matches_the_tableau():
+    # R(-x) = 1 - x B (I + x A)^-1 1 is DOP853's stability polynomial
+    def growth(x):
+        ones = np.ones(DOP853.n_stages)
+        return abs(1.0 - x * DOP853.B @ np.linalg.solve(np.eye(len(ones)) + x * DOP853.A, ones))
+
+    assert all(growth(x) <= 1.0 for x in np.linspace(0.0, STABILITY_LENGTH, 640))
+    assert growth(STABILITY_LENGTH + 0.01) > 1.0
+
+
+def test_step_bound_refuses_before_integrating(monkeypatch):
+    # the bound is max|decay| * duration / STABILITY_LENGTH; the Q = 10
+    # corner sits far below the limit, and a run just above it never steps
+    corner = ProtocolConfig(g=0.3, nbar=5.0, gamma_m=0.1)
+    corner_bound = (np.abs(_decay(corner, corner.resolved_dim(), -1.0)).max()
+                    * corner.resolved_t_max() / STABILITY_LENGTH)
+    assert 200 < corner_bound and 100 * 900 < MAX_STEP_BOUND
+    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_m=0.01, gamma_a=0.002,
+                         t_max=2.0 * math.pi, samples_per_period=20)
+    bound = (np.abs(_decay(cfg, cfg.resolved_dim(), -1.0)).max()
+             * cfg.resolved_t_max() / STABILITY_LENGTH)
+    monkeypatch.setattr(lindblad, "MAX_STEP_BOUND", bound * (1.0 + 1e-12))
+    run_protocol(cfg)
+    monkeypatch.setattr(lindblad, "MAX_STEP_BOUND", bound * (1.0 - 1e-12))
+    monkeypatch.setattr(lindblad, "integrate_blocks", lambda *a, **k: pytest.fail("stepped"))
+    with pytest.raises(IntegrationError, match="stiff run"):
+        run_protocol(cfg)
 
 
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
