@@ -1,6 +1,7 @@
 """Closed-form visibility curves for the conditional-displacement protocols.
 
-All formulas are expressed in the dimensionless phase omega*t and the
+All formulas but `visibility_exact`, which takes the engine's own rates and
+times, are expressed in the dimensionless phase omega*t and the
 dimensionless coupling lambda = g/omega.  Visibilities are normalized so
 V(0) = 1; the raw qubit coherence is V/2.  Noise-free formulas revive
 exactly at omega*t = 2*pi*k.
@@ -104,6 +105,52 @@ def visibility_damped(params: CouplingParams, omega_t) -> ArrayLike:
     expo = 8.0 * params.coupling**2 * (2.0 * params.nbar + 1.0)
     out = np.exp(-expo * f) * np.exp(-params.qubit_decay * x)
     return out if out.ndim else float(out)
+
+
+def visibility_exact(omega: float, gamma_m: float, gamma_a: float, nbar: float,
+                     segments, times) -> np.ndarray:
+    """Exact visibility of the `lindblad` engine's model at the given times.
+
+    The oscillator (frequency omega, damping gamma_m into a bath at nbar)
+    starts thermal(nbar) and the qubit is dephased by a sigma_z jump at rate
+    gamma_a; segments are the protocol's (duration, coupling, flip_after)
+    steps, each flip a sigma_x echo gate.  This is the unexpanded form that
+    `visibility_damped` expands to O(1/Q).
+
+    Tr rho01(t) = Tr[rho01(0) O(0)] with O(s) = c e^{u ad} e^{v a}, O(t) = 1,
+    and v = -conj(u) throughout.  Walking back from t, the time to go
+    sigma obeys du/dsigma = kappa u - 2i g with kappa = i omega - gamma_m/2,
+    which is closed form on each constant-coupling segment, and each flip
+    maps u -> -u.  Then
+
+        ln V = int_0^t [2 g Im u - gamma_m nbar |u|^2] dsigma
+               - 2 gamma_a t - nbar |u(t)|^2
+
+    (Bose, Jacobs & Knight, PRA 59, 3204 (1999)).  All samples walk back
+    together: a segment a sample has not reached has zero length for it.
+    """
+    times = np.asarray(times, dtype=float)
+    kappa = 1j * omega - 0.5 * gamma_m
+    u = np.zeros(times.shape, dtype=complex)
+    log_v = -2.0 * gamma_a * times
+    end = sum(duration for duration, _, _ in segments)
+    for duration, coupling, flip in reversed(segments):
+        end -= duration
+        if flip:
+            u = -u
+        sigma = np.clip(times - end, 0.0, duration)
+        # u(sigma) = b + w e^{kappa sigma} from its value w + b where the walk enters
+        b = 2j * coupling / kappa
+        w = u - b
+        ramp = np.expm1(kappa * sigma) / kappa  # int_0^sigma e^{kappa s} ds
+        # int_0^sigma e^{-gamma_m s} ds, the integral of |e^{kappa s}|^2
+        fade = -np.expm1(-gamma_m * sigma) / gamma_m if gamma_m else sigma
+        int_u = b * sigma + w * ramp
+        int_abs2 = (abs(b) ** 2 * sigma + 2.0 * (np.conj(b) * w * ramp).real
+                    + np.abs(w) ** 2 * fade)
+        log_v += 2.0 * coupling * int_u.imag - gamma_m * nbar * int_abs2
+        u = b + w * np.exp(kappa * sigma)
+    return np.exp(log_v - nbar * np.abs(u) ** 2)
 
 
 def visibility_boosted(params: CouplingParams, omega_t) -> ArrayLike:

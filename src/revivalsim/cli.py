@@ -3,11 +3,14 @@
 Subcommands: ``analytic`` (closed-form curves), ``simulate`` (master
 equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
-``<out>.manifest.json`` with the config echo, tool version, timestamps and
-sha256 of each output; outputs themselves are deterministic for identical
-inputs.  Exit codes: 0 success, 2 usage/config error (an unwritable --out too),
-3 domain error or value out of range (a non-finite output value too), 4 solver,
-truncation or linalg failure, 5 witness-suite failure.
+``<out>.manifest.json`` with the config echo, tool version, timestamps,
+sha256 of each output and the run's validity warnings (also printed to
+stderr); the manifest lands before its output, so an output never exists
+without one.  Outputs themselves are deterministic for identical inputs.
+Exit codes: 0 success, 2 usage/config error (an unwritable --out too), 3
+domain error or value out of range (a non-finite output value too), 4
+solver, truncation, exact-visibility check or linalg failure, 5 witness-suite
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -92,22 +97,46 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(args, config: dict, **extra) -> None:
-    """Write ``<args.out>.manifest.json`` once the output is complete: the
-    command, its config echo, the tool version, when the command started and
-    finished, the output's sha256 and size, and any extra fields."""
-    path = Path(args.out)
-    data = path.read_bytes()
-    write_json(f"{args.out}.manifest.json", {
+def _warn(args, message: str) -> None:
+    """Print a validity warning and keep it for the run's manifest."""
+    print(f"warning: {message}", file=sys.stderr)
+    args.warnings.append(message)
+
+
+def write_manifest(path, args, config: dict, data: bytes, **extra) -> None:
+    """Write the manifest of the output ``args.out`` with contents data to
+    path: the command, its config echo, the tool version, when the command
+    started and finished, the output's sha256 and size, the run's warnings
+    and any extra fields."""
+    write_json(path, {
         "command": args.command,
         "config": config,
         "tool_version": __version__,
         "started_at": args.started_at,
         "finished_at": _now(),
-        "outputs": [{"path": str(path), "sha256": hashlib.sha256(data).hexdigest(),
+        "outputs": [{"path": str(args.out), "sha256": hashlib.sha256(data).hexdigest(),
                      "bytes": len(data)}],
+        "warnings": args.warnings,
         **extra,
     })
+
+
+def write_outputs(args, write, config: dict, **extra):
+    """Write ``args.out`` through write(path) and then ``<args.out>.manifest.json``,
+    each to a temp file beside it, and move the manifest into place first:
+    an output never exists without its manifest.  On any error both temp
+    files are removed.  Returns what write returned."""
+    out = Path(args.out)
+    temps = [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
+    try:
+        result = write(temps[0])
+        write_manifest(temps[1], args, config, temps[0].read_bytes(), **extra)
+        os.replace(temps[1], f"{out}.manifest.json")
+        os.replace(temps[0], out)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+    return result
 
 
 def _config_kwargs(values: dict, cls) -> dict:
@@ -131,6 +160,7 @@ _FORMULA_FLAGS = {
     "ground": {"lam"},
     "thermal": {"lam", "nbar"},
     "damped": {"lam", "nbar", "q", "gamma_a"},
+    "damped-exact": {"lam", "nbar", "q", "gamma_a"},
     "boosted": {"lam", "lam_prime", "nbar"},
     "many-atom": {"lam", "nbar", "n_atoms"},
     "spin-echo": {"lam", "n_pi"},
@@ -185,25 +215,35 @@ def cmd_analytic(args) -> int:
                  if field and getattr(args, k) is not None}
         params = analytic.CouplingParams(coupling=lam, **given)
         # an overflow leaves a non-finite value, which _require_finite refuses
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
             if formula in ("ground", "thermal"):  # ground is thermal at nbar = 0
                 vis = analytic.visibility_thermal(params, grid)
             elif formula == "damped":
                 vis = analytic.visibility_damped(params, grid)
+            elif formula == "damped-exact":
+                # the basic protocol at omega = 1; --gamma-a is the coherence
+                # decay over omega, twice the engine's sigma_z jump rate
+                vis = analytic.visibility_exact(
+                    1.0, 1.0 / params.q_factor, 0.5 * params.qubit_decay, params.nbar,
+                    [(2.0 * math.pi * t_max, params.coupling, False)], grid)
             elif formula == "boosted":
                 vis = analytic.visibility_boosted(params, grid)
             else:  # many-atom
                 n_atoms = args.n_atoms if args.n_atoms is not None else 1
                 vis = analytic.visibility_many_atom(n_atoms, params, grid)
+        for warning in caught:
+            _warn(args, str(warning.message))
         columns = (grid, vis)
 
     _require_finite(*columns)
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    n_rows = write_csv(args.out, ["omega_t", "visibility"],
-                       zip(*(np.asarray(c).tolist() for c in columns)))
-    write_manifest(args, echo)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"], rows),
+                           echo)
     print(f"wrote {args.out} ({n_rows} rows)")
     return EXIT_OK
 
@@ -267,17 +307,20 @@ def cmd_simulate(args) -> int:
         "visibility": trace.visibility,
         "re_sigma_minus": trace.sigma_minus.real,
         "im_sigma_minus": trace.sigma_minus.imag,
-        "trace_error": trace.trace_error,
+        "exact_error": trace.exact_error,
         "tail_mass": trace.tail_mass,
     }
     values = [c.tolist() for c in columns.values()]
     _require_finite(*columns.values())
     echo = dataclasses.asdict(cfg)
-    if args.format == "csv":
-        write_csv(args.out, list(columns), zip(*values))
-    else:
-        write_json(args.out, dict(zip(columns, values), config=echo))
-    write_manifest(args, echo, stats=trace.stats)
+
+    def write(path):
+        if args.format == "csv":
+            write_csv(path, list(columns), zip(*values))
+        else:
+            write_json(path, dict(zip(columns, values), config=echo))
+
+    write_outputs(args, write, echo, stats=trace.stats)
     print(
         f"wrote {args.out} ({len(trace.times)} samples, "
         f"final V = {trace.visibility[-1]:.6f})"
@@ -322,8 +365,7 @@ def cmd_verify(args) -> int:
         header = ["kind", "seed"] + [f.name for f in dataclasses.fields(witness.WitnessReport)]
         rows = [("random", seed, *dataclasses.astuple(r)) for seed, r in enumerate(reports)]
         rows.append(("contrast", -1, *dataclasses.astuple(contrast)))
-        write_csv(args.out, header, rows)
-        write_manifest(args, {
+        write_outputs(args, lambda path: write_csv(path, header, rows), {
             "seeds": args.seeds,
             "dim": args.dim,
             "tol": args.tol,
@@ -387,12 +429,11 @@ def cmd_design(args) -> int:
                               f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
         _require_finite(np.fromiter((v for r in rows for v in r.values()), float))
-        write_csv(
-            args.out,
+        write_outputs(args, lambda path: write_csv(
+            path,
             ["tau_s", "temperature_K", "log10_delta_v", "log10_delta_v_boosted"],
             (tuple(r.values()) for r in rows),
-        )
-        write_manifest(args, {
+        ), {
             "config": dataclasses.asdict(cfg),
             "tau_range": list(args.tau_range),
             "temp_range": list(args.temp_range),
@@ -407,14 +448,10 @@ def cmd_design(args) -> int:
     )
     payload["sigma_level"] = args.sigma_level
     if derived.low_temperature_flag:
-        print(
-            "warning: k_B*T/(hbar*omega) < 10; thermal contrast forms are "
-            "outside their validity range",
-            file=sys.stderr,
-        )
+        _warn(args, "k_B*T/(hbar*omega) < 10; thermal contrast forms are outside "
+                    "their validity range")
     if args.out:
-        write_json(args.out, payload)
-        write_manifest(args, dataclasses.asdict(cfg))
+        write_outputs(args, lambda path: write_json(path, payload), dataclasses.asdict(cfg))
     print(_json_text(payload), end="")
     return EXIT_OK
 
@@ -533,7 +570,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.started_at = _now()
+    args.started_at, args.warnings = _now(), []
     try:
         out = None if args.out is None else Path(args.out)
         if out and (out.is_dir() or not out.parent.is_dir()):

@@ -9,44 +9,31 @@ The noise model is
 with H = omega ad a + coupling (a + ad) sigma_z and jump operators
 sqrt(nbar*gamma_m) ad, sqrt((nbar+1)*gamma_m) a and sqrt(gamma_a) sigma_z.
 
-Every generator keeps the sigma_z block structure: block (s, s') of a
-joint state evolves on its own as -i(H_s rho - rho H_s') + jump terms, with
+Every generator keeps the sigma_z blocks apart: block (s, s') of a joint
+state evolves on its own as -i(H_s rho - rho H_s') + jump terms, with
 H_s = omega ad a + z_s coupling (a + ad), z = (+1, -1).
 
-The protocol model has one more symmetry: parity P = (-1)^{ad a} maps H_0
-onto H_1 and leaves the thermal state and both dissipators unchanged, so
-rho11 = P rho00 P at all times.  `run_protocol` therefore evolves only
-rho00 and rho01, both thermal(nbar)/2 at t = 0; the sigma_x echo gate maps
-them to (P rho00 P, rho01^dag), and rho11 is rebuilt only for kept states.
-The blocks never mix, not even at a gate, so a run is two `PASSES`, each
-carrying one block through every segment under its own error norm: rho00
-(populations only) takes far fewer steps than rho01 (the signal).  Both
-evolve in the frame rotating with omega ad a, exact for the truncated
-operators: the coupling becomes coupling (a e^{-i omega t} + ad e^{i omega
-t}), the dissipators are unchanged, and the right-hand side is six banded
-shifts of the flat block.  Tr rho01 and the populations (twice diag rho00)
-are frame-independent; states return to the lab frame at each segment end
-(before a gate) and when kept.
+Only rho01, the signal, is solved: V = 2 |Tr rho01|, normalized to V(0) = 1,
+with the raw <sigma_minus> alongside.  Parity P = (-1)^{ad a} maps H_0 onto
+H_1 and keeps the thermal state and both dissipators, so rho11 = P rho00 P;
+and as the Hamiltonian is quadratic, the drive linear and the bath at the
+state's own nbar, rho00 = D(alpha) thermal(nbar) D(alpha)^dag / 2, with alpha
+the damped, driven classical amplitude.  That closed form gives the tail mass
+and the rho00 and rho11 blocks of kept states.  rho01 starts as
+thermal(nbar)/2, takes one DOP853 solve (`integrate_blocks`) per segment, and
+the sigma_x echo gate maps it to rho01^dag.  It evolves in the frame rotating
+with omega ad a, exact for the truncated operators: the coupling becomes
+coupling (a e^{-i omega t} + ad e^{i omega t}), and the right-hand side is six
+banded shifts of the flat block.  The block returns to the lab frame at each
+segment end (before a gate) and when kept.  A run holds O(d^2) memory unless
+it keeps its states, which go into one (n, 2d, 2d) array.
 
-`integrate_blocks` runs scipy's DOP853 in its own step loop, with the class's
-tableau, its step-size controller and its arithmetic, so every sample is
-solve_ivp's bit for bit.  It hands each sample to the caller as soon as a
-step passes it and interpolates only the entries the caller reads: the
-diagonal of a bare run, whole blocks for kept states.  A run holds O(d^2)
-memory unless it keeps its states, which go straight into one (n, 2d, 2d)
-array.  An explicit step is stable only while h |rate| stays within
-`STABILITY_LENGTH`, so a run whose fastest decay needs more than
-`MAX_STEP_BOUND` steps is refused before it starts.
-
-Visibility is reported normalized to V(0) = 1, i.e. V = 2 |Tr rho01|; the
-raw coherence <sigma_minus> is exported alongside.  The trace is never
-renormalized: its drift is a solver diagnostic.
-
-`ProtocolConfig.resolved_dim` is the one Fock-truncation rule: it picks the
-default dim and refuses any dim above `MAX_DIM`, below the displacement
-floor or with more than `INITIAL_TAIL_BOUND` of the initial thermal state
-beyond it, all before anything is allocated.  A run that still reaches its
-top two levels is refused once integrated (`TAIL_MASS_BOUND`).
+A run is refused before anything is allocated when `ProtocolConfig.resolved_dim`,
+the one Fock-truncation rule, refuses its dim, and before it steps when its
+fastest decay needs more than `MAX_STEP_BOUND` explicit steps.  Once integrated,
+it is refused when its displaced state fills its top two levels beyond
+`TAIL_MASS_BOUND`, or when a sample is more than `EXACT_ERROR_BOUND` off the
+exact visibility of the model (`analytic.visibility_exact`).
 """
 
 from __future__ import annotations
@@ -59,7 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853
 
-TRACE_ERROR_BOUND = 1e-7   # max tolerated |Tr rho - 1| along a trace
+from .analytic import visibility_exact
+
+EXACT_ERROR_BOUND = 1e-7   # max tolerated |V - V_exact| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
 RTOL = 1e-10               # solver relative tolerance
 ATOL = 1e-12               # solver absolute tolerance
@@ -234,31 +223,26 @@ class VisibilityTrace:
     on a gate time report the pre-gate value (the modulus is continuous
     across gates).  tail_mass is the occupation of the top two Fock levels.
     states, when kept, holds the joint lab-frame density matrices, shape
-    (n, 2d, 2d).  stats records the run: the Fock dim and the rule that
-    chose it, one record per segment (duration, coupling, total wall time,
-    and each block's solver work under rho00 and rho01: nfev, accepted and
-    rejected steps, dense outputs, wall time) and the worst trace drift and
-    tail mass next to their bounds.
+    (n, 2d, 2d).  exact_error (`run_protocol`) is each sample's |V - V_exact|,
+    trace_error (`witness.simulate_separable`) its |Tr rho - 1|; the other is
+    None.  stats records the run: the Fock dim and the rule that chose it, a
+    solver record per segment and each diagnostic's worst value and bound.
     """
 
     times: np.ndarray
     visibility: np.ndarray
     sigma_minus: np.ndarray
-    trace_error: np.ndarray
     tail_mass: np.ndarray
     states: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
+    exact_error: np.ndarray | None = None
+    trace_error: np.ndarray | None = None
 
 
 def _parity(rho: np.ndarray) -> np.ndarray:
     """P rho P with P = (-1)^{ad a}, on (..., d, d) oscillator blocks."""
     level = np.arange(rho.shape[-1])
     return rho * (1 - 2 * ((level[:, None] + level) % 2))
-
-
-# One `_run_segments` pass per protocol block: its name, the sigma_z eigenvalue
-# z_right of its column level, and the echo gate (rho00 -> rho11, rho01 -> rho10)
-PASSES = (("rho00", 1.0, _parity), ("rho01", -1.0, lambda rho: rho.conj().T))
 
 
 def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
@@ -471,32 +455,44 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
     return values
 
 
-def make_trace(times, pops, sigma, states, stats) -> VisibilityTrace:
-    """Trace from the (n, d) Fock populations and the (n,) <sigma_minus> of
-    each sample; stats gains the worst trace drift and tail mass."""
-    trace_err, tail = np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
-    stats.update(worst_trace_error=float(trace_err.max()),
-                 trace_error_bound=TRACE_ERROR_BOUND,
-                 worst_tail_mass=float(tail.max()), tail_mass_bound=TAIL_MASS_BOUND)
-    return VisibilityTrace(times, 2.0 * np.abs(sigma), sigma, trace_err, tail,
-                           states, stats)
+def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
+    """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each alpha,
+    p_n = r^n L_n(-|alpha|^2/(nbar (nbar+1))) e^{-|alpha|^2/(nbar+1)}/(nbar+1) with
+    r = nbar/(nbar+1), by the Laguerre recurrence: Poisson at nbar = 0, and
+    free of cancellation, as the argument is negative."""
+    r, s = nbar / (nbar + 1.0), np.abs(alpha) ** 2 / (nbar + 1.0) ** 2
+    prev, p = 0.0, np.exp(-np.abs(alpha) ** 2 / (nbar + 1.0)) / (nbar + 1.0)
+    for n in range(dim - 1):
+        prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
+    return prev + p
 
 
-def _thermal_state(nbar: float, dim: int) -> np.ndarray:
-    """thermal(nbar) on Fock levels 0..dim-1, renormalized to unit trace."""
-    probs = np.exp(np.arange(dim) * math.log(nbar / (nbar + 1.0))) if nbar else np.eye(dim)[0]
-    return np.diag(probs / probs.sum()).astype(complex)
+def _displaced_thermal(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Hermitian D(alpha) diag(probs) D(alpha)^dag / 2 on levels 0..d-1 per
+    alpha, from <m|D(alpha)|k>: row 0 is e^{-|alpha|^2/2} (-conj alpha)^k /
+    sqrt(k!), and a D = D (a + alpha) gives each next row."""
+    dim, alpha, root = len(probs), alpha[:, None], np.sqrt(np.arange(len(probs)))
+    disp = np.empty((len(alpha), dim, dim), dtype=complex)
+    disp[:, 0, 0] = np.exp(-0.5 * np.abs(alpha[:, 0]) ** 2)
+    disp[:, 0, 1:] = -alpha.conj() / root[1:]
+    np.cumprod(disp[:, 0], axis=-1, out=disp[:, 0])
+    for m in range(dim - 1):
+        disp[:, m + 1] = alpha * disp[:, m]
+        disp[:, m + 1, 1:] += root[1:] * disp[:, m, :-1]
+        disp[:, m + 1] /= root[m + 1]
+    rho = (disp * (0.5 * probs)) @ disp.conj().swapaxes(-1, -2)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
                   keep_states: bool) -> VisibilityTrace:
-    """Evolve through (duration, coupling, flip_after) segments, one pass per
-    protocol block: rho00 through every segment, then rho01."""
+    """Evolve rho01 through (duration, coupling, flip_after) segments, one
+    DOP853 solve each; the populations come in closed form."""
     dim = cfg.resolved_dim()
     # an explicit step is stable only while h |rate| stays within
     # STABILITY_LENGTH, so the fastest decay bounds the step count below
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where a rate overflows
-        rate = np.nanmax(np.abs(_decay(cfg, dim, PASSES[1][1])))
+        rate = np.nanmax(np.abs(_decay(cfg, dim, -1.0)))
     min_steps = rate * sum(duration for duration, _, _ in segments) / STABILITY_LENGTH
     if not min_steps <= MAX_STEP_BOUND:  # NaN is refused too
         raise IntegrationError(
@@ -510,59 +506,62 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         # a later segment's t = 0 is the previous one's last sample
         grids.append(np.linspace(0.0, duration, n_int + 1)[1 if grids else 0:])
     n_samples = sum(map(len, grids))
-    # each pass's diagonal and trace, and its block atop the kept states
-    diagonals = np.empty((len(PASSES), n_samples, dim))
-    traces = np.empty((len(PASSES), n_samples), complex)
+    sigma = np.empty(n_samples, complex)
     states = np.empty((n_samples, 2 * dim, 2 * dim), complex) if keep_states else None
-    records = [{"duration": t, "coupling": c} for t, c, _ in segments]
-    # |+><+| (x) thermal(nbar): rho00 = rho01 = thermal/2
-    half = 0.5 * _thermal_state(cfg.nbar, dim)
+    rhs = {c: _rotating_rhs(cfg, dim, c, -1.0) for c in {seg[1] for seg in segments}}
+    # |+><+| (x) thermal(nbar), renormalized on the dim levels: rho01 = thermal/2
+    probs = np.exp(np.arange(dim) * math.log(cfg.nbar / (cfg.nbar + 1.0))) if cfg.nbar \
+        else np.eye(dim)[0]
+    probs /= probs.sum()
+    block = np.diag(0.5 * probs).astype(complex)
     # a bare run reads only each sample's diagonal; kept states read it all
     read = None if keep_states else np.arange(dim) * (dim + 1)
-    k = taken = 0
+    taken = 0
 
     def sample(t, values):
         nonlocal taken
         rows = slice(taken, taken + len(t))
         taken = rows.stop
-        if states is None:
-            diag = values
-        else:
-            diag = np.diagonal(values, axis1=-2, axis2=-1)
-            states[rows, :dim, k * dim:(k + 1) * dim] = _to_lab(values, cfg.omega, t)
-        diagonals[k, rows], traces[k, rows] = diag.real, diag.sum(axis=-1)
+        if states is not None:
+            states[rows, :dim, dim:] = _to_lab(values, cfg.omega, t)
+            values = np.diagonal(values, axis1=-2, axis2=-1)
+        sigma[rows] = values.sum(axis=-1)
 
-    for k, (name, z_right, gate) in enumerate(PASSES):
-        rhs = {c: _rotating_rhs(cfg, dim, c, z_right) for c in {seg[1] for seg in segments}}
-        block, taken = half, 0
-        for (duration, coupling, flip), t_eval, record in zip(segments, grids, records):
-            block, record[name] = integrate_blocks(
-                rhs[coupling], block, t_eval, sample, read=read,
-                first_step=min(FIRST_STEP, duration / 2))
-            block = _to_lab(block, cfg.omega, duration)
-            if flip:
-                block = gate(block)
-    for record in records:
-        record["wall_s"] = record["rho00"]["wall_s"] + record["rho01"]["wall_s"]
-    if states is not None:  # rho00 is Hermitian to solver accuracy only
-        for rho in states:
-            rho00 = 0.5 * (rho[:dim, :dim] + rho[:dim, :dim].conj().T)
-            rho[:dim, :dim], rho[dim:, dim:] = rho00, _parity(rho00)
-            rho[dim:, :dim] = rho[:dim, dim:].conj().T
-
-    stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
-             "segments": records}
+    # rho00 = D(alpha) thermal D(alpha)^dag / 2 with alpha' = drift alpha - i coupling
+    drift, records, alphas, start = -(1j * cfg.omega + 0.5 * cfg.gamma_m), [], [], 0j
+    for (duration, coupling, flip), t_eval in zip(segments, grids):
+        block, record = integrate_blocks(rhs[coupling], block, t_eval, sample, read=read,
+                                         first_step=min(FIRST_STEP, duration / 2))
+        records.append({"duration": duration, "coupling": coupling} | record)
+        block = _to_lab(block, cfg.omega, duration)
+        fixed = 1j * coupling / drift
+        alphas.append(fixed + (start - fixed) * np.exp(drift * t_eval))
+        start = alphas[-1][-1]  # t_eval ends at the segment's end
+        if flip:  # the echo gate maps rho01 to rho10, and alpha to -alpha
+            block, start = block.conj().T, -start
     starts = np.cumsum([0.0] + [duration for duration, _, _ in segments])
-    # populations: diag(rho00) + diag(rho11), and diag(P rho00 P) = diag(rho00)
-    trace = make_trace(np.concatenate([t0 + grid for t0, grid in zip(starts, grids)]),
-                       2.0 * diagonals[0], traces[1], states, stats)
-    if not stats["worst_trace_error"] <= TRACE_ERROR_BOUND:  # NaN fails too
-        raise IntegrationError(f"trace drift {stats['worst_trace_error']:.3e} "
-                               f"exceeds {TRACE_ERROR_BOUND:.1e}")
-    if not stats["worst_tail_mass"] <= TAIL_MASS_BOUND:
+    times = np.concatenate([t0 + grid for t0, grid in zip(starts, grids)])
+    alpha = np.concatenate(alphas)
+    if states is not None:
+        rho00 = _displaced_thermal(alpha, probs)
+        states[:, :dim, :dim], states[:, dim:, dim:] = rho00, _parity(rho00)
+        states[:, dim:, :dim] = states[:, :dim, dim:].conj().swapaxes(-1, -2)
+    visibility = 2.0 * np.abs(sigma)
+    exact_error = np.abs(visibility - visibility_exact(
+        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times))
+    tail = _top_levels_mass(cfg.nbar, alpha, dim)
+    stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
+             "segments": records, "worst_exact_error": float(exact_error.max()),
+             "exact_error_bound": EXACT_ERROR_BOUND,
+             "worst_tail_mass": float(tail.max()), "tail_mass_bound": TAIL_MASS_BOUND}
+    if not stats["worst_tail_mass"] <= TAIL_MASS_BOUND:  # NaN fails too
         raise TruncationError(f"Fock tail mass {stats['worst_tail_mass']:.3e} exceeds "
                               f"{TAIL_MASS_BOUND:.1e}; increase dim")
-    return trace
+    if not stats["worst_exact_error"] <= EXACT_ERROR_BOUND:
+        raise IntegrationError(f"visibility is {stats['worst_exact_error']:.3e} off its "
+                               f"exact value, above {EXACT_ERROR_BOUND:.1e}")
+    return VisibilityTrace(times, visibility, sigma, tail, states, stats,
+                           exact_error=exact_error)
 
 
 def run_protocol(cfg: ProtocolConfig, *, keep_states: bool = False) -> VisibilityTrace:

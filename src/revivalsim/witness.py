@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import (ProtocolConfig, VisibilityTrace, integrate_blocks, make_trace,
+from .lindblad import (TAIL_MASS_BOUND, ProtocolConfig, VisibilityTrace, integrate_blocks,
                        negativities, run_protocol)
 
 HERMITICITY_TOL = 1e-12
+TRACE_ERROR_BOUND = 1e-7  # recorded next to a separable run's worst |Tr rho - 1|
 
 PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
 
@@ -143,8 +144,14 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
         states.append(join_blocks(blocks))
 
     _, segment = integrate_blocks(_block_rhs(spec), split_blocks(rho0), t_eval, sample)
-    return make_trace(t_eval, *map(np.concatenate, (pops, sigma, states)),
-                      {"dim": spec.dim, "dim_rule": "spec", "segments": [segment]})
+    pops, sigma, states = map(np.concatenate, (pops, sigma, states))
+    trace_error, tail = np.abs(pops.sum(axis=-1) - 1.0), pops[:, -2:].sum(axis=-1)
+    stats = {"dim": spec.dim, "dim_rule": "spec", "segments": [segment],
+             "worst_trace_error": float(trace_error.max()),
+             "trace_error_bound": TRACE_ERROR_BOUND,
+             "worst_tail_mass": float(tail.max()), "tail_mass_bound": TAIL_MASS_BOUND}
+    return VisibilityTrace(t_eval, 2.0 * np.abs(sigma), sigma, tail, states, stats,
+                           trace_error=trace_error)
 
 
 def check_monotonic(trace: VisibilityTrace, tol: float = 1e-6) -> WitnessReport:

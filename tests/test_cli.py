@@ -21,7 +21,7 @@ from revivalsim.cli import (MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
                             _protocol_config_from_file, main)
 from revivalsim.config import parse_config_file
 from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_protocol
-from revivalsim.analytic import CouplingParams, spin_echo_overlap
+from revivalsim.analytic import CouplingParams, spin_echo_overlap, visibility_exact
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -97,6 +97,32 @@ def test_analytic_spin_echo_rows(tmp_path):
     for k, row in enumerate(rows, start=1):
         assert float(row[0]) == pytest.approx(2.0 * math.pi * k, rel=1e-15)
         assert float(row[1]) == pytest.approx(spin_echo_overlap(k, 0.05), rel=1e-15)
+
+
+def test_analytic_damped_exact_rows_and_manifest(tmp_path):
+    out = tmp_path / "exact.csv"
+    assert main(["analytic", "--formula", "damped-exact", "--lambda", "0.2", "--nbar", "3",
+                 "--q", "100", "--gamma-a", "0.02", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 400
+    x = np.array([float(r[0]) for r in rows])
+    # --gamma-a is the coherence decay over omega, twice the engine's jump rate
+    want = visibility_exact(1.0, 0.01, 0.01, 3.0, [(4.0 * math.pi, 0.2, False)], x)
+    assert [float(r[1]) for r in rows] == want.tolist()
+    assert _read_manifest(out)["config"]["formula"] == "damped-exact"
+
+
+def test_analytic_gamma_a_means_one_thing(tmp_path):
+    # at zero coupling both damped formulas are the pure coherence decay
+    curves = {}
+    for formula in ("damped", "damped-exact"):
+        out = tmp_path / f"{formula}.csv"
+        assert main(["analytic", "--formula", formula, "--lambda", "0", "--q", "100",
+                     "--gamma-a", "0.03", "--samples", "40", "--out", str(out)]) == 0
+        curves[formula] = np.array([[float(v) for v in r] for r in _read_csv(out)[1]])
+    x, v = curves["damped-exact"].T
+    assert np.max(np.abs(v - np.exp(-0.03 * x))) < 1e-15
+    assert np.max(np.abs(curves["damped"][:, 1] - v)) < 1e-15
 
 
 def test_analytic_stray_flag_is_named(tmp_path, capsys):
@@ -202,7 +228,7 @@ def test_simulate_basic_revival(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = _read_csv(out)
     assert header == ["t", "visibility", "re_sigma_minus", "im_sigma_minus",
-                      "trace_error", "tail_mass"]
+                      "exact_error", "tail_mass"]
     times = np.array([float(r[0]) for r in rows])
     vis = np.array([float(r[1]) for r in rows])
     k = int(np.argmin(np.abs(times - math.pi)))
@@ -230,12 +256,12 @@ def test_simulate_manifest_records_solver_stats(tmp_path):
     assert stats["dim"] >= 2
     assert len(stats["segments"]) == 1
     segment = stats["segments"][0]
-    assert segment["rho00"]["nfev"] > 0 and segment["rho01"]["nfev"] > 0
+    assert segment["nfev"] > 0 and segment["steps"] > 0
     assert segment["wall_s"] > 0.0
     _, rows = _read_csv(out)
-    assert stats["worst_trace_error"] == max(float(r[4]) for r in rows)
+    assert stats["worst_exact_error"] == max(float(r[4]) for r in rows)
     assert stats["worst_tail_mass"] == max(float(r[5]) for r in rows)
-    assert stats["trace_error_bound"] == 1e-7
+    assert stats["exact_error_bound"] == 1e-7
     assert stats["tail_mass_bound"] == 1e-6
 
 
@@ -280,8 +306,8 @@ def test_simulate_json_format(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--format", "json",
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert list(doc) == ["config", "im_sigma_minus", "re_sigma_minus", "t",
-                         "tail_mass", "trace_error", "visibility"]
+    assert list(doc) == ["config", "exact_error", "im_sigma_minus", "re_sigma_minus", "t",
+                         "tail_mass", "visibility"]
     assert doc["config"]["g"] == 0.1
     trace = run_protocol(ProtocolConfig(g=0.1, t_max=1.0, samples_per_period=40))
     assert doc["t"] == trace.times.tolist()
@@ -596,6 +622,66 @@ def test_design_low_temperature_warning(tmp_path, capsys):
     cfg.write_text("temperature = 4e-15\n")
     assert main(["design", "--config", str(cfg), "--point"]) == 0
     assert "validity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--q", "5", "--t-max", "0.5"], "below 10"),
+    (["--q", "20", "--t-max", "8"], "damping expansion"),
+], ids=["low_q", "long_time"])
+def test_damped_warnings_go_to_the_manifest(flags, match, tmp_path, capsys):
+    out = tmp_path / "damped.csv"
+    assert main(["analytic", "--formula", "damped", "--lambda", "0.1", *flags,
+                 "--out", str(out)]) == 0
+    warned = _read_manifest(out)["warnings"]
+    assert len(warned) == 1 and match in warned[0]
+    assert f"warning: {warned[0]}" in capsys.readouterr().err.splitlines()
+
+
+def test_design_low_temperature_flag_goes_to_the_manifest(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("temperature = 4e-15\n")
+    out = tmp_path / "design.json"
+    assert main(["design", "--config", str(cfg), "--point", "--out", str(out)]) == 0
+    warned = _read_manifest(out)["warnings"]
+    assert len(warned) == 1 and "validity" in warned[0]
+    assert f"warning: {warned[0]}" in capsys.readouterr().err.splitlines()
+    thermal = tmp_path / "thermal.csv"
+    assert main(["analytic", "--formula", "thermal", "--lambda", "0.1",
+                 "--out", str(thermal)]) == 0
+    assert _read_manifest(thermal)["warnings"] == []
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_failed_manifest_leaves_no_output(command, tmp_path, monkeypatch):
+    # the manifest is written half and then fails: neither file, nor a temp
+    # file, may be left behind
+    def broken(path, *args, **kwargs):
+        Path(path).write_text("{")
+        raise RuntimeError("manifest write failed")
+
+    monkeypatch.setattr(cli, "write_manifest", broken)
+    argv = {"analytic": ["analytic", "--formula", "thermal", "--lambda", "0.1"],
+            "simulate": ["simulate", "--config", str(CONFIGS / "demo_basic.cfg")]}[command]
+    with pytest.raises(RuntimeError, match="manifest write failed"):
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_lands_before_its_output(tmp_path, monkeypatch):
+    moved = []
+
+    def replace(src, dst):
+        moved.append(Path(dst).name)
+        assert not Path(dst).name.endswith(".csv") or Path(f"{dst}.manifest.json").exists()
+        real_replace(src, dst)
+
+    real_replace = cli.os.replace
+    monkeypatch.setattr(cli.os, "replace", replace)
+    out = tmp_path / "thermal.csv"
+    assert main(["analytic", "--formula", "thermal", "--lambda", "0.1",
+                 "--out", str(out)]) == 0
+    assert moved == ["thermal.csv.manifest.json", "thermal.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == moved[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
+from scipy.linalg import expm
 
 from oracles import SIGMA_Z, annihilation, initial_state, thermal_density
 from revivalsim.analytic import (
@@ -21,6 +22,7 @@ from revivalsim.analytic import (
     spin_echo_overlap,
     visibility_boosted,
     visibility_damped,
+    visibility_exact,
     visibility_thermal,
 )
 from revivalsim.cli import _protocol_config_from_file, main
@@ -30,14 +32,16 @@ from revivalsim.lindblad import (
     ATOL,
     MAX_DIM,
     MAX_STEP_BOUND,
-    PASSES,
     RTOL,
     STABILITY_LENGTH,
     IntegrationError,
     ProtocolConfig,
     TruncationError,
     _decay,
+    _displaced_thermal,
+    _parity,
     _rotating_rhs,
+    _top_levels_mass,
     integrate_blocks,
     negativity,
     run_protocol,
@@ -96,7 +100,7 @@ def _apply(rhs, t, blocks):
 
 
 def _protocol_blocks(rho):
-    """The blocks [rho00, rho01] that run_protocol integrates."""
+    """The blocks [rho00, rho01] of a joint state: the closed form and the solve."""
     return split_blocks(rho)[[0, 2]]
 
 
@@ -104,6 +108,17 @@ def _apply_protocol(cfg, dim, coupling, t, blocks):
     """The one-block right-hand sides of rho00 and rho01 on [rho00, rho01]."""
     return np.stack([_apply(_rotating_rhs(cfg, dim, coupling, z_right), t, block)
                      for z_right, block in zip((1.0, -1.0), blocks)])
+
+
+def _segments(cfg):
+    """run_protocol's (duration, coupling, flip_after) segments, spelled out."""
+    half, t_max = math.pi / cfg.omega, cfg.resolved_t_max()
+    if cfg.protocol == "basic":
+        return [(t_max, cfg.g, False)]
+    if cfg.protocol == "boosted":
+        return [(half, cfg.g + cfg.g_prime, False), (t_max - half, cfg.g, False)]
+    return [(half, cfg.g, j not in (2 * cfg.n_pi, 4 * cfg.n_pi))
+            for j in range(1, 4 * cfg.n_pi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +212,17 @@ def test_echo_gate_swaps_blocks():
     rho = 0.5 * (rho + sym @ rho @ sym)
     flip = np.kron(SIGMA_X, np.eye(7))
     want = flip @ rho @ flip
-    assert [name for name, _, _ in PASSES] == ["rho00", "rho01"]
-    got = np.stack([gate(block) for (_, _, gate), block in zip(PASSES, _protocol_blocks(rho))])
+    # the gate maps rho00 to rho11 = P rho00 P and rho01 to rho01^dag
+    rho00, rho01 = _protocol_blocks(rho)
+    got = np.stack([_parity(rho00), rho01.conj().T])
     assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-15
     joint = join_blocks(np.stack([got[0], parity @ got[0] @ parity, got[1]]))
     assert np.max(np.abs(joint - want)) < 1e-15
     assert np.max(np.abs(join_blocks(split_blocks(rho)) - rho)) < 1e-15
+    # so a flip maps the closed-form rho00 at alpha to the one at -alpha
+    alpha, probs = np.array([0.4 - 0.3j]), thermal_density(0.8, 30).diagonal().real
+    assert np.max(np.abs(_parity(_displaced_thermal(alpha, probs))
+                         - _displaced_thermal(-alpha, probs))) < 1e-15
 
 
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
@@ -222,17 +242,9 @@ def test_kept_states_are_lab_frame_density_matrices(protocol):
     # the lab-frame joint master equation, integrated densely, gives the
     # same states; in the rotating frame the coherences would be off by
     # the phases exp(i omega (i - j) t)
-    if protocol == "basic":
-        segments = [(cfg.resolved_t_max(), cfg.g, False)]
-    elif boosted:
-        segments = [(math.pi, cfg.g + cfg.g_prime, False),
-                    (cfg.resolved_t_max() - math.pi, cfg.g, False)]
-    else:
-        segments = [(math.pi, cfg.g, j not in (2 * n_pi, 4 * n_pi))
-                    for j in range(1, 4 * n_pi + 1)]
     flip = np.kron(SIGMA_X, np.eye(dim))
     rho, t_now, want = initial_state(cfg), 0.0, []
-    for idx, (duration, coupling, flip_after) in enumerate(segments):
+    for idx, (duration, coupling, flip_after) in enumerate(_segments(cfg)):
         rhs = _dense_rhs(*_joint_model(cfg, dim, coupling))
         t_eval = trace.times[(trace.times >= t_now - 1e-12)
                              & (trace.times <= t_now + duration + 1e-12)] - t_now
@@ -369,7 +381,7 @@ def test_keep_states_leaves_visibility_bit_identical(protocol):
                          samples_per_period=30)
     kept, bare = run_protocol(cfg, keep_states=True), run_protocol(cfg)
     assert bare.states is None and len(kept.states) == len(kept.times)
-    for name in ("times", "visibility", "sigma_minus", "trace_error", "tail_mass"):
+    for name in ("times", "visibility", "sigma_minus", "exact_error", "tail_mass"):
         assert np.array_equal(getattr(kept, name), getattr(bare, name)), name
 
 
@@ -469,6 +481,72 @@ def test_spin_echo_pre_closing_and_closure():
     assert trace.times[-1] == pytest.approx(2.0 * t_mid, abs=1e-9)
 
 
+@pytest.mark.parametrize("point", [
+    dict(g=0.2, nbar=2.0, gamma_m=0.05, gamma_a=0.01),
+    dict(g=0.1, g_prime=0.1, nbar=1.0, gamma_m=0.02, gamma_a=0.01, protocol="boosted",
+         t_max=4.0 * math.pi),
+    dict(g=0.1, nbar=1.0, gamma_m=0.02, gamma_a=0.005, protocol="spin_echo"),
+    dict(g=0.1, nbar=1.0, gamma_m=0.1, gamma_a=0.01),  # Q = 10, dim 36
+], ids=["basic", "boosted", "spin_echo", "basic_q10"])
+def test_engine_matches_exact_visibility(point):
+    # damping and dephasing on every protocol; measured 1.1e-10 to 3.6e-10
+    cfg = ProtocolConfig(samples_per_period=40, **point)
+    trace = run_protocol(cfg)
+    exact = visibility_exact(cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar,
+                             _segments(cfg), trace.times)
+    assert np.max(np.abs(trace.visibility - exact)) <= 1e-8
+    assert np.array_equal(trace.exact_error, np.abs(trace.visibility - exact))
+
+
+def test_exact_check_refuses_a_run_off_the_exact_value(monkeypatch):
+    cfg = ProtocolConfig(g=0.1, nbar=1.0, gamma_m=0.01, samples_per_period=20)
+    worst = run_protocol(cfg).stats["worst_exact_error"]
+    monkeypatch.setattr(lindblad, "EXACT_ERROR_BOUND", worst * (1.0 - 1e-12))
+    with pytest.raises(IntegrationError, match="off its exact value"):
+        run_protocol(cfg)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.3, 2.0, 5.0])
+def test_tail_mass_matches_padded_expm(nbar):
+    # p_{d-2} + p_{d-1} of D(alpha) thermal D(alpha)^dag, built in a space
+    # padded far beyond the levels read
+    alphas = np.array([0.0, 0.3 + 0.4j, -1.1j, 2.0 - 0.5j])
+    a = annihilation(200)
+    probs = thermal_density(nbar, 200).diagonal() if nbar else np.eye(200)[0]
+    disps = [expm(alpha * a.conj().T - np.conj(alpha) * a) for alpha in alphas]
+    pops = np.array([np.einsum("mk,k,mk->m", d, probs, d.conj()).real for d in disps])
+    for dim in (20, 60):
+        want = pops[:, dim - 2] + pops[:, dim - 1]
+        assert np.max(np.abs(_top_levels_mass(nbar, alphas, dim) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
+def test_kept_rho00_matches_a_solve_of_its_block(protocol):
+    # the closed-form rho00 of kept states against the rho00 block's own
+    # master equation (z_right = +1), integrated tightly; measured at most
+    # 6.3e-10 (at the engine's RTOL/ATOL this solve is 1.6e-7 off it)
+    cfg = ProtocolConfig(g=0.2, g_prime=0.1 if protocol == "boosted" else 0.0, nbar=2.0,
+                         gamma_m=0.05, gamma_a=0.01, protocol=protocol,
+                         t_max=4.0 * math.pi if protocol == "boosted" else None,
+                         samples_per_period=24)
+    trace = run_protocol(cfg, keep_states=True)
+    dim = trace.stats["dim"]
+    block = 0.5 * thermal_density(cfg.nbar, dim)
+    want, t_now = [], 0.0
+    for idx, (duration, coupling, flip) in enumerate(_segments(cfg)):
+        mine = (trace.times >= t_now - 1e-12) & (trace.times <= t_now + duration + 1e-12)
+        t_eval = np.clip(trace.times[mine] - t_now, 0.0, duration)
+        t_eval = np.concatenate([[0.0], t_eval[t_eval > 1e-12]])
+        sol = solve_ivp(_rotating_rhs(cfg, dim, coupling, 1.0), (0.0, duration),
+                        block.ravel(), method="DOP853", t_eval=t_eval,
+                        rtol=1e-12, atol=1e-14)
+        path = lindblad._to_lab(sol.y.T.reshape(-1, dim, dim), cfg.omega, sol.t)
+        want.extend(path if idx == 0 else path[1:])
+        block = _parity(path[-1]) if flip else path[-1]
+        t_now += duration
+    assert np.max(np.abs(trace.states[:, :dim, :dim] - np.array(want))) < 1e-9
+
+
 def test_stats_record_dim_segments_and_worst_diagnostics():
     cfg = ProtocolConfig(g=0.05, gamma_m=0.01, protocol="spin_echo", n_pi=2,
                          samples_per_period=20)
@@ -477,40 +555,47 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
     assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "default_dim")
     assert len(stats["segments"]) == 8
     # one evaluation at t = 0, 12 per DOP853 trial, 3 per dense output
-    for segment in stats["segments"]:
-        assert segment["wall_s"] == segment["rho00"]["wall_s"] + segment["rho01"]["wall_s"]
-        for s in (segment["rho00"], segment["rho01"]):
-            assert s["nfev"] > 0 and s["wall_s"] > 0
-            assert s["steps"] > 0 and s["rejected"] >= 0
-            assert 0 < s["dense_outputs"] <= s["steps"]
-            assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
+    for s in stats["segments"]:
+        assert set(s) == {"duration", "coupling", "nfev", "steps", "rejected",
+                          "dense_outputs", "wall_s"}
+        assert s["nfev"] > 0 and s["wall_s"] > 0
+        assert s["steps"] > 0 and s["rejected"] >= 0
+        assert 0 < s["dense_outputs"] <= s["steps"]
+        assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
     assert sum(s["duration"] for s in stats["segments"]) == pytest.approx(8 * math.pi)
-    assert stats["worst_trace_error"] == trace.trace_error.max()
+    assert stats["worst_exact_error"] == trace.exact_error.max()
     assert stats["worst_tail_mass"] == trace.tail_mass.max()
-    assert stats["trace_error_bound"] == 1e-7 and stats["tail_mass_bound"] == 1e-6
+    assert stats["exact_error_bound"] == 1e-7 and stats["tail_mass_bound"] == 1e-6
+    assert "worst_trace_error" not in stats and trace.trace_error is None
     forced = run_protocol(ProtocolConfig(g=0.05, dim=30, samples_per_period=20))
     assert (forced.stats["dim"], forced.stats["dim_rule"]) == (30, "config")
 
 
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
-def test_blocks_are_solved_on_their_own(protocol):
-    # rho00 and rho01 each get their own DOP853 solve on every segment; the
-    # populations block needs far fewer right-hand sides than the coherence
+def test_each_segment_is_one_rho01_solve(protocol, monkeypatch):
+    # only rho01 is integrated, once per segment, and the segment record is
+    # that solve's record with the segment's coupling added
     cfg = ProtocolConfig(g=0.1, g_prime=0.05 if protocol == "boosted" else 0.0,
                          nbar=1.4, gamma_m=0.01, protocol=protocol)
+    solves = []
+
+    def spy(rhs, blocks0, *args, **kwargs):
+        solves.append(blocks0.shape)
+        return integrate_blocks(rhs, blocks0, *args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "integrate_blocks", spy)
     segments = run_protocol(cfg).stats["segments"]
-    for segment in segments:
-        for s in (segment["rho00"], segment["rho01"]):
-            assert s["duration"] == segment["duration"]
-            assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
-    if protocol == "basic":  # 418 against 688 right-hand sides
-        assert segments[0]["rho00"]["nfev"] < segments[0]["rho01"]["nfev"]
+    dim = cfg.resolved_dim()
+    assert solves == [(dim, dim)] * len(segments) == [(dim, dim)] * {
+        "basic": 1, "boosted": 2, "spin_echo": 4}[protocol]
+    for s in segments:
+        assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
 
 
 def test_diagnostics_stay_small_on_clean_run():
     cfg = ProtocolConfig(g=0.25, nbar=0.5, t_max=2.0 * math.pi, samples_per_period=50)
     trace = run_protocol(cfg)
-    assert trace.trace_error.max() < 1e-9
+    assert trace.exact_error.max() < 1e-9
     assert trace.tail_mass.max() < 1e-8
 
 
@@ -676,7 +761,7 @@ def test_csv_roundtrip(tmp_path):
     content = out.read_bytes().decode()
     assert "\r" not in content
     lines = content.strip().split("\n")
-    assert lines[0] == "t,visibility,re_sigma_minus,im_sigma_minus,trace_error,tail_mass"
+    assert lines[0] == "t,visibility,re_sigma_minus,im_sigma_minus,exact_error,tail_mass"
     assert len(lines) == 1 + len(trace.times)
     fields = lines[-1].split(",")
     assert float(fields[0]) == trace.times[-1]  # %.17g round-trips exactly
