@@ -28,16 +28,19 @@ banded shifts of the flat block.  The block returns to the lab frame at each
 segment end (before a gate) and when kept.  A run holds O(d^2) memory unless
 it keeps its states, which go into one (n, 2d, 2d) array.
 
-A run is refused before anything is allocated when `ProtocolConfig.resolved_dim`,
-the one Fock-truncation rule, refuses its dim, and before it steps when its
-fastest decay needs more than `MAX_STEP_BOUND` explicit steps.  Once integrated,
-it is refused when its displaced state fills its top two levels beyond
-`TAIL_MASS_BOUND`, or when a sample is more than `EXACT_ERROR_BOUND` off the
-exact visibility of the model (`analytic.visibility_exact`).
+A run is refused before anything is allocated when it asks for more than
+`MAX_RUN_SAMPLES` samples or `ProtocolConfig.resolved_dim`, the one Fock-dim
+rule, refuses its dim, and before it steps when its fastest decay needs more
+than `MAX_STEP_BOUND` explicit steps.  Once integrated, it is refused when its
+displaced state fills its top two levels beyond `TAIL_MASS_BOUND`, or when a
+sample is more than `EXACT_ERROR_BOUND` off the model's exact visibility
+(`analytic.visibility_exact`).
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import numbers
 import time
@@ -53,24 +56,29 @@ TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
 RTOL = 1e-10               # solver relative tolerance
 ATOL = 1e-12               # solver absolute tolerance
 FIRST_STEP = 1e-3          # first solver step of each protocol segment
-INITIAL_TAIL_BOUND = 1e-8  # max thermal mass at Fock levels >= dim at t = 0
+DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of a default dim
 
 # Largest Fock dim a run may use.  One (d, d) complex protocol block takes
 # 16 d^2 bytes (4.2 MB at 512) and its solver holds about 16 of them; a
 # run that keeps its states adds a (2d, 2d) joint state per sample (so
 # `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).  So a dim far
-# beyond the supported envelope (129 at lambda = 0.3, nbar = 5; 268 at
+# beyond the supported envelope (122 at lambda = 0.3, nbar = 5; 268 at
 # lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
 # anything is built.
 MAX_DIM = 512
+
+# Most samples (samples_per_period x t_max / period) a run may take: `simulate`
+# peaks at about 1.2 kB per sample above import (2 x 10^5 samples at dim 122,
+# CSV or JSON; 0.75-1.0 kB at dim 35), so 10^6 take 1.2 GB; the benchmark's 401.
+MAX_RUN_SAMPLES = 10**6
 
 # Real-axis stability length of DOP853: |R(-x)| <= 1 for 0 <= x <= 6.39, where
 # R is the stability polynomial of its tableau (6.3937 to four places)
 STABILITY_LENGTH = 6.39
 # Largest lower bound on a run's explicit step count (max|decay| times the
 # protocol duration over STABILITY_LENGTH) that `run_protocol` starts on.
-# The Q = 10 corner (lambda 0.3, nbar 5, gamma_m 0.1, dim 129, two periods)
-# bounds at ~280 and takes ~700-900 steps per block; a rate far above omega
+# The Q = 10 corner (lambda 0.3, nbar 5, gamma_m 0.1, dim 122, two periods)
+# bounds at ~260 and takes ~500 steps (~700 trials); a rate far above omega
 # would step for hours.
 MAX_STEP_BOUND = 100_000
 
@@ -98,15 +106,15 @@ class ProtocolConfig:
     gamma_m    oscillator damping rate
     gamma_a    qubit dephasing rate
     nbar       thermal occupation of the oscillator and its bath
-    dim        Fock truncation; None selects the `resolved_dim` default;
-               at most `MAX_DIM`
+    dim        Fock truncation, 3 to `MAX_DIM`; None selects the
+               `resolved_dim` default
     t_max      evolution time for basic/boosted, positive and, boosted,
                beyond the first half period; spin_echo derives its own
                duration 2*n_pi*(2*pi/omega) and ignores t_max
 
     n_pi       echo iterations per block (spin_echo only)
 
-    Non-finite floats and non-integral counts raise ValueError at construction.
+    Non-finite floats, non-integral counts and runs over `MAX_RUN_SAMPLES` raise ValueError.
     """
 
     omega: float = 1.0
@@ -151,6 +159,10 @@ class ProtocolConfig:
             raise ValueError(
                 "boosted protocol needs t_max beyond the first half period"
             )
+        samples = self.samples_per_period * t_max * self.omega / (2.0 * math.pi)
+        if not samples <= MAX_RUN_SAMPLES:
+            raise ValueError(f"the run takes {samples:.3g} samples (samples_per_period x "
+                             f"t_max / period), more than MAX_RUN_SAMPLES={MAX_RUN_SAMPLES}")
 
     def max_displacement(self) -> float:
         """Largest conditional displacement the protocol can reach."""
@@ -162,51 +174,29 @@ class ProtocolConfig:
             return 4.0 * self.n_pi * lam
         return 2.0 * lam
 
-    def resolved_dim(self) -> int:
-        """The run's Fock dim: the only code that picks or refuses one.
+    def _dim_tails(self):
+        """Yield (d, P(n >= d - 2)) for d = 2, 3, ... of the state `resolved_dim` reads."""
+        mass = 1.0
+        for d, p in enumerate(_populations(self.nbar, self.max_displacement() ** 2), 2):
+            yield d, mass
+            mass -= p
 
-        With |alpha| = `max_displacement()`, the default is the ceiling of
-        nbar + 10 sqrt(nbar+1) + 16|alpha|^2 + 20, raised for nbar > 0 to
-        n_tail + 3|alpha| sqrt(n_tail) + 16|alpha|^2 + 4, where n_tail is the
-        level above which the thermal state holds `INITIAL_TAIL_BOUND`.  Any
-        dim raises TruncationError above `MAX_DIM`, at or below the floor
-        4|alpha|^2 + nbar + 10 sqrt(nbar+1), or when the thermal state holds
-        more than `INITIAL_TAIL_BOUND` at levels >= dim.
-        """
-        disp = self.max_displacement()
-        # log of the thermal ratio nbar/(nbar+1), p_n ~ ratio^n; from log1p,
-        # as the ratio itself rounds to 1 for nbar >~ 1e16
-        log_ratio = -math.log1p(1.0 / self.nbar) if self.nbar else -math.inf
+    def resolved_dim(self) -> int:
+        """The run's Fock dim: the configured one, or the smallest d at which
+        D(alpha) thermal(nbar) D(alpha)^dag, |alpha| = `max_displacement()`,
+        holds at most `DIM_TAIL_BOUND` at levels >= d - 2 (`_dim_tails`), the
+        two levels the run's tail-mass check reads.
+        A dim outside [3, `MAX_DIM`] raises TruncationError before anything is
+        allocated; a configured dim is then judged by the run's own checks."""
         dim = self.dim
         if dim is None:
-            disp_levels = 16.0 * disp**2
-            dim = self.nbar + 10.0 * math.sqrt(self.nbar + 1.0) + disp_levels + 20.0
-            if self.nbar > 0:
-                # displacing the thermal tail spreads it up by ~2|alpha|sqrt(n);
-                # pad generously so the revival error stays below the tail bound
-                tail_dim = math.log(INITIAL_TAIL_BOUND) / log_ratio
-                pad = 3.0 * disp * math.sqrt(tail_dim)
-                dim = max(dim, tail_dim + pad + disp_levels + 4.0)
-            dim = np.ceil(dim)  # unlike math.ceil, keeps an infinite dim
-        if dim > MAX_DIM:
-            raise TruncationError(
-                f"dim={dim:.0f} exceeds MAX_DIM={MAX_DIM}; the coupling or nbar is "
-                "too large for the truncated-Fock engine"
-            )
-        dim = int(dim)
-        floor = 4.0 * disp**2 + self.nbar + 10.0 * math.sqrt(self.nbar + 1)
-        if dim <= floor:
-            raise TruncationError(
-                f"dim={dim} is below the safe floor {floor:.1f} for "
-                f"displacement {disp:.3g}, nbar={self.nbar:.3g}"
-            )
-        tail = math.exp(dim * log_ratio)  # sum_{n >= dim} p_n = ratio^dim
-        if tail > INITIAL_TAIL_BOUND:
-            raise TruncationError(
-                f"thermal tail mass {tail:.3e} exceeds bound {INITIAL_TAIL_BOUND:.3e} "
-                f"at dim={dim} (nbar={self.nbar}); increase dim"
-            )
-        return dim
+            with np.errstate(invalid="ignore"):  # inf * 0 at an infinite displacement
+                dim = next(d for d, mass in self._dim_tails()
+                           if mass <= DIM_TAIL_BOUND or d > MAX_DIM)
+        if not 3 <= dim <= MAX_DIM:
+            raise TruncationError(f"dim={dim} is outside [3, MAX_DIM={MAX_DIM}]; a default dim "
+                                  "beyond MAX_DIM means the coupling or nbar is too large")
+        return int(dim)
 
     def resolved_t_max(self) -> float:
         period = 2.0 * math.pi / self.omega
@@ -455,16 +445,23 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
     return values
 
 
-def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
-    """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each alpha,
+def _populations(nbar: float, mean):
+    """Yield p_0, p_1, ... of D(alpha) thermal(nbar) D(alpha)^dag at each
+    |alpha|^2 in mean (Bose, Jacobs & Knight, PRA 59, 3204 (1999)),
     p_n = r^n L_n(-|alpha|^2/(nbar (nbar+1))) e^{-|alpha|^2/(nbar+1)}/(nbar+1) with
     r = nbar/(nbar+1), by the Laguerre recurrence: Poisson at nbar = 0, and
     free of cancellation, as the argument is negative."""
-    r, s = nbar / (nbar + 1.0), np.abs(alpha) ** 2 / (nbar + 1.0) ** 2
-    prev, p = 0.0, np.exp(-np.abs(alpha) ** 2 / (nbar + 1.0)) / (nbar + 1.0)
-    for n in range(dim - 1):
+    r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
+    prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
+    for n in itertools.count():
+        yield p
         prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
-    return prev + p
+
+
+def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
+    """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each alpha."""
+    pops = itertools.islice(_populations(nbar, np.abs(alpha) ** 2), dim)
+    return sum(collections.deque(pops, maxlen=2))
 
 
 def _displaced_thermal(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -550,8 +547,10 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     exact_error = np.abs(visibility - visibility_exact(
         cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times))
     tail = _top_levels_mass(cfg.nbar, alpha, dim)
-    stats = {"dim": dim, "dim_rule": "default_dim" if cfg.dim is None else "config",
-             "segments": records, "worst_exact_error": float(exact_error.max()),
+    stats = {"dim": dim, "dim_rule": "config" if cfg.dim else "displaced_thermal_tail",
+             "dim_tail_mass": float(next(m for d, m in cfg._dim_tails() if d == dim)),
+             "dim_tail_bound": DIM_TAIL_BOUND, "segments": records,
+             "worst_exact_error": float(exact_error.max()),
              "exact_error_bound": EXACT_ERROR_BOUND,
              "worst_tail_mass": float(tail.max()), "tail_mass_bound": TAIL_MASS_BOUND}
     if not stats["worst_tail_mass"] <= TAIL_MASS_BOUND:  # NaN fails too

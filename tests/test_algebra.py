@@ -3,8 +3,12 @@ dim rule.
 
 Thermal occupations and truncated thermal states have exact closed forms,
 so the checks here are against hand-evaluated values.  The dim rule is
-`lindblad.ProtocolConfig.resolved_dim`; its pinned values and its floor and
-cap refusals are checked in test_lindblad.
+`lindblad.ProtocolConfig.resolved_dim`: a default dim is the smallest d whose
+displaced thermal state holds at most `DIM_TAIL_BOUND` at levels >= d - 2,
+and a configured dim outside [3, MAX_DIM] is refused; any other configured
+dim is judged by the run's own tail-mass and exact-visibility checks.  Its
+pinned values, its cap and its protocol displacement are checked in
+test_lindblad.
 """
 
 import math
@@ -14,7 +18,7 @@ import pytest
 
 from oracles import annihilation, thermal_density
 from revivalsim.algebra import thermal_occupation
-from revivalsim.lindblad import INITIAL_TAIL_BOUND, ProtocolConfig, TruncationError
+from revivalsim.lindblad import DIM_TAIL_BOUND, ProtocolConfig, TruncationError, run_protocol
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +37,14 @@ def test_annihilation_matrix_elements():
 
 
 def test_bad_dim_rejected():
-    # no configured dim below the floor nbar + 10 sqrt(nbar + 1) >= 10 runs
-    for dim in (-1, 0, 1, 2, 10):
-        with pytest.raises(TruncationError, match="safe floor"):
+    # no configured dim below 3 runs: the run's tail check reads levels d-2, d-1
+    for dim in (-1, 0, 1, 2):
+        with pytest.raises(TruncationError, match=r"outside \[3, MAX_DIM"):
             ProtocolConfig(dim=dim).resolved_dim()
+    # dim 10, below the old floor, holds the vacuum displaced by 0.5 and
+    # meets the exact visibility
+    trace = run_protocol(ProtocolConfig(g=0.25, dim=10, samples_per_period=40))
+    assert trace.stats["worst_exact_error"] < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +113,21 @@ def test_thermal_density_mean_occupation():
 
 
 def test_thermal_density_tail_guard():
-    # dim 30 clears the floor 29.5 at nbar = 5, but (5/6)^30 of the thermal
-    # state lies beyond it
-    with pytest.raises(TruncationError, match="thermal tail mass"):
-        ProtocolConfig(nbar=5.0, dim=30).resolved_dim()
+    # (5/6)^28 of the thermal state lies at levels >= 28 at nbar = 5, so the
+    # run refuses dim 30 by its own tail check
+    cfg = ProtocolConfig(nbar=5.0, dim=30, samples_per_period=8)
+    assert cfg.resolved_dim() == 30
+    with pytest.raises(TruncationError, match="Fock tail mass"):
+        run_protocol(cfg)
 
 
 def test_thermal_tail_mass_formula():
-    # the refusal reports sum_{n >= dim} p_n = (nbar/(nbar+1))^dim
+    # the refusal reports p_18 + p_19 = 2^-19 + 2^-20 of thermal(1) at dim 20
     with pytest.raises(TruncationError) as err:
-        ProtocolConfig(nbar=1.0, dim=20).resolved_dim()
-    assert f"thermal tail mass {0.5**20:.3e} exceeds bound {INITIAL_TAIL_BOUND:.3e}" in str(
-        err.value)
-    assert ProtocolConfig(nbar=0.0, dim=11).resolved_dim() == 11
+        run_protocol(ProtocolConfig(nbar=1.0, dim=20, samples_per_period=8))
+    assert f"Fock tail mass {3 * 0.5**20:.3e} exceeds" in str(err.value)
+    trace = run_protocol(ProtocolConfig(nbar=0.0, dim=11, samples_per_period=8))
+    assert trace.stats["worst_exact_error"] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +141,14 @@ def _default_dim(nbar, displacement):
 
 
 def test_default_dim_floor_and_monotonicity():
-    assert _default_dim(0.0, 0.0) >= 2
+    assert _default_dim(0.0, 0.0) == 3  # the vacuum and two spare levels
     assert _default_dim(2.0, 0.5) >= _default_dim(1.0, 0.5)
     assert _default_dim(1.0, 1.0) >= _default_dim(1.0, 0.2)
 
 
 def test_default_dim_keeps_thermal_tail_below_bound():
+    # undisplaced, P(n >= k) = (nbar/(nbar+1))^k, and the default dim is the
+    # smallest d with P(n >= d - 2) <= DIM_TAIL_BOUND
     for nbar in (0.5, 2.0, 5.0):
-        dim = _default_dim(nbar, 0.0)
-        assert (nbar / (nbar + 1.0)) ** dim < INITIAL_TAIL_BOUND
+        dim, ratio = _default_dim(nbar, 0.0), nbar / (nbar + 1.0)
+        assert ratio ** (dim - 2) <= DIM_TAIL_BOUND < ratio ** (dim - 3)

@@ -252,8 +252,8 @@ def test_simulate_manifest_records_solver_stats(tmp_path):
     assert main(["simulate", "--config", f"{CONFIGS}/demo_basic.cfg",
                  "--out", str(out)]) == 0
     stats = _read_manifest(out)["stats"]
-    assert stats["dim_rule"] == "default_dim"
-    assert stats["dim"] >= 2
+    assert (stats["dim"], stats["dim_rule"]) == (44, "displaced_thermal_tail")
+    assert stats["dim_tail_mass"] <= stats["dim_tail_bound"] == 1e-9
     assert len(stats["segments"]) == 1
     segment = stats["segments"][0]
     assert segment["nfev"] > 0 and segment["steps"] > 0
@@ -284,7 +284,20 @@ def test_simulate_manifest_names_configured_dim(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     stats = _read_manifest(out)["stats"]
     assert (stats["dim"], stats["dim_rule"]) == (40, "config")
+    assert stats["dim_tail_mass"] < stats["dim_tail_bound"] == 1e-9
     assert [s["coupling"] for s in stats["segments"]] == pytest.approx([0.15, 0.1])
+
+
+@pytest.mark.parametrize("line", ["t_max_periods = 1e9", "samples_per_period = 1000000000000"])
+def test_simulate_refuses_sample_counts_over_the_cap(line, tmp_path, capsys):
+    # both used to end in an _ArrayMemoryError traceback (exit 1); the count
+    # is refused at construction, before anything is allocated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = natural\ng = 0.05\n{line}\n")
+    out = tmp_path / "huge.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "MAX_RUN_SAMPLES" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_simulate_spin_echo_config(tmp_path):
@@ -485,11 +498,11 @@ def test_verify_rejects_kept_states_over_budget(dim, samples, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("coupling, dim", [(1.4, 156), (2.7, 497)])
+@pytest.mark.parametrize("coupling, dim", [(5.0, 169), (8.0, 361)])
 def test_verify_rejects_contrast_states_over_budget(coupling, dim, tmp_path, capsys,
                                                     monkeypatch):
     # the contrast case keeps 201 joint states at its own default dim:
-    # 2.0e8 values (3.2 GB) at 2.7.  The refusal must come before any
+    # 1.0e8 values (1.7 GB) at 8.0.  The refusal must come before any
     # integration, so reaching the suite (now None) fails the test.
     monkeypatch.setattr(witness, "run_property_suite", None)
     out = tmp_path / "witness.csv"

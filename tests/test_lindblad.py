@@ -31,6 +31,7 @@ from revivalsim import lindblad
 from revivalsim.lindblad import (
     ATOL,
     MAX_DIM,
+    MAX_RUN_SAMPLES,
     MAX_STEP_BOUND,
     RTOL,
     STABILITY_LENGTH,
@@ -552,7 +553,8 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
                          samples_per_period=20)
     trace = run_protocol(cfg)
     stats = trace.stats
-    assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "default_dim")
+    assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "displaced_thermal_tail")
+    assert stats["dim_tail_mass"] <= stats["dim_tail_bound"] == 1e-9
     assert len(stats["segments"]) == 8
     # one evaluation at t = 0, 12 per DOP853 trial, 3 per dense output
     for s in stats["segments"]:
@@ -567,8 +569,11 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
     assert stats["worst_tail_mass"] == trace.tail_mass.max()
     assert stats["exact_error_bound"] == 1e-7 and stats["tail_mass_bound"] == 1e-6
     assert "worst_trace_error" not in stats and trace.trace_error is None
-    forced = run_protocol(ProtocolConfig(g=0.05, dim=30, samples_per_period=20))
+    forced = run_protocol(ProtocolConfig(g=0.05, nbar=1.0, dim=30, samples_per_period=20))
     assert (forced.stats["dim"], forced.stats["dim_rule"]) == (30, "config")
+    # a configured dim records its margin too: P(n >= 28) at |alpha| = 0.1
+    assert forced.stats["dim_tail_mass"] == pytest.approx(_padded_tails(1.0, 0.1)[28],
+                                                          rel=1e-6)
 
 
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
@@ -681,6 +686,16 @@ def test_nonfinite_fields_raise_at_construction(name):
             ProtocolConfig(**{name: bad})
 
 
+def test_sample_count_is_capped_at_construction():
+    # samples_per_period x t_max / period: two periods at 500,000 per period
+    # is the cap itself
+    ProtocolConfig(samples_per_period=MAX_RUN_SAMPLES // 2)
+    for kwargs in (dict(samples_per_period=MAX_RUN_SAMPLES // 2 + 1),
+                   dict(t_max=1e300), dict(protocol="spin_echo", n_pi=10**6)):
+        with pytest.raises(ValueError, match="MAX_RUN_SAMPLES"):
+            ProtocolConfig(**kwargs)
+
+
 def test_max_displacement_per_protocol():
     assert ProtocolConfig(g=0.1).max_displacement() == pytest.approx(0.2)
     boosted = ProtocolConfig(g=0.1, g_prime=0.4, protocol="boosted")
@@ -695,36 +710,86 @@ def test_spin_echo_duration_ignores_t_max():
 
 
 def test_resolved_dim_floor_guard():
-    with pytest.raises(TruncationError):
-        ProtocolConfig(g=0.5, nbar=5.0, dim=10).resolved_dim()
+    # dim 10 is refused by the run's own tail check, not before it: P(n >= 8)
+    # of thermal(5) displaced by 1 is 0.36
+    cfg = ProtocolConfig(g=0.5, nbar=5.0, dim=10, samples_per_period=8)
+    assert cfg.resolved_dim() == 10
+    with pytest.raises(TruncationError, match="Fock tail mass"):
+        run_protocol(cfg)
+
+
+def _padded_tails(nbar, displacement):
+    """P(n >= k) for k = 0..199 in D(alpha) thermal D(alpha)^dag, alpha real,
+    each summed over its own tail in a space padded far beyond the levels read."""
+    a = annihilation(200)
+    probs = thermal_density(nbar, 200).diagonal() if nbar else np.eye(200)[0]
+    disp = expm(displacement * (a.conj().T - a))
+    pops = np.einsum("mk,k,mk->m", disp, probs, disp.conj()).real
+    return np.cumsum(pops[::-1])[::-1]
 
 
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
 def test_dim_floor_uses_the_protocol_displacement(protocol):
-    # the floor is 4|alpha|^2 + nbar + 10 sqrt(nbar + 1), alpha the protocol's
-    # max_displacement(); basic and spin_echo ignore g_prime, and a floor
-    # that counted it refused their own default dim
-    cfg = ProtocolConfig(g=0.5, g_prime=2.0, protocol=protocol)
-    floor = math.floor(4.0 * cfg.max_displacement() ** 2 + 10.0)
-    assert cfg.resolved_dim() > floor
-    with pytest.raises(TruncationError, match="safe floor"):
-        dataclasses.replace(cfg, dim=floor).resolved_dim()
-    assert dataclasses.replace(cfg, dim=floor + 1).resolved_dim() == floor + 1
+    # the default dim reads the displaced thermal tail at the protocol's own
+    # max_displacement(); basic and spin_echo ignore g_prime, and a rule
+    # that counted it gave them the boosted protocol's dim
+    cfg = ProtocolConfig(g=0.5, g_prime=2.0, nbar=0.5, protocol=protocol,
+                         t_max=4.0 * math.pi)
+    tails = _padded_tails(cfg.nbar, cfg.max_displacement())
+    want = 2 + int(np.argmax(tails <= lindblad.DIM_TAIL_BOUND))
+    assert cfg.resolved_dim() == want == {"basic": 29, "boosted": 87,
+                                          "spin_echo": 41}[protocol]
+    if protocol != "boosted":
+        assert want == dataclasses.replace(cfg, g_prime=0.0).resolved_dim()
 
 
 def test_default_dims_are_pinned():
-    # the demo configs and the benchmark's probe points; a change to the dim
-    # rule shows here first
+    # the demo configs, the benchmark's fixed points and two corners; a change
+    # to the dim rule shows here first
     demos = {name: _protocol_config_from_file(
         parse_config_file(CONFIGS / f"demo_{name}.cfg"), None)
         for name in ("basic", "boosted", "spin_echo")}
     assert {name: cfg.resolved_dim() for name, cfg in demos.items()} == {
-        "basic": 42, "boosted": 46, "spin_echo": 33}
+        "basic": 44, "boosted": 45, "spin_echo": 9}
     probes = {"probe_small": ProtocolConfig(g=0.01, nbar=1.5),
               "probe_worst": ProtocolConfig(g=0.3, nbar=5.0),
-              "echo_corner": ProtocolConfig(g=0.15, nbar=5.0, protocol="spin_echo")}
+              "echo_corner": ProtocolConfig(g=0.15, nbar=5.0, protocol="spin_echo"),
+              "mid_basic": ProtocolConfig(g=0.1, nbar=1.4),
+              "mid_boosted": ProtocolConfig(g=0.05, g_prime=0.15, nbar=2.5,
+                                            protocol="boosted"),
+              "mid_echo": ProtocolConfig(g=0.1, nbar=1.6, protocol="spin_echo"),
+              "boost_corner": ProtocolConfig(g=0.5, g_prime=2.0, protocol="boosted"),
+              "hot": ProtocolConfig(g=0.1, nbar=12.0)}
     assert {name: cfg.resolved_dim() for name, cfg in probes.items()} == {
-        "probe_small": 41, "probe_worst": 129, "echo_corner": 129}
+        "probe_small": 43, "probe_worst": 122, "echo_corner": 122, "mid_basic": 42,
+        "mid_boosted": 67, "mid_echo": 48, "boost_corner": 63, "hot": 262}
+
+
+@pytest.mark.parametrize("point", [
+    dict(g=0.5), dict(g=0.5, gamma_m=0.01, gamma_a=0.001),
+    dict(g=0.3, nbar=2.0, gamma_m=0.01), dict(g=0.3, nbar=5.0), dict(g=0.5, nbar=1.0),
+    dict(g=0.5, g_prime=2.0, protocol="boosted"),
+    dict(g=0.1, g_prime=0.2, nbar=3.0, gamma_m=0.005, protocol="boosted"),
+    dict(g=0.15, nbar=1.0, gamma_a=0.002, protocol="spin_echo")])
+def test_default_dims_meet_the_exact_visibility(point):
+    # the oracle for the dim rule: at its default dim every run of a small
+    # envelope grid (nbar 0 to 5, lambda to 0.5, the lambda' = 2 boost)
+    # stays within 1e-8 of the model's exact visibility
+    cfg = ProtocolConfig(samples_per_period=40, **point)
+    trace = run_protocol(cfg)
+    exact = visibility_exact(cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar,
+                             _segments(cfg), trace.times)
+    assert np.max(np.abs(trace.visibility - exact)) < 1e-8
+
+
+def test_boost_corner_meets_the_exact_visibility_at_a_configured_dim():
+    # lambda 0.5, lambda' 2: the default is 63; a configured 110 runs too
+    cfg = ProtocolConfig(g=0.5, g_prime=2.0, protocol="boosted", dim=110,
+                         samples_per_period=40)
+    trace = run_protocol(cfg)
+    exact = visibility_exact(cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar,
+                             _segments(cfg), trace.times)
+    assert np.max(np.abs(trace.visibility - exact)) < 1e-8
 
 
 def test_resolved_dim_refuses_dims_above_cap():
@@ -737,9 +802,10 @@ def test_resolved_dim_refuses_dims_above_cap():
 
 
 def test_thermal_tail_guard_on_forced_dim():
-    # dim passes the displacement floor but truncates the initial thermal tail
+    # a configured dim 30 passes resolved_dim, but thermal(3) displaced by
+    # up to 1.2 fills its top two levels beyond the run's tail bound
     cfg = ProtocolConfig(g=0.6, nbar=3.0, dim=30, t_max=1.0)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="Fock tail mass"):
         run_protocol(cfg)
 
 
