@@ -19,14 +19,20 @@ H_1 and keeps the thermal state and both dissipators, so rho11 = P rho00 P;
 and as the Hamiltonian is quadratic, the drive linear and the bath at the
 state's own nbar, rho00 = D(alpha) thermal(nbar) D(alpha)^dag / 2, with alpha
 the damped, driven classical amplitude.  That closed form gives the tail mass
-and the rho00 and rho11 blocks of kept states.  rho01 starts as
-thermal(nbar)/2, takes one DOP853 solve (`integrate_blocks`) per segment, and
-the sigma_x echo gate maps it to rho01^dag.  It evolves in the frame rotating
-with omega ad a, exact for the truncated operators: the coupling becomes
-coupling (a e^{-i omega t} + ad e^{i omega t}), and the right-hand side is six
-banded shifts of the flat block.  The block returns to the lab frame at each
-segment end (before a gate) and when kept.  A run holds O(d^2) memory unless
-it keeps its states, which go into one (n, 2d, 2d) array.
+and the rho00 and rho11 blocks of kept states.
+
+rho01 takes one DOP853 solve (`integrate_blocks`) per segment.  As P a P = -a,
+M = rho01 P obeys a Hermiticity-preserving equation, truncation included, and
+starts real and diagonal (thermal(nbar) P / 2), so the solve carries the d^2
+real numbers R = Re M + Im M, and M = sym(R) + i antisym(R).  Tr rho01 =
+Tr M P = sum_n (-1)^n R_nn is real, so <sigma_minus> has no imaginary part,
+and the sigma_x echo gate, rho01 -> rho01^dag = P M, maps M to P M P.  R
+evolves in the frame rotating with omega ad a, exact for the truncated
+operators: the coupling becomes coupling (a e^{-i omega t} + ad e^{i omega t}),
+and the right-hand side is six banded shifts of the flat block with real
+weights.  The block returns to the lab frame through M at each segment end
+(before a gate) and when kept, as rho01 = M P.  A run holds O(d^2) memory
+unless it keeps its states, which go into one (n, 2d, 2d) array.
 
 A run is refused before anything is allocated when it asks for more than
 `MAX_RUN_SAMPLES` samples or `ProtocolConfig.resolved_dim`, the one Fock-dim
@@ -58,18 +64,19 @@ ATOL = 1e-12               # solver absolute tolerance
 FIRST_STEP = 1e-3          # first solver step of each protocol segment
 DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of a default dim
 
-# Largest Fock dim a run may use.  One (d, d) complex protocol block takes
-# 16 d^2 bytes (4.2 MB at 512) and its solver holds about 16 of them; a
-# run that keeps its states adds a (2d, 2d) joint state per sample (so
-# `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).  So a dim far
-# beyond the supported envelope (122 at lambda = 0.3, nbar = 5; 268 at
-# lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused before
-# anything is built.
+# Largest Fock dim a run may use.  One (d, d) real protocol block takes
+# 8 d^2 bytes (2.1 MB at 512) and its solver and right-hand side hold about
+# 35 of them; a run that keeps its states adds a complex (2d, 2d) joint state
+# per sample (so `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).
+# So a dim far beyond the supported envelope (122 at lambda = 0.3, nbar = 5;
+# 268 at lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused
+# before anything is built.
 MAX_DIM = 512
 
 # Most samples (samples_per_period x t_max / period) a run may take: `simulate`
-# peaks at about 1.2 kB per sample above import (2 x 10^5 samples at dim 122,
-# CSV or JSON; 0.75-1.0 kB at dim 35), so 10^6 take 1.2 GB; the benchmark's 401.
+# peaks at about 1.0 kB per sample above import with JSON output and 0.4 kB
+# with CSV (2 x 10^5 samples, at dim 33 and dim 122 alike), so 10^6 take
+# about 1 GB; the benchmark's 401.
 MAX_RUN_SAMPLES = 10**6
 
 # Real-axis stability length of DOP853: |R(-x)| <= 1 for 0 <= x <= 6.39, where
@@ -209,9 +216,11 @@ class ProtocolConfig:
 class VisibilityTrace:
     """Sampled visibility curve with solver diagnostics.
 
-    sigma_minus holds the raw coherence <sigma_minus>(t); samples falling
-    on a gate time report the pre-gate value (the modulus is continuous
-    across gates).  tail_mass is the occupation of the top two Fock levels.
+    sigma_minus holds the raw coherence <sigma_minus>(t), real from
+    `run_protocol` and complex from `witness.simulate_separable`; samples
+    falling on a gate time report the pre-gate value (the modulus is
+    continuous across gates).  tail_mass is the occupation of the top two
+    Fock levels.
     states, when kept, holds the joint lab-frame density matrices, shape
     (n, 2d, 2d).  exact_error (`run_protocol`) is each sample's |V - V_exact|,
     trace_error (`witness.simulate_separable`) its |Tr rho - 1|; the other is
@@ -247,59 +256,71 @@ def _root(dim: int) -> np.ndarray:
     return np.append(np.sqrt(np.arange(1.0, dim)), 0.0)
 
 
-def _decay(cfg: ProtocolConfig, dim: int, z_right: float) -> np.ndarray:
-    """The flat diagonal of one block's generator (see `_rotating_rhs`)."""
+def _decay(cfg: ProtocolConfig, dim: int) -> np.ndarray:
+    """The flat diagonal of the rho01 generator (see `_real_rhs`)."""
     root, level = _root(dim), np.arange(dim, dtype=float)
     down, up = cfg.gamma_m * (cfg.nbar + 1.0), cfg.gamma_m * cfg.nbar
-    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); the sigma_z
-    # jump adds gamma_a (z_right - 1): nothing on rho00, -2 gamma_a on rho01
+    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)), and the
+    # sigma_z jump's -2 gamma_a on the coherence
     rate = -0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
-    return (rate + cfg.gamma_a * (z_right - 1.0)).astype(complex).ravel()
+    return (rate - 2.0 * cfg.gamma_a).ravel()
 
 
-def _rotating_rhs(cfg: ProtocolConfig, dim: int, coupling: float, z_right: float):
-    """Right-hand side for one flat protocol block in the rotating frame:
-    rho00 with z_right = +1 or rho01 with z_right = -1, the sigma_z
-    eigenvalue of the block's column level (its row level is +1).
+def _hermitian(blocks: np.ndarray) -> np.ndarray:
+    """M = sym(R) + i antisym(R) from R = Re M + Im M, on (..., d, d) blocks."""
+    transposed = blocks.swapaxes(-1, -2)
+    return 0.5 * (blocks + transposed) + 0.5j * (blocks - transposed)
 
-    Each term adds weights * y shifted by a row (d), a column (1) or both
-    (d + 1); a zero weight on the last column keeps a shift from wrapping
-    into the next row.
+
+def _real_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
+    """Right-hand side for one flat rho01 block in the rotating frame, held as
+    the real R = Re M + Im M of the Hermitian M = rho01 P:
+
+        dR = decay R - down a R ad - up ad R a - g (a U + ad V - U a - V ad)
+
+    with U = c R^T + s R, V = c R^T - s R and (c, s) = (cos, sin)(omega t).
+
+    Each term adds weights * (R, U or V) shifted by a row (d), a column (1)
+    or both (d + 1); a zero weight on the last column keeps a shift from
+    wrapping into the next row.
     """
     n_flat = dim * dim
     root = _root(dim)
     down = cfg.gamma_m * (cfg.nbar + 1.0)  # rate of the a jump
     up = cfg.gamma_m * cfg.nbar            # rate of the ad jump
-    decay = _decay(cfg, dim, z_right)
+    decay = _decay(cfg, dim)
 
     def flat(weights, shift):
-        return np.broadcast_to(weights, (dim, dim)).astype(complex).ravel()[: n_flat - shift]
+        return np.broadcast_to(weights, (dim, dim)).ravel()[: n_flat - shift]
 
-    # (shift, y read at the lower flat index, weights, phase slot)
+    work, u, v = np.empty((3, n_flat))
+    # (shift, source (None: R itself), source read at the lower flat index, weights)
     terms = []
     if coupling:
-        rows = flat(coupling * root[:, None], dim)
-        cols = flat(coupling * z_right * root, 1)
-        terms += [(dim, False, rows, 0),  # -i g e^{-i omega t} a rho
-                  (dim, True, rows, 1),   # -i g e^{+i omega t} ad rho
-                  (1, True, cols, 2),     # +i z_right g e^{-i omega t} rho a
-                  (1, False, cols, 3)]    # +i z_right g e^{+i omega t} rho ad
-    if down:
-        terms.append((dim + 1, False, flat(down * np.outer(root, root), dim + 1), None))
-    if up:
-        terms.append((dim + 1, True, flat(up * np.outer(root, root), dim + 1), None))
-    work = np.empty(n_flat, dtype=complex)
+        rows = flat(-coupling * root[:, None], dim)
+        cols = flat(coupling * root, 1)
+        terms += [(dim, u, False, rows),  # -g a U
+                  (dim, v, True, rows),   # -g ad V
+                  (1, u, True, cols),     # +g U a
+                  (1, v, False, cols)]    # +g V ad
+    if down:  # -down a R ad
+        terms.append((dim + 1, None, False, flat(-down * np.outer(root, root), dim + 1)))
+    if up:    # -up ad R a
+        terms.append((dim + 1, None, True, flat(-up * np.outer(root, root), dim + 1)))
 
     def rhs(t, y):
         out = y * decay
-        turn = complex(math.cos(cfg.omega * t), -math.sin(cfg.omega * t))
-        phases = (-1j * turn, -1j * turn.conjugate(), 1j * turn, 1j * turn.conjugate())
-        for shift, from_lower, weights, slot in terms:
+        if coupling:
+            np.multiply(y.reshape(dim, dim).T, math.cos(cfg.omega * t),
+                        out=u.reshape(dim, dim))
+            np.multiply(y, math.sin(cfg.omega * t), out=work)
+            np.subtract(u, work, out=v)
+            np.add(u, work, out=u)
+        for shift, source, from_lower, weights in terms:
+            source = y if source is None else source
             size = n_flat - shift
-            term = np.multiply(y[:size] if from_lower else y[shift:], weights,
+            term = np.multiply(source[:size] if from_lower else source[shift:], weights,
                                out=work[:size])
-            if slot is not None:
-                np.multiply(term, phases[slot], out=term)
             target = out[shift:] if from_lower else out[:size]
             np.add(target, term, out=target)
         return out
@@ -313,7 +334,8 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
     t_eval[-1] > 0 at RTOL/ATOL, and pass the samples at the sorted times
     t_eval to sample(t, values) as the steps pass them: values holds the flat
     entries `read` of each sample, shape (len(t), len(read)), or with read
-    None the whole blocks, shape (len(t), *blocks0.shape).
+    None the whole blocks, shape (len(t), *blocks0.shape).  The state is real
+    or complex as blocks0 is.
 
     The loop is scipy's DOP853 step by step: the class's own tableau, its
     first f and first step from its constructor, its step-size controller
@@ -321,8 +343,8 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
     solve_ivp(method="DOP853", t_eval=t_eval) bit for bit.  Samples come from
     each accepted step's dense output at the t_eval points in (t_old, t] (the
     first step also takes t = 0).  The 7-term interpolant is built only on
-    the read entries, except on the last step, which builds it on all of
-    them.  Returns the blocks at t_eval[-1] and the segment record
+    the read entries, and on all of them once, at t_eval[-1], the returned
+    end.  Returns the blocks at t_eval[-1] and the segment record
     {duration, nfev, steps, rejected, dense_outputs, wall_s}; raises
     IntegrationError when the step size falls below 10 ulp of t.
     """
@@ -331,22 +353,22 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
     # the embedded 4/5 pair at rtol 1e-10 accumulates ~2e-8 of global error
     # over a full revival at the (lam=0.5, nbar=5) corner of the supported
     # envelope; the higher-order embedded pair is faster and ~20x tighter
-    solver = DOP853(rhs, 0.0, np.asarray(blocks0, dtype=complex).ravel(), t_end,
-                    rtol=RTOL, atol=ATOL, first_step=first_step)
+    solver = DOP853(rhs, 0.0, np.ravel(blocks0), t_end, rtol=RTOL, atol=ATOL,
+                    first_step=first_step)
     setup_nfev, rtol, atol, h_abs = solver.nfev, solver.rtol, solver.atol, solver.h_abs
-    n_stages, n = DOP853.n_stages, solver.n
+    n_stages, n, dtype = DOP853.n_stages, solver.n, solver.y.dtype
     A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
     A_EXTRA, C_EXTRA = DOP853.A_EXTRA, DOP853.C_EXTRA
     exponent = -1.0 / (DOP853.error_estimator_order + 1)
     # rows: the stages, f at the step end, then the dense output's extra stages
-    K = np.empty((n_stages + 1 + len(A_EXTRA), n), dtype=complex)
+    K = np.empty((n_stages + 1 + len(A_EXTRA), n), dtype=dtype)
     stages = K[: n_stages + 1]
     K[0] = solver.f
-    y, y_new = np.empty((2, n), dtype=complex)
+    y, y_new = np.empty((2, n), dtype=dtype)
     y[:] = solver.y
     del solver  # its own stage buffer
     abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
-    dy, err5, err3 = np.empty((3, n), dtype=complex)
+    dy, err5, err3 = np.empty((3, n), dtype=dtype)
     cols = slice(None) if read is None else np.asarray(read)
     t = 0.0
     steps = trials = dense_outputs = taken = 0
@@ -407,22 +429,18 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
                 dy += y_old
                 K[s] = rhs(t_old + c * h, dy)
             dense_outputs += 1
-            # the last step interpolates every entry: its end is the block
-            final = t >= t_end
-            values = _dense_values(K, h, y_old, y, t_eval[taken:upto] - t_old,
-                                   slice(None) if final else cols)
-            if read is None:
-                sample(t_eval[taken:upto], values.reshape(-1, *blocks0.shape))
-            else:
-                # in C order, as summing a Fortran-ordered copy rounds differently
-                sample(t_eval[taken:upto], values[:, cols].copy() if final else values)
+            if t >= t_end:  # the end is the carried block: every entry, at t_end only
+                end = _dense_values(K, h, y_old, y, t_eval[-1:] - t_old, slice(None))[0]
+            values = _dense_values(K, h, y_old, y, t_eval[taken:upto] - t_old, cols)
+            sample(t_eval[taken:upto],
+                   values.reshape(-1, *blocks0.shape) if read is None else values)
             taken = upto
         K[0] = K[n_stages]
     record = {"duration": t_end,
               "nfev": setup_nfev + n_stages * trials + len(A_EXTRA) * dense_outputs,
               "steps": steps, "rejected": trials - steps,
               "dense_outputs": dense_outputs, "wall_s": time.perf_counter() - started}
-    return values[-1].reshape(blocks0.shape), record
+    return end.reshape(blocks0.shape), record
 
 
 def _dense_values(K, h, y_old, y, elapsed, cols):
@@ -431,13 +449,13 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
     t_old + elapsed; shape (len(elapsed), len(cols))."""
     delta_y = y[cols] - y_old[cols]
     f_old, f_new = K[0, cols], K[DOP853.n_stages, cols]
-    F = np.empty((3 + len(DOP853.D), len(delta_y)), dtype=complex)
+    F = np.empty((3 + len(DOP853.D), len(delta_y)), dtype=K.dtype)
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f_new + f_old)
     F[3:] = h * np.dot(DOP853.D, K[:, cols])
     x = (elapsed / h)[:, None]
-    values = np.zeros((len(x), len(delta_y)), dtype=complex)
+    values = np.zeros((len(x), len(delta_y)), dtype=K.dtype)
     for i, f in enumerate(reversed(F)):
         values += f
         values *= x if i % 2 == 0 else 1 - x
@@ -489,7 +507,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     # an explicit step is stable only while h |rate| stays within
     # STABILITY_LENGTH, so the fastest decay bounds the step count below
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where a rate overflows
-        rate = np.nanmax(np.abs(_decay(cfg, dim, -1.0)))
+        rate = np.nanmax(np.abs(_decay(cfg, dim)))
     min_steps = rate * sum(duration for duration, _, _ in segments) / STABILITY_LENGTH
     if not min_steps <= MAX_STEP_BOUND:  # NaN is refused too
         raise IntegrationError(
@@ -503,14 +521,16 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         # a later segment's t = 0 is the previous one's last sample
         grids.append(np.linspace(0.0, duration, n_int + 1)[1 if grids else 0:])
     n_samples = sum(map(len, grids))
-    sigma = np.empty(n_samples, complex)
+    sigma = np.empty(n_samples)
     states = np.empty((n_samples, 2 * dim, 2 * dim), complex) if keep_states else None
-    rhs = {c: _rotating_rhs(cfg, dim, c, -1.0) for c in {seg[1] for seg in segments}}
-    # |+><+| (x) thermal(nbar), renormalized on the dim levels: rho01 = thermal/2
+    rhs = {c: _real_rhs(cfg, dim, c) for c in {seg[1] for seg in segments}}
+    # |+><+| (x) thermal(nbar), renormalized on the dim levels: rho01 = thermal/2,
+    # so R = M = thermal P / 2
     probs = np.exp(np.arange(dim) * math.log(cfg.nbar / (cfg.nbar + 1.0))) if cfg.nbar \
         else np.eye(dim)[0]
     probs /= probs.sum()
-    block = np.diag(0.5 * probs).astype(complex)
+    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    block = np.diag(0.5 * probs * parity)
     # a bare run reads only each sample's diagonal; kept states read it all
     read = None if keep_states else np.arange(dim) * (dim + 1)
     taken = 0
@@ -519,10 +539,10 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         nonlocal taken
         rows = slice(taken, taken + len(t))
         taken = rows.stop
-        if states is not None:
-            states[rows, :dim, dim:] = _to_lab(values, cfg.omega, t)
+        if states is not None:  # rho01 = M P
+            states[rows, :dim, dim:] = _to_lab(_hermitian(values), cfg.omega, t) * parity
             values = np.diagonal(values, axis1=-2, axis2=-1)
-        sigma[rows] = values.sum(axis=-1)
+        sigma[rows] = (values * parity).sum(axis=-1)  # Tr rho01 = Tr M P, real
 
     # rho00 = D(alpha) thermal D(alpha)^dag / 2 with alpha' = drift alpha - i coupling
     drift, records, alphas, start = -(1j * cfg.omega + 0.5 * cfg.gamma_m), [], [], 0j
@@ -530,12 +550,13 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         block, record = integrate_blocks(rhs[coupling], block, t_eval, sample, read=read,
                                          first_step=min(FIRST_STEP, duration / 2))
         records.append({"duration": duration, "coupling": coupling} | record)
-        block = _to_lab(block, cfg.omega, duration)
+        block = _to_lab(_hermitian(block), cfg.omega, duration)
         fixed = 1j * coupling / drift
         alphas.append(fixed + (start - fixed) * np.exp(drift * t_eval))
         start = alphas[-1][-1]  # t_eval ends at the segment's end
-        if flip:  # the echo gate maps rho01 to rho10, and alpha to -alpha
-            block, start = block.conj().T, -start
+        if flip:  # the echo gate maps rho01 to rho10 = P M, so M to P M P, and alpha to -alpha
+            block, start = _parity(block), -start
+        block = block.real + block.imag
     starts = np.cumsum([0.0] + [duration for duration, _, _ in segments])
     times = np.concatenate([t0 + grid for t0, grid in zip(starts, grids)])
     alpha = np.concatenate(alphas)

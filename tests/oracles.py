@@ -2,9 +2,10 @@
 
 The engine never builds the joint operators or the joint initial state: it
 works on oscillator blocks.  These helpers build them the textbook way, with
-np.kron, so the tests can check the block forms against them.  The closed
-forms here are the approximations the package's own formulas are checked
-against.
+np.kron, so the tests can check the block forms against them.
+`rotating_rhs` is the complex block generator the engine's real parity form
+is checked against.  The closed forms here are the approximations the
+package's own formulas are checked against.
 """
 
 import math
@@ -26,6 +27,61 @@ def thermal_density(nbar, dim):
     """Truncated thermal density matrix, p_n ~ (nbar/(nbar+1))^n, renormalized."""
     probs = (nbar / (nbar + 1.0)) ** np.arange(dim)
     return np.diag(probs / probs.sum()).astype(complex)
+
+
+def rotating_rhs(cfg, dim, coupling, z_right):
+    """Right-hand side for one flat complex protocol block in the frame
+    rotating with omega ad a: rho00 with z_right = +1 or rho01 with
+    z_right = -1, the sigma_z eigenvalue of the block's column level (its row
+    level is +1).
+
+    Each term adds weights * y shifted by a row (d), a column (1) or both
+    (d + 1); a zero weight on the last column keeps a shift from wrapping
+    into the next row.
+    """
+    n_flat = dim * dim
+    root = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # <i|a|i+1>, 0 at the edge
+    level = np.arange(dim, dtype=float)
+    down = cfg.gamma_m * (cfg.nbar + 1.0)  # rate of the a jump
+    up = cfg.gamma_m * cfg.nbar            # rate of the ad jump
+    # -{L^dag L, rho}/2 of both (truncated a ad = diag(root^2)); the sigma_z
+    # jump adds gamma_a (z_right - 1): nothing on rho00, -2 gamma_a on rho01
+    decay = (-0.5 * (down * (level[:, None] + level) + up * (root[:, None] ** 2 + root**2))
+             + cfg.gamma_a * (z_right - 1.0)).astype(complex).ravel()
+
+    def flat(weights, shift):
+        return np.broadcast_to(weights, (dim, dim)).astype(complex).ravel()[: n_flat - shift]
+
+    # (shift, y read at the lower flat index, weights, phase slot)
+    terms = []
+    if coupling:
+        rows = flat(coupling * root[:, None], dim)
+        cols = flat(coupling * z_right * root, 1)
+        terms += [(dim, False, rows, 0),  # -i g e^{-i omega t} a rho
+                  (dim, True, rows, 1),   # -i g e^{+i omega t} ad rho
+                  (1, True, cols, 2),     # +i z_right g e^{-i omega t} rho a
+                  (1, False, cols, 3)]    # +i z_right g e^{+i omega t} rho ad
+    if down:
+        terms.append((dim + 1, False, flat(down * np.outer(root, root), dim + 1), None))
+    if up:
+        terms.append((dim + 1, True, flat(up * np.outer(root, root), dim + 1), None))
+
+    def rhs(t, y):
+        out = y * decay
+        turn = complex(math.cos(cfg.omega * t), -math.sin(cfg.omega * t))
+        phases = (-1j * turn, -1j * turn.conjugate(), 1j * turn, 1j * turn.conjugate())
+        for shift, from_lower, weights, slot in terms:
+            size = n_flat - shift
+            term = (y[:size] if from_lower else y[shift:]) * weights
+            if slot is not None:
+                term *= phases[slot]
+            if from_lower:
+                out[shift:] += term
+            else:
+                out[:size] += term
+        return out
+
+    return rhs
 
 
 def initial_state(cfg, dim=None):

@@ -300,6 +300,17 @@ def test_simulate_refuses_sample_counts_over_the_cap(line, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("name", ["basic", "boosted", "spin_echo"])
+def test_simulate_im_sigma_minus_is_zero(name, tmp_path):
+    # Tr rho01 = Tr M P is real for the Hermitian M = rho01 P the engine solves
+    out = tmp_path / f"{name}.csv"
+    assert main(["simulate", "--config", f"{CONFIGS}/demo_{name}.cfg",
+                 "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    column = header.index("im_sigma_minus")
+    assert rows and all(float(row[column]) == 0.0 for row in rows)
+
+
 def test_simulate_spin_echo_config(tmp_path):
     out = tmp_path / "echo.csv"
     assert main(["simulate", "--config", f"{CONFIGS}/demo_spin_echo.cfg",

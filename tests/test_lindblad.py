@@ -1,9 +1,10 @@
 """Tests for the numerical master-equation engine.
 
 The closed-form curves from `analytic` serve as oracles everywhere the
-noise model admits one.  The block kernel itself is checked against the
-defining right-hand side of the joint master equation, built here with
-np.kron, on small random states.
+noise model admits one.  The complex block generator of `oracles` is checked
+against the defining right-hand side of the joint master equation, built here
+with np.kron, on small random states, and the engine's real parity form is
+checked against that generator, term by term and through tight solves.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
-from oracles import SIGMA_Z, annihilation, initial_state, thermal_density
+from oracles import SIGMA_Z, annihilation, initial_state, rotating_rhs, thermal_density
 from revivalsim.analytic import (
     CouplingParams,
     spin_echo_overlap,
@@ -40,8 +41,9 @@ from revivalsim.lindblad import (
     TruncationError,
     _decay,
     _displaced_thermal,
+    _hermitian,
     _parity,
-    _rotating_rhs,
+    _real_rhs,
     _top_levels_mass,
     integrate_blocks,
     negativity,
@@ -106,9 +108,19 @@ def _protocol_blocks(rho):
 
 
 def _apply_protocol(cfg, dim, coupling, t, blocks):
-    """The one-block right-hand sides of rho00 and rho01 on [rho00, rho01]."""
-    return np.stack([_apply(_rotating_rhs(cfg, dim, coupling, z_right), t, block)
+    """The oracle's one-block right-hand sides of rho00 and rho01 on [rho00, rho01]."""
+    return np.stack([_apply(rotating_rhs(cfg, dim, coupling, z_right), t, block)
                      for z_right, block in zip((1.0, -1.0), blocks)])
+
+
+def _system(kind, dim):
+    """(rhs, blocks0) of a real system, the engine's rho01 generator on R, or a
+    complex one, the separable channel's three blocks."""
+    if kind == "real":
+        cfg = ProtocolConfig(g=0.2, nbar=1.0, gamma_m=0.05, gamma_a=0.01)
+        m = _random_state(np.random.default_rng(7), dim)
+        return _real_rhs(cfg, dim, cfg.g), m.real + m.imag
+    return _block_rhs(random_separable_spec(4, dim)), split_blocks(random_product_state(4, dim))
 
 
 def _segments(cfg):
@@ -205,6 +217,25 @@ def test_protocol_rhs_annihilates_steady_state():
     assert np.max(np.abs(resid)) < 1e-9  # truncation-limited, not solver-limited
 
 
+def test_real_rhs_is_the_rho01_rhs_in_parity_form():
+    # M = rho01 P is Hermitian and R = Re M + Im M; the engine's dR is
+    # Re dM + Im dM with dM = (oracle rho01 rhs of M P) P, which stays Hermitian
+    rng = np.random.default_rng(8)
+    for dim in (6, 12):
+        parity = np.diag((-1.0) ** np.arange(dim))
+        for point in (dict(g=0.35), dict(g=0.35, gamma_m=0.05, gamma_a=0.02, nbar=0.7),
+                      dict(g=0.0, gamma_m=0.05, nbar=0.7)):
+            cfg = ProtocolConfig(omega=1.3, **point)
+            real, oracle = _real_rhs(cfg, dim, cfg.g), rotating_rhs(cfg, dim, cfg.g, -1.0)
+            for t in (0.0, 0.9, 4.0):
+                m = _random_state(rng, dim)
+                dm = _apply(oracle, t, m @ parity) @ parity
+                assert np.max(np.abs(dm - dm.conj().T)) < 1e-14
+                got = _apply(real, t, m.real + m.imag)
+                assert np.max(np.abs(got - (dm.real + dm.imag))) < 1e-13
+                assert np.max(np.abs(_hermitian(got) - dm)) < 1e-13
+
+
 def test_echo_gate_swaps_blocks():
     # a parity-symmetric state (rho11 = P rho00 P), as every protocol state is
     rho = _random_state(np.random.default_rng(6), 14)
@@ -260,14 +291,15 @@ def test_kept_states_are_lab_frame_density_matrices(protocol):
     assert np.max(np.abs(states - np.array(want))) < 1e-8
 
 
-@pytest.mark.parametrize("first_step", [None, 4.0])
-def test_streamed_integration_equals_solve_ivp(first_step):
-    # the stepped DOP853 must reproduce solve_ivp(t_eval=...) bit for bit;
-    # t_eval holds step ends of the same solve and the final t_bound, and a
-    # too-large first step forces rejected trials
+@pytest.mark.parametrize("first_step, kind", [
+    (None, "complex"), (4.0, "complex"), (None, "real"), (4.0, "real")],
+    ids=["None", "4.0", "None-real", "4.0-real"])
+def test_streamed_integration_equals_solve_ivp(first_step, kind):
+    # the stepped DOP853 must reproduce solve_ivp(t_eval=...) bit for bit, on
+    # a real state and a complex one; t_eval holds step ends of the same solve
+    # and the final t_bound, and a too-large first step forces rejected trials
     dim, t_end = 6, 8.0
-    rhs = _block_rhs(random_separable_spec(4, dim))
-    blocks0 = split_blocks(random_product_state(4, dim))
+    rhs, blocks0 = _system(kind, dim)
     options = dict(method="DOP853", rtol=1e-10, atol=1e-12, first_step=first_step)
     free = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), **options)
     grid, step_ends = np.linspace(0.0, t_end, 41), free.t[1:-1:3]
@@ -280,6 +312,7 @@ def test_streamed_integration_equals_solve_ivp(first_step):
                                    first_step=first_step)
     times = np.concatenate([t for t, _ in chunks])
     path = np.concatenate([b for _, b in chunks])
+    assert path.dtype == end.dtype == blocks0.dtype
     assert np.array_equal(times, sol.t) and times[-1] == t_end
     assert np.array_equal(path, sol.y.T.reshape(len(t_eval), *blocks0.shape))
     assert np.array_equal(end, path[-1])
@@ -305,28 +338,39 @@ def _scipy_step_counts(rhs, y0, t_end, first_step):
     return steps, trials - steps
 
 
-@pytest.mark.parametrize("first_step", [None, 1e-3, 2.0])
-def test_diagonal_read_equals_solve_ivp(first_step):
-    # a damped, dephased, coupled rho01 block read on its diagonal only: the
-    # samples are solve_ivp's bit for bit, the returned block is its last
-    # full state, and the solver work is the same step for step
+@pytest.mark.parametrize("first_step, kind", [
+    (None, "real"), (1e-3, "real"), (2.0, "real"),
+    (None, "complex"), (1e-3, "complex"), (2.0, "complex")],
+    ids=["None", "0.001", "2.0", "None-complex", "0.001-complex", "2.0-complex"])
+def test_diagonal_read_equals_solve_ivp(first_step, kind, monkeypatch):
+    # the engine's damped, dephased, coupled rho01 generator on R, and the
+    # separable channel's complex blocks, read on the last block's diagonal
+    # only: the samples are solve_ivp's bit for bit, the returned block is its
+    # last full state, and the solver work is the same step for step
     dim, t_end = 12, 2.0 * math.pi
-    cfg = ProtocolConfig(g=0.2, nbar=1.0, gamma_m=0.05, gamma_a=0.01)
-    rhs = _rotating_rhs(cfg, dim, cfg.g, -1.0)
-    block0 = _random_state(np.random.default_rng(7), dim)
-    t_eval = np.linspace(0.0, t_end, 41)
-    sol = solve_ivp(rhs, (0.0, t_end), block0.ravel(), method="DOP853", t_eval=t_eval,
+    rhs, blocks0 = _system(kind, dim)
+    # the last step takes the final three samples at least
+    t_eval = np.append(np.linspace(0.0, t_end, 41)[:-1], t_end - np.array([2e-9, 1e-9, 0.0]))
+    sol = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), method="DOP853", t_eval=t_eval,
                     rtol=RTOL, atol=ATOL, first_step=first_step)
-    read = np.arange(dim) * (dim + 1)
+    read = blocks0.size - dim * dim + np.arange(dim) * (dim + 1)
+    dense = lindblad._dense_values
+    shapes = []  # every dense output's (times, entries)
+    monkeypatch.setattr(lindblad, "_dense_values",
+                        lambda *args: shapes.append(dense(*args).shape) or dense(*args))
     chunks = []
-    end, record = integrate_blocks(rhs, block0, t_eval,
+    end, record = integrate_blocks(rhs, blocks0, t_eval,
                                    lambda t, values: chunks.append(values.copy()),
                                    read=read, first_step=first_step)
-    assert all(chunk.shape[1:] == (dim,) for chunk in chunks)
+    assert all(chunk.shape[1:] == (dim,) and chunk.dtype == blocks0.dtype for chunk in chunks)
+    # the whole block is interpolated once, at the end; the last step's
+    # samples, like every other step's, only on the read entries
+    assert len(chunks[-1]) >= 3
+    assert shapes.count((1, blocks0.size)) == 1 == len(shapes) - len(chunks)
     assert np.array_equal(np.concatenate(chunks), sol.y[read].T)
-    assert np.array_equal(end, sol.y[:, -1].reshape(dim, dim))
+    assert np.array_equal(end, sol.y[:, -1].reshape(blocks0.shape))
     assert record["nfev"] == sol.nfev
-    steps, rejected = _scipy_step_counts(rhs, block0.ravel(), t_end, first_step)
+    steps, rejected = _scipy_step_counts(rhs, blocks0.ravel(), t_end, first_step)
     assert (record["steps"], record["rejected"]) == (steps, rejected)
     assert (rejected > 0) == (first_step == 2.0)
 
@@ -360,12 +404,12 @@ def test_step_bound_refuses_before_integrating(monkeypatch):
     # the bound is max|decay| * duration / STABILITY_LENGTH; the Q = 10
     # corner sits far below the limit, and a run just above it never steps
     corner = ProtocolConfig(g=0.3, nbar=5.0, gamma_m=0.1)
-    corner_bound = (np.abs(_decay(corner, corner.resolved_dim(), -1.0)).max()
+    corner_bound = (np.abs(_decay(corner, corner.resolved_dim())).max()
                     * corner.resolved_t_max() / STABILITY_LENGTH)
     assert 200 < corner_bound and 100 * 900 < MAX_STEP_BOUND
     cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_m=0.01, gamma_a=0.002,
                          t_max=2.0 * math.pi, samples_per_period=20)
-    bound = (np.abs(_decay(cfg, cfg.resolved_dim(), -1.0)).max()
+    bound = (np.abs(_decay(cfg, cfg.resolved_dim())).max()
              * cfg.resolved_t_max() / STABILITY_LENGTH)
     monkeypatch.setattr(lindblad, "MAX_STEP_BOUND", bound * (1.0 + 1e-12))
     run_protocol(cfg)
@@ -521,6 +565,28 @@ def test_tail_mass_matches_padded_expm(nbar):
         assert np.max(np.abs(_top_levels_mass(nbar, alphas, dim) - want)) < 1e-14
 
 
+def _tight_block_path(cfg, trace, z_right):
+    """One protocol block (z_right = +1: rho00, -1: rho01) at the trace's times
+    in the lab frame: the oracle's complex generator integrated tightly
+    (rtol 1e-12) segment by segment, through the echo gate's map of that block."""
+    dim = trace.stats["dim"]
+    gate = _parity if z_right > 0 else (lambda block: block.conj().T)
+    block = 0.5 * thermal_density(cfg.nbar, dim)
+    want, t_now = [], 0.0
+    for idx, (duration, coupling, flip) in enumerate(_segments(cfg)):
+        mine = (trace.times >= t_now - 1e-12) & (trace.times <= t_now + duration + 1e-12)
+        t_eval = np.clip(trace.times[mine] - t_now, 0.0, duration)
+        t_eval = np.concatenate([[0.0], t_eval[t_eval > 1e-12]])
+        sol = solve_ivp(rotating_rhs(cfg, dim, coupling, z_right), (0.0, duration),
+                        block.ravel(), method="DOP853", t_eval=t_eval,
+                        rtol=1e-12, atol=1e-14)
+        path = lindblad._to_lab(sol.y.T.reshape(-1, dim, dim), cfg.omega, sol.t)
+        want.extend(path if idx == 0 else path[1:])
+        block = gate(path[-1]) if flip else path[-1]
+        t_now += duration
+    return np.array(want)
+
+
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
 def test_kept_rho00_matches_a_solve_of_its_block(protocol):
     # the closed-form rho00 of kept states against the rho00 block's own
@@ -532,20 +598,28 @@ def test_kept_rho00_matches_a_solve_of_its_block(protocol):
                          samples_per_period=24)
     trace = run_protocol(cfg, keep_states=True)
     dim = trace.stats["dim"]
-    block = 0.5 * thermal_density(cfg.nbar, dim)
-    want, t_now = [], 0.0
-    for idx, (duration, coupling, flip) in enumerate(_segments(cfg)):
-        mine = (trace.times >= t_now - 1e-12) & (trace.times <= t_now + duration + 1e-12)
-        t_eval = np.clip(trace.times[mine] - t_now, 0.0, duration)
-        t_eval = np.concatenate([[0.0], t_eval[t_eval > 1e-12]])
-        sol = solve_ivp(_rotating_rhs(cfg, dim, coupling, 1.0), (0.0, duration),
-                        block.ravel(), method="DOP853", t_eval=t_eval,
-                        rtol=1e-12, atol=1e-14)
-        path = lindblad._to_lab(sol.y.T.reshape(-1, dim, dim), cfg.omega, sol.t)
-        want.extend(path if idx == 0 else path[1:])
-        block = _parity(path[-1]) if flip else path[-1]
-        t_now += duration
-    assert np.max(np.abs(trace.states[:, :dim, :dim] - np.array(want))) < 1e-9
+    want = _tight_block_path(cfg, trace, 1.0)
+    assert np.max(np.abs(trace.states[:, :dim, :dim] - want)) < 1e-9
+
+
+@pytest.mark.parametrize("point", [
+    dict(g=0.2, nbar=2.0, gamma_m=0.05, gamma_a=0.01),
+    dict(g=0.2, g_prime=0.1, nbar=2.0, gamma_m=0.05, gamma_a=0.01, protocol="boosted",
+         t_max=4.0 * math.pi),
+    dict(g=0.2, nbar=2.0, gamma_m=0.05, gamma_a=0.01, protocol="spin_echo"),
+    dict(g=0.1, nbar=0.5, gamma_m=0.1, gamma_a=0.01),  # Q = 10
+], ids=["basic", "boosted", "spin_echo", "basic_q10"])
+def test_real_form_matches_a_solve_of_the_complex_rho01_block(point):
+    # the engine's R = Re M + Im M, M = rho01 P, against the complex rho01
+    # block (z_right = -1) integrated tightly: the kept rho01 = M P and
+    # V = 2 |Tr rho01|; measured at most 1.7e-11 and 2.9e-10
+    cfg = ProtocolConfig(samples_per_period=24, **point)
+    trace = run_protocol(cfg, keep_states=True)
+    dim = trace.stats["dim"]
+    want = _tight_block_path(cfg, trace, -1.0)
+    assert np.max(np.abs(trace.states[:, :dim, dim:] - want)) < 1e-9
+    visibility = 2.0 * np.abs(np.trace(want, axis1=1, axis2=2))
+    assert np.max(np.abs(trace.visibility - visibility)) < 1e-9
 
 
 def test_stats_record_dim_segments_and_worst_diagnostics():
