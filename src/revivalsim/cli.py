@@ -4,9 +4,10 @@ Subcommands: ``analytic`` (closed-form curves), ``simulate`` (master
 equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
 ``<out>.manifest.json`` with the config echo, tool version, timestamps,
-sha256 of each output and the run's validity warnings (also printed to
-stderr); the manifest lands before its output, so an output never exists
-without one.  Outputs themselves are deterministic for identical inputs.
+sha256 of each output, the time spent writing it and the run's validity
+warnings (also printed to stderr); the manifest lands before its output, so
+an output never exists without one.  Outputs themselves are deterministic
+for identical inputs.
 Exit codes: 0 success, 2 usage/config error (an unwritable --out too), 3
 domain error or value out of range (a non-finite output value too), 4
 solver, truncation, exact-visibility check or linalg failure, 5 witness-suite
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,10 +43,12 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICS = 4
 EXIT_WITNESS = 5
 
-# `analytic` row limits, checked before the grid is built: a row costs about
-# 100 B at peak (the two columns as arrays and as lists of floats), so 10^7
-# rows take about 1 GB, and the benchmark's largest grid is 50,000;
-# MAX_SAMPLES also caps the cells of a `design --sweep`
+# `analytic` row limits, checked before the grid is built.  Rows are written
+# a chunk at a time, so the peak is the formula's own arrays: above import,
+# 10^6 rows took 26 MB for thermal, 48 MB for damped and 123 MB for
+# damped-exact (complex temporaries), so 10^7 rows take at most about 1.2 GB,
+# and the benchmark's largest grid is 50,000.  MAX_SAMPLES also caps the
+# cells of a `design --sweep`, whose row dicts cost about 360 B a cell.
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
 # `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
@@ -56,22 +60,25 @@ MAX_STATE_VALUES = 2**24
 
 # ---------------------------------------------------------------- helpers
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+CSV_CHUNK_ROWS = 8192  # rows formatted and written at a time
+_CSV_BOOLS = np.array(["false", "true"])
 
 
-def write_csv(path, header: list[str], rows) -> int:
-    """Write the header and each row of the iterable rows; return the row count."""
-    count = 0
+def write_csv(path, header: list[str], columns) -> int:
+    """Write the header and the rows of the equal-length columns, one chunk
+    of rows at a time; return the row count.  Each column's format comes
+    from its dtype: floats as %.17g, which round-trips exactly, booleans as
+    true/false, and ints and strings through str."""
+    columns = [np.asarray(column) for column in columns]
+    columns = [_CSV_BOOLS[c.astype(np.intp)] if c.dtype.kind == "b" else c for c in columns]
+    template = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    n_rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for count, row in enumerate(rows, 1):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return count
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(template.format, *chunk)))
+    return n_rows
 
 
 def _require_finite(*columns) -> None:
@@ -103,19 +110,24 @@ def _warn(args, message: str) -> None:
     args.warnings.append(message)
 
 
-def write_manifest(path, args, config: dict, data: bytes, **extra) -> None:
-    """Write the manifest of the output ``args.out`` with contents data to
-    path: the command, its config echo, the tool version, when the command
-    started and finished, the output's sha256 and size, the run's warnings
-    and any extra fields."""
+def write_manifest(path, args, config: dict, output: Path, **extra) -> None:
+    """Write to path the manifest of the output ``args.out``, whose contents
+    are in the file output: the command, its config echo, the tool version,
+    when the command started and finished, the output's sha256 and size, the
+    run's warnings and any extra fields.  The output is hashed 1 MiB at a
+    time, never read whole."""
+    digest = hashlib.sha256()
+    with open(output, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+        size = fh.tell()
     write_json(path, {
         "command": args.command,
         "config": config,
         "tool_version": __version__,
         "started_at": args.started_at,
         "finished_at": _now(),
-        "outputs": [{"path": str(args.out), "sha256": hashlib.sha256(data).hexdigest(),
-                     "bytes": len(data)}],
+        "outputs": [{"path": str(args.out), "sha256": digest.hexdigest(), "bytes": size}],
         "warnings": args.warnings,
         **extra,
     })
@@ -124,13 +136,16 @@ def write_manifest(path, args, config: dict, data: bytes, **extra) -> None:
 def write_outputs(args, write, config: dict, **extra):
     """Write ``args.out`` through write(path) and then ``<args.out>.manifest.json``,
     each to a temp file beside it, and move the manifest into place first:
-    an output never exists without its manifest.  On any error both temp
-    files are removed.  Returns what write returned."""
+    an output never exists without its manifest, which records ``write_s``,
+    the wall time write took.  On any error both temp files are removed.
+    Returns what write returned."""
     out = Path(args.out)
     temps = [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
     try:
+        start = time.perf_counter()
         result = write(temps[0])
-        write_manifest(temps[1], args, config, temps[0].read_bytes(), **extra)
+        write_s = time.perf_counter() - start
+        write_manifest(temps[1], args, config, temps[0], write_s=write_s, **extra)
         os.replace(temps[1], f"{out}.manifest.json")
         os.replace(temps[0], out)
     finally:
@@ -207,9 +222,8 @@ def cmd_analytic(args) -> int:
         if n_pi > MAX_N_PI:
             raise ConfigError(f"--n-pi must be <= {MAX_N_PI}, got {n_pi}")
         # columns first, so an overflowing lambda fails before the file opens
-        iterations = range(1, n_pi + 1)
-        columns = ([2.0 * math.pi * k for k in iterations],
-                   [analytic.spin_echo_overlap(k, lam) for k in iterations])
+        overlaps = (analytic.spin_echo_overlap(k, lam) for k in range(1, n_pi + 1))
+        columns = (2.0 * math.pi * np.arange(1, n_pi + 1), np.fromiter(overlaps, float, n_pi))
     else:
         given = {field: getattr(args, k) for k, (_, field) in _FLAGS.items()
                  if field and getattr(args, k) is not None}
@@ -241,8 +255,7 @@ def cmd_analytic(args) -> int:
     _require_finite(*columns)
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"], rows),
+    n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"], columns),
                            echo)
     print(f"wrote {args.out} ({n_rows} rows)")
     return EXIT_OK
@@ -310,15 +323,14 @@ def cmd_simulate(args) -> int:
         "exact_error": trace.exact_error,
         "tail_mass": trace.tail_mass,
     }
-    values = [c.tolist() for c in columns.values()]
     _require_finite(*columns.values())
     echo = dataclasses.asdict(cfg)
 
     def write(path):
         if args.format == "csv":
-            write_csv(path, list(columns), zip(*values))
+            write_csv(path, list(columns), columns.values())
         else:
-            write_json(path, dict(zip(columns, values), config=echo))
+            write_json(path, dict({k: c.tolist() for k, c in columns.items()}, config=echo))
 
     write_outputs(args, write, echo, stats=trace.stats)
     print(
@@ -365,7 +377,7 @@ def cmd_verify(args) -> int:
         header = ["kind", "seed"] + [f.name for f in dataclasses.fields(witness.WitnessReport)]
         rows = [("random", seed, *dataclasses.astuple(r)) for seed, r in enumerate(reports)]
         rows.append(("contrast", -1, *dataclasses.astuple(contrast)))
-        write_outputs(args, lambda path: write_csv(path, header, rows), {
+        write_outputs(args, lambda path: write_csv(path, header, zip(*rows)), {
             "seeds": args.seeds,
             "dim": args.dim,
             "tol": args.tol,
@@ -428,12 +440,9 @@ def cmd_design(args) -> int:
             raise ConfigError(f"--tau-range and --temp-range give {cells} grid cells, "
                               f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
-        _require_finite(np.fromiter((v for r in rows for v in r.values()), float))
-        write_outputs(args, lambda path: write_csv(
-            path,
-            ["tau_s", "temperature_K", "log10_delta_v", "log10_delta_v_boosted"],
-            (tuple(r.values()) for r in rows),
-        ), {
+        table = np.fromiter((v for r in rows for v in r.values()), float).reshape(len(rows), -1)
+        _require_finite(table)
+        write_outputs(args, lambda path: write_csv(path, list(rows[0]), table.T), {
             "config": dataclasses.asdict(cfg),
             "tau_range": list(args.tau_range),
             "temp_range": list(args.temp_range),

@@ -16,7 +16,6 @@ with omega = 2 pi / tau; at k_B T >> hbar omega these tend to
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -160,11 +159,11 @@ def k_squared(cfg: PhysicalConfig) -> float:
     )
 
 
-def _contrasts(cfg: PhysicalConfig, nbar: float) -> tuple[float, float]:
+def _contrasts(cfg: PhysicalConfig, omega: float, nbar: float) -> tuple[float, float]:
     """Full-period visibility deficit of the unboosted protocol, and the
     half-to-full-period contrast with an optimally boosted first stage, at
-    thermal occupation nbar."""
-    omega = cfg.omega
+    oscillator frequency omega (cfg's own hold time is not read) and thermal
+    occupation nbar."""
     delta_v = _quotient(
         math.pi * G_NEWTON**2 * cfg.atom_mass**2 * cfg.density * (8.0 + nbar),
         3.0 * math.sqrt(2.0) * cfg.splitting * omega**3 * HBAR,
@@ -197,7 +196,7 @@ def derive(cfg: PhysicalConfig) -> DerivedParams:
     ratio = _quotient(K_B * cfg.temperature, HBAR * omega)
     g = coupling_g(cfg)
     x0 = math.sqrt(_quotient(HBAR, 2.0 * cfg.sphere_mass() * omega))
-    delta_v, delta_v_boosted = _contrasts(cfg, nbar)
+    delta_v, delta_v_boosted = _contrasts(cfg, omega, nbar)
     return DerivedParams(
         omega=omega,
         nbar=nbar,
@@ -237,9 +236,9 @@ def sweep_grid(
 
     rows = []
     for tau in _log_grid(tau_lo, tau_hi, int(n_tau)):
+        omega = 2.0 * math.pi / tau  # PhysicalConfig.omega at hold time tau
         for temp in _log_grid(t_lo, t_hi, int(n_temp)):
-            point = dataclasses.replace(cfg, hold_time=tau, temperature=temp)
-            dv, dvb = _contrasts(point, thermal_occupation(point.omega, temp))
+            dv, dvb = _contrasts(cfg, omega, thermal_occupation(omega, temp))
             rows.append(
                 {
                     "tau_s": tau,

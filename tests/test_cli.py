@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import boosted_swing
 from revivalsim import __version__, cli, witness
-from revivalsim.cli import (MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
-                            _protocol_config_from_file, main)
+from revivalsim.cli import (CSV_CHUNK_ROWS, MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
+                            _protocol_config_from_file, main, write_csv)
 from revivalsim.config import parse_config_file
 from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_protocol
-from revivalsim.analytic import CouplingParams, spin_echo_overlap, visibility_exact
+from revivalsim.analytic import (CouplingParams, spin_echo_overlap, visibility_exact,
+                                  visibility_thermal)
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -36,6 +38,72 @@ def _read_csv(path):
 
 def _read_manifest(path):
     return json.loads((path.parent / (path.name + ".manifest.json")).read_text())
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+
+def _oracle_lines(header, columns):
+    """The CSV lines of the columns, one value at a time: floats as
+    f"{v:.17g}", booleans as true/false, anything else through str."""
+    def fmt(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+
+
+def _write_and_read(path, header, columns):
+    n_rows = write_csv(path, header, columns)
+    text = path.read_text()
+    assert text.endswith("\n")
+    return n_rows, text.splitlines()
+
+
+def test_write_csv_float_extremes_round_trip(tmp_path):
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 2.0, -3.0, 0.1, 1e22, 1e-7])
+    n_rows, lines = _write_and_read(tmp_path / "x.csv", ["x"], [values])
+    assert n_rows == values.size
+    assert lines == _oracle_lines(["x"], [values])
+    assert lines[1:5] == ["-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "2"]
+    written = np.array([float(line) for line in lines[1:]])
+    assert written.tobytes() == values.tobytes()  # bit for bit, the sign of -0 too
+
+
+def test_write_csv_bool_int_and_str_columns(tmp_path):
+    columns = [("random", "contrast"), (0, -1), (True, False), (0.5, 2.0)]
+    n_rows, lines = _write_and_read(tmp_path / "x.csv", ["kind", "seed", "ok", "v"], columns)
+    assert n_rows == 2
+    assert lines == ["kind,seed,ok,v", "random,0,true,0.5", "contrast,-1,false,2"]
+    assert lines == _oracle_lines(["kind", "seed", "ok", "v"], columns)
+
+
+def test_write_csv_zero_rows_is_the_header(tmp_path):
+    n_rows, lines = _write_and_read(tmp_path / "x.csv", ["a", "b"], [np.array([]), []])
+    assert (n_rows, lines) == (0, ["a,b"])
+
+
+def test_write_csv_one_chunk_plus_one(tmp_path):
+    rng = np.random.default_rng(16)
+    columns = [rng.standard_normal(CSV_CHUNK_ROWS + 1)
+               * 10.0 ** rng.integers(-300, 300, CSV_CHUNK_ROWS + 1),
+               np.arange(CSV_CHUNK_ROWS + 1), rng.random(CSV_CHUNK_ROWS + 1) < 0.5]
+    n_rows, lines = _write_and_read(tmp_path / "x.csv", ["x", "k", "b"], columns)
+    assert n_rows == CSV_CHUNK_ROWS + 1
+    assert lines == _oracle_lines(["x", "k", "b"], columns)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 3))))
+def test_write_csv_matches_the_oracle_on_float64(table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        n_rows, lines = _write_and_read(Path(tmp) / "x.csv", header, table.T)
+    assert n_rows == table.shape[0]
+    assert lines == _oracle_lines(header, table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +280,17 @@ def test_analytic_deterministic_output_and_manifest(tmp_path):
     entry = manifest["outputs"][0]
     assert entry["sha256"] == hashlib.sha256(out1.read_bytes()).hexdigest()
     assert entry["bytes"] == out1.stat().st_size
+
+
+def test_analytic_grid_longer_than_one_chunk_is_the_library_call(tmp_path):
+    samples = 2 * CSV_CHUNK_ROWS + 5
+    out = tmp_path / "thermal.csv"
+    assert main(["analytic", "--formula", "thermal", "--lambda", "0.1", "--nbar", "2",
+                 "--samples", str(samples), "--out", str(out)]) == 0
+    grid = 2.0 * math.pi * 2.0 * np.arange(samples) / samples
+    direct = visibility_thermal(CouplingParams(coupling=0.1, nbar=2.0), grid)
+    assert out.read_text().splitlines() == _oracle_lines(["omega_t", "visibility"],
+                                                         [grid, direct])
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +785,19 @@ def test_manifest_lands_before_its_output(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert moved == ["thermal.csv.manifest.json", "thermal.csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == moved[::-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--formula", "thermal", "--lambda", "0.1"],
+    ["simulate", "--config", str(CONFIGS / "demo_basic.cfg")],
+    ["verify", "--seeds", "1", "--dim", "4", "--samples", "20"],
+    ["design", "--sweep", "--tau-range", "10,100,3", "--temp-range", "10,300,2"],
+], ids=["analytic", "simulate", "verify", "design-sweep"])
+def test_manifest_records_write_time(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    write_s = _read_manifest(out)["write_s"]
+    assert isinstance(write_s, float) and write_s >= 0.0
 
 
 # ---------------------------------------------------------------------------

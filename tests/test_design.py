@@ -7,6 +7,7 @@ the reference configuration: rho = 20 g/cm^3, ell = 1 mm, T = 300 K,
 R_s = 0.35 mm, four-sphere arrangement.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -213,6 +214,17 @@ def test_sweep_single_point_grid():
     assert rows[0]["log10_delta_v_boosted"] == pytest.approx(
         math.log10(derive(REFERENCE).delta_v_boosted), rel=1e-12
     )
+
+
+def test_sweep_cells_equal_derive_at_each_point():
+    # the sweep evaluates each cell without building its config; the values
+    # must be those of derive() on that cell's config, bit for bit
+    cfg = dataclasses.replace(REFERENCE, density=11340.0, splitting=2e-3)
+    for row in sweep_grid(cfg, (1.0, 500.0, 7), (0.05, 400.0, 5)):
+        point = derive(dataclasses.replace(cfg, hold_time=row["tau_s"],
+                                           temperature=row["temperature_K"]))
+        assert row["log10_delta_v"] == math.log10(point.delta_v)
+        assert row["log10_delta_v_boosted"] == math.log10(point.delta_v_boosted)
 
 
 def test_sweep_range_validation():
