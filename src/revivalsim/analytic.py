@@ -149,7 +149,11 @@ def visibility_exact(omega: float, gamma_m: float, gamma_a: float, nbar: float,
         int_abs2 = (abs(b) ** 2 * sigma + 2.0 * (np.conj(b) * w * ramp).real
                     + np.abs(w) ** 2 * fade)
         log_v += 2.0 * coupling * int_u.imag - gamma_m * nbar * int_abs2
-        u = b + w * np.exp(kappa * sigma)
+        # np.multiply, not `w * np.exp(...)`: numpy reuses a temporary of
+        # 256 kB or more in place with the operands swapped, and its complex
+        # product is not bitwise commutative, so a time's value would depend
+        # on how many times come with it
+        u = b + np.multiply(w, np.exp(kappa * sigma))
     return np.exp(log_v - nbar * np.abs(u) ** 2)
 
 

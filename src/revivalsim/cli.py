@@ -43,12 +43,13 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICS = 4
 EXIT_WITNESS = 5
 
-# `analytic` row limits, checked before the grid is built.  Rows are written
-# a chunk at a time, so the peak is the formula's own arrays: above import,
-# 10^6 rows took 26 MB for thermal, 48 MB for damped and 123 MB for
-# damped-exact (complex temporaries), so 10^7 rows take at most about 1.2 GB,
-# and the benchmark's largest grid is 50,000.  MAX_SAMPLES also caps the
-# cells of a `design --sweep`, whose row dicts cost about 360 B a cell.
+# `analytic` row limits, checked before the grid is built.  Rows are written,
+# and damped-exact evaluated, a chunk at a time, so the peak is the formula's
+# own arrays: above import, 10^6 rows took 20 MB for damped-exact, 25 MB for
+# thermal, 41 MB for many-atom and 48 MB for damped and boosted (186 MB at
+# 4 x 10^6), so 10^7 rows take at most about 0.5 GB, and the benchmark's
+# largest grid is 50,000.  MAX_SAMPLES also caps the cells of a
+# `design --sweep`, whose row dicts cost about 360 B a cell.
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
 # `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
@@ -239,10 +240,15 @@ def cmd_analytic(args) -> int:
                 vis = analytic.visibility_damped(params, grid)
             elif formula == "damped-exact":
                 # the basic protocol at omega = 1; --gamma-a is the coherence
-                # decay over omega, twice the engine's sigma_z jump rate
-                vis = analytic.visibility_exact(
-                    1.0, 1.0 / params.q_factor, 0.5 * params.qubit_decay, params.nbar,
-                    [(2.0 * math.pi * t_max, params.coupling, False)], grid)
+                # decay over omega, twice the engine's sigma_z jump rate.  It
+                # is elementwise, so a chunk at a time bounds its temporaries
+                segments = [(2.0 * math.pi * t_max, params.coupling, False)]
+                vis = np.empty(samples)
+                for start in range(0, samples, CSV_CHUNK_ROWS):
+                    chunk = slice(start, start + CSV_CHUNK_ROWS)
+                    vis[chunk] = analytic.visibility_exact(
+                        1.0, 1.0 / params.q_factor, 0.5 * params.qubit_decay, params.nbar,
+                        segments, grid[chunk])
             elif formula == "boosted":
                 vis = analytic.visibility_boosted(params, grid)
             else:  # many-atom

@@ -53,8 +53,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from . import dop853
 from .analytic import visibility_exact
 
 EXACT_ERROR_BOUND = 1e-7   # max tolerated |V - V_exact| along a trace
@@ -65,16 +65,17 @@ FIRST_STEP = 1e-3          # first solver step of each protocol segment
 DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of a default dim
 
 # Largest Fock dim a run may use.  One (d, d) real protocol block takes
-# 8 d^2 bytes (2.1 MB at 512) and its solver and right-hand side hold about
-# 35 of them; a run that keeps its states adds a complex (2d, 2d) joint state
-# per sample (so `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).
+# 8 d^2 bytes (2.1 MB at 512) and a run peaks at about 50 of them, 16 of
+# them the solver's stages (tracemalloc at dim 122: 6.0 MB); a run that keeps
+# its states adds a complex (2d, 2d) joint state per sample (so `verify`
+# bounds its kept states by `cli.MAX_STATE_VALUES`).
 # So a dim far beyond the supported envelope (122 at lambda = 0.3, nbar = 5;
 # 268 at lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused
 # before anything is built.
 MAX_DIM = 512
 
 # Most samples (samples_per_period x t_max / period) a run may take: `simulate`
-# peaks at about 1.0 kB per sample above import with JSON output and 0.4 kB
+# peaks at about 0.9 kB per sample above import with JSON output and 0.2 kB
 # with CSV (2 x 10^5 samples, at dim 33 and dim 122 alike), so 10^6 take
 # about 1 GB; the benchmark's 401.
 MAX_RUN_SAMPLES = 10**6
@@ -337,36 +338,44 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
     None the whole blocks, shape (len(t), *blocks0.shape).  The state is real
     or complex as blocks0 is.
 
-    The loop is scipy's DOP853 step by step: the class's own tableau, its
-    first f and first step from its constructor, its step-size controller
-    and its numpy operations in its order, so samples and records equal
-    solve_ivp(method="DOP853", t_eval=t_eval) bit for bit.  Samples come from
-    each accepted step's dense output at the t_eval points in (t_old, t] (the
-    first step also takes t = 0).  The 7-term interpolant is built only on
-    the read entries, and on all of them once, at t_eval[-1], the returned
-    end.  Returns the blocks at t_eval[-1] and the segment record
+    The loop is scipy's DOP853 step by step: its tableau (`dop853`), its
+    first f at t = 0, its first step (first_step, in (0, t_eval[-1]], or
+    `_initial_step`), its step-size controller and its numpy operations in
+    its order, so samples and records equal solve_ivp(method="DOP853",
+    t_eval=t_eval) bit for bit.  Samples come from each accepted step's dense
+    output at the t_eval points in (t_old, t] (the first step also takes
+    t = 0).  The 7-term interpolant is built only on the read entries, and on
+    all of them once, at t_eval[-1], the returned end.  Returns the blocks at
+    t_eval[-1] and the segment record
     {duration, nfev, steps, rejected, dense_outputs, wall_s}; raises
-    IntegrationError when the step size falls below 10 ulp of t.
+    ValueError on a non-finite start or a first step outside (0, t_eval[-1]],
+    and IntegrationError when the step size falls below 10 ulp of t.
     """
     started = time.perf_counter()
     t_end = float(t_eval[-1])
+    y0 = np.ravel(blocks0)
+    if not np.isfinite(y0).all():
+        raise ValueError("every entry of the initial blocks must be finite")
+    f0 = rhs(0.0, y0)
+    if first_step is None:
+        h_abs, setup_nfev = _initial_step(rhs, y0, f0, t_end), 2
+    elif 0 < first_step <= t_end:
+        h_abs, setup_nfev = first_step, 1
+    else:
+        raise ValueError(f"first step {first_step} is outside (0, {t_end}]")
     # the embedded 4/5 pair at rtol 1e-10 accumulates ~2e-8 of global error
     # over a full revival at the (lam=0.5, nbar=5) corner of the supported
     # envelope; the higher-order embedded pair is faster and ~20x tighter
-    solver = DOP853(rhs, 0.0, np.ravel(blocks0), t_end, rtol=RTOL, atol=ATOL,
-                    first_step=first_step)
-    setup_nfev, rtol, atol, h_abs = solver.nfev, solver.rtol, solver.atol, solver.h_abs
-    n_stages, n, dtype = DOP853.n_stages, solver.n, solver.y.dtype
-    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
-    A_EXTRA, C_EXTRA = DOP853.A_EXTRA, DOP853.C_EXTRA
-    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    n_stages, n, dtype = dop853.N_STAGES, y0.size, y0.dtype
+    A, B, C, E3, E5 = dop853.A, dop853.B, dop853.C, dop853.E3, dop853.E5
+    n_extra = dop853.N_STAGES_EXTENDED - n_stages - 1
+    exponent = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
     # rows: the stages, f at the step end, then the dense output's extra stages
-    K = np.empty((n_stages + 1 + len(A_EXTRA), n), dtype=dtype)
+    K = np.empty((dop853.N_STAGES_EXTENDED, n), dtype=dtype)
     stages = K[: n_stages + 1]
-    K[0] = solver.f
+    K[0] = f0
     y, y_new = np.empty((2, n), dtype=dtype)
-    y[:] = solver.y
-    del solver  # its own stage buffer
+    y[:] = y0
     abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
     dy, err5, err3 = np.empty((3, n), dtype=dtype)
     cols = slice(None) if read is None else np.asarray(read)
@@ -399,8 +408,8 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
             trials += 1
             np.abs(y_new, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
-            scale *= rtol
-            scale += atol
+            scale *= RTOL
+            scale += ATOL
             np.divide(np.dot(stages.T, E5, out=err5), scale, out=err5)
             np.divide(np.dot(stages.T, E3, out=err3), scale, out=err3)
             err5_norm_2 = np.linalg.norm(err5) ** 2
@@ -423,11 +432,11 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
         steps += 1
         upto = np.searchsorted(t_eval, t, side="right")
         if upto > taken:
-            for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=n_stages + 1):
-                np.dot(K[:s].T, a[:s], out=dy)
+            for s in range(n_stages + 1, len(K)):
+                np.dot(K[:s].T, A[s, :s], out=dy)
                 dy *= h
                 dy += y_old
-                K[s] = rhs(t_old + c * h, dy)
+                K[s] = rhs(t_old + C[s] * h, dy)
             dense_outputs += 1
             if t >= t_end:  # the end is the carried block: every entry, at t_end only
                 end = _dense_values(K, h, y_old, y, t_eval[-1:] - t_old, slice(None))[0]
@@ -437,10 +446,32 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
             taken = upto
         K[0] = K[n_stages]
     record = {"duration": t_end,
-              "nfev": setup_nfev + n_stages * trials + len(A_EXTRA) * dense_outputs,
+              "nfev": setup_nfev + n_stages * trials + n_extra * dense_outputs,
               "steps": steps, "rejected": trials - steps,
               "dense_outputs": dense_outputs, "wall_s": time.perf_counter() - started}
     return end.reshape(blocks0.shape), record
+
+
+def _initial_step(rhs, y0, f0, t_end):
+    """scipy's `select_initial_step` for DOP853 from t = 0 to t_end at
+    RTOL/ATOL (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), in its
+    numpy operations and their order: one evaluation of rhs, at t = h0."""
+    scale = ATOL + np.abs(y0) * RTOL
+    d0, d1 = _rms_norm(y0 / scale), _rms_norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(h0, y0 + h0 * f0)
+    d2 = _rms_norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (dop853.ERROR_ESTIMATOR_ORDER + 1))
+    return min(100 * h0, h1, t_end)
+
+
+def _rms_norm(x):
+    """Root-mean-square norm, as scipy's step-size rules take it."""
+    return np.linalg.norm(x) / x.size ** 0.5
 
 
 def _dense_values(K, h, y_old, y, elapsed, cols):
@@ -448,12 +479,12 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
     stages K, built and evaluated on the flat entries cols only, at the times
     t_old + elapsed; shape (len(elapsed), len(cols))."""
     delta_y = y[cols] - y_old[cols]
-    f_old, f_new = K[0, cols], K[DOP853.n_stages, cols]
-    F = np.empty((3 + len(DOP853.D), len(delta_y)), dtype=K.dtype)
+    f_old, f_new = K[0, cols], K[dop853.N_STAGES, cols]
+    F = np.empty((3 + len(dop853.D), len(delta_y)), dtype=K.dtype)
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f_new + f_old)
-    F[3:] = h * np.dot(DOP853.D, K[:, cols])
+    F[3:] = h * np.dot(dop853.D, K[:, cols])
     x = (elapsed / h)[:, None]
     values = np.zeros((len(x), len(delta_y)), dtype=K.dtype)
     for i, f in enumerate(reversed(F)):

@@ -345,11 +345,18 @@ def test_coupling_params_validation():
 
 
 def test_closed_forms_import_without_scipy():
+    # nor does the CLI, an engine run or a separable-channel run
     import revivalsim
 
     src = str(Path(revivalsim.__file__).resolve().parents[1])
-    code = ("import sys, revivalsim.analytic, revivalsim.design; "
-            "print('scipy' in sys.modules)")
+    code = ("import sys\n"
+            "import revivalsim.analytic, revivalsim.design, revivalsim.cli\n"
+            "from revivalsim import lindblad, witness\n"
+            "lindblad.run_protocol(lindblad.ProtocolConfig(g=0.05, nbar=0.5, gamma_m=0.01,\n"
+            "                                              gamma_a=0.01, t_max=1.0))\n"
+            "witness.simulate_separable(witness.random_separable_spec(1, 4),\n"
+            "                           witness.random_product_state(1, 4), 1.0, samples=4)\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

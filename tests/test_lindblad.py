@@ -28,7 +28,7 @@ from revivalsim.analytic import (
 )
 from revivalsim.cli import _protocol_config_from_file, main
 from revivalsim.config import parse_config_file
-from revivalsim import lindblad
+from revivalsim import dop853, lindblad
 from revivalsim.lindblad import (
     ATOL,
     MAX_DIM,
@@ -375,6 +375,24 @@ def test_diagonal_read_equals_solve_ivp(first_step, kind, monkeypatch):
     assert (rejected > 0) == (first_step == 2.0)
 
 
+@pytest.mark.parametrize("rhs, y0, t_end", [
+    (lambda t, y: -1000.0 * y, np.ones(4), 0.05),     # 100 h0 sets the step
+    (lambda t, y: np.ones_like(y), np.zeros(4), 1.0),  # a zero start: h0 = 1e-6
+    (lambda t, y: np.zeros_like(y), np.ones(4), 1.0),  # f = 0: max(1e-6, h0 / 1000)
+    (lambda t, y: -y, np.ones(4), 1e-3)],              # the segment's end
+    ids=["fast-decay", "zero-start", "steady", "short"])
+def test_first_step_rule_equals_solve_ivp(rhs, y0, t_end):
+    # each branch of the first-step rule takes scipy's steps bit for bit
+    t_eval = np.linspace(0.0, t_end, 5)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", t_eval=t_eval, rtol=RTOL,
+                    atol=ATOL)
+    chunks = []
+    _, record = integrate_blocks(rhs, y0, t_eval, lambda t, values: chunks.append(values.copy()))
+    assert np.array_equal(np.concatenate(chunks), sol.y.T)
+    assert record["nfev"] == sol.nfev
+    assert (record["steps"], record["rejected"]) == _scipy_step_counts(rhs, y0, t_end, None)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("first_step", [None, 1e-3])
 @pytest.mark.parametrize("nan_from", [0.0, 0.5])
@@ -390,11 +408,45 @@ def test_nan_right_hand_side_raises_integration_error(first_step, nan_from):
                          lambda t, values: None, first_step=first_step)
 
 
+@pytest.mark.parametrize("first_step", [1.0 + 1e-9, 0.0])
+def test_first_step_outside_the_segment_raises_value_error(first_step):
+    # as scipy's DOP853 constructor does, before any step
+    rhs, blocks0, t_eval = (lambda t, y: -y), np.eye(3), np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError):
+        DOP853(rhs, 0.0, blocks0.ravel(), 1.0, first_step=first_step)
+    with pytest.raises(ValueError, match="first step"):
+        integrate_blocks(rhs, blocks0, t_eval, lambda t, values: None, first_step=first_step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_start_raises_value_error(bad):
+    blocks0 = np.eye(3, dtype=complex)
+    blocks0[1, 2] = bad
+    rhs, t_eval = (lambda t, y: -y), np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError):
+        DOP853(rhs, 0.0, blocks0.ravel(), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_blocks(rhs, blocks0, t_eval, lambda t, values: None)
+
+
+def test_tableau_equals_scipys_dop853():
+    n = dop853.N_STAGES
+    assert n == DOP853.n_stages
+    assert dop853.ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+    assert dop853.A.shape == (dop853.N_STAGES_EXTENDED,) * 2
+    ours = {"A": dop853.A[:n, :n], "A_EXTRA": dop853.A[n + 1:], "B": dop853.B,
+            "C": dop853.C[:n], "C_EXTRA": dop853.C[n + 1:], "E3": dop853.E3,
+            "E5": dop853.E5, "D": dop853.D}
+    for name, value in ours.items():
+        assert np.array_equal(value, getattr(DOP853, name)), name
+
+
 def test_stability_length_matches_the_tableau():
     # R(-x) = 1 - x B (I + x A)^-1 1 is DOP853's stability polynomial
     def growth(x):
-        ones = np.ones(DOP853.n_stages)
-        return abs(1.0 - x * DOP853.B @ np.linalg.solve(np.eye(len(ones)) + x * DOP853.A, ones))
+        n = dop853.N_STAGES
+        ones, a = np.ones(n), dop853.A[:n, :n]
+        return abs(1.0 - x * dop853.B @ np.linalg.solve(np.eye(n) + x * a, ones))
 
     assert all(growth(x) <= 1.0 for x in np.linspace(0.0, STABILITY_LENGTH, 640))
     assert growth(STABILITY_LENGTH + 0.01) > 1.0
