@@ -21,26 +21,33 @@ state's own nbar, rho00 = D(alpha) thermal(nbar) D(alpha)^dag / 2, with alpha
 the damped, driven classical amplitude.  That closed form gives the tail mass
 and the rho00 and rho11 blocks of kept states.
 
-rho01 takes one DOP853 solve (`integrate_blocks`) per segment.  As P a P = -a,
-M = rho01 P obeys a Hermiticity-preserving equation, truncation included, and
-starts real and diagonal (thermal(nbar) P / 2), so the solve carries the d^2
-real numbers R = Re M + Im M, and M = sym(R) + i antisym(R).  Tr rho01 =
-Tr M P = sum_n (-1)^n R_nn is real, so <sigma_minus> has no imaginary part,
-and the sigma_x echo gate, rho01 -> rho01^dag = P M, maps M to P M P.  R
-evolves in the frame rotating with omega ad a, exact for the truncated
-operators: the coupling becomes coupling (a e^{-i omega t} + ad e^{i omega t}),
-and the right-hand side is six banded shifts of the flat block with real
-weights.  The block returns to the lab frame through M at each segment end
-(before a gate) and when kept, as rho01 = M P.  A run holds O(d^2) memory
-unless it keeps its states, which go into one (n, 2d, 2d) array.
+As P a P = -a, M = rho01 P obeys a Hermiticity-preserving equation,
+truncation included, and starts real and diagonal (thermal(nbar) P / 2);
+runs carry it from segment to segment as the d^2 real numbers R = Re M + Im M,
+with M = sym(R) + i antisym(R).  Tr rho01 = Tr M P is real, so <sigma_minus>
+has no imaginary part, and the sigma_x echo gate, rho01 -> rho01^dag = P M,
+maps M to P M P.  Kept states hold rho01 = M P.
+
+Without oscillator damping (gamma_m = 0), M obeys dM/dt = -i[H, M] - 2 gamma_a M
+exactly, truncation included, with H = omega ad a + coupling (a + ad) real,
+symmetric and tridiagonal.  So each segment is propagated in closed form,
+from one eigh of H per distinct coupling (`_exact_segment`); nothing steps.
+
+With damping, rho01 takes one DOP853 solve (`integrate_blocks`) per segment.
+The solve carries R in the frame rotating with omega ad a, exact for the
+truncated operators: the coupling becomes coupling (a e^{-i omega t} + ad
+e^{i omega t}), and the right-hand side is six banded shifts of the flat block
+with real weights.  The block returns to the lab frame through M at each
+segment end (before a gate) and when kept.  A run holds O(d^2) memory on
+either path unless it keeps its states, which go into one (n, 2d, 2d) array.
 
 A run is refused before anything is allocated when it asks for more than
 `MAX_RUN_SAMPLES` samples or `ProtocolConfig.resolved_dim`, the one Fock-dim
-rule, refuses its dim, and before it steps when its fastest decay needs more
-than `MAX_STEP_BOUND` explicit steps.  Once integrated, it is refused when its
-displaced state fills its top two levels beyond `TAIL_MASS_BOUND`, or when a
-sample is more than `EXACT_ERROR_BOUND` off the model's exact visibility
-(`analytic.visibility_exact`).
+rule, refuses its dim, and, damped, before it steps when its fastest decay
+needs more than `MAX_STEP_BOUND` explicit steps.  Once evolved, it is refused
+when its displaced state fills its top two levels beyond `TAIL_MASS_BOUND`, or
+when a sample is more than `EXACT_ERROR_BOUND` off the model's exact
+visibility (`analytic.visibility_exact`).
 """
 
 from __future__ import annotations
@@ -89,6 +96,13 @@ STABILITY_LENGTH = 6.39
 # bounds at ~260 and takes ~500 steps (~700 trials); a rate far above omega
 # would step for hours.
 MAX_STEP_BOUND = 100_000
+
+# Samples of an undamped segment whose sigma one gemm computes: a block's
+# temporaries are four (SIGMA_BLOCK, d) complex arrays, 0.5 MB each at dim 122
+SIGMA_BLOCK = 256
+# Samples per `analytic.visibility_exact` call of a run's check: its
+# temporaries are about a dozen complex arrays of them, 1.6 MB in all
+CHECK_CHUNK = 8192
 
 # scipy's DOP853 step-size controller: safety factor and step-change limits
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
@@ -226,7 +240,11 @@ class VisibilityTrace:
     (n, 2d, 2d).  exact_error (`run_protocol`) is each sample's |V - V_exact|,
     trace_error (`witness.simulate_separable`) its |Tr rho - 1|; the other is
     None.  stats records the run: the Fock dim and the rule that chose it, a
-    solver record per segment and each diagnostic's worst value and bound.
+    record per segment and each diagnostic's worst value and bound.  A
+    `run_protocol` segment records its duration and coupling, then either its
+    DOP853 solve's nfev, steps, rejected, dense_outputs and wall_s (damped
+    runs: only a stepper evolves them) or `propagator` "exact_eigh" and wall_s
+    (undamped runs: rho01 P evolves under a fixed H, so nothing steps).
     """
 
     times: np.ndarray
@@ -250,6 +268,11 @@ def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
     one time per sample of an (n, d, d) block path."""
     level = np.arange(blocks.shape[-1])
     return blocks * np.exp(-1j * omega * np.multiply.outer(t, level[:, None] - level))
+
+
+def _signs(dim: int) -> np.ndarray:
+    """The diagonal (-1)^n of P on levels 0..dim-1."""
+    return 1.0 - 2.0 * (np.arange(dim) % 2)
 
 
 def _root(dim: int) -> np.ndarray:
@@ -530,21 +553,70 @@ def _displaced_thermal(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
+def _eigensystem(cfg: ProtocolConfig, dim: int, coupling: float):
+    """(E, V, V^T P V) of the real, symmetric, tridiagonal H = omega ad a +
+    coupling (a + ad) on the dim levels, H = V diag(E) V^T: the Hamiltonian
+    that M = rho01 P evolves under."""
+    root = _root(dim)[:-1]
+    hamiltonian = (np.diag(cfg.omega * np.arange(dim, dtype=float))
+                   + np.diag(coupling * root, 1) + np.diag(coupling * root, -1))
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return energies, vectors, (vectors.T * _signs(dim)) @ vectors
+
+
+def _exact_segment(eigensystem, block, t_eval, gamma_a, sigma, rho01):
+    """Propagate M = rho01 P through one undamped segment in closed form,
+    from its real form `block` at t = 0 (see the module docstring):
+
+        M(t) = e^{-2 gamma_a t} V e^{-iEt} A e^{iEt} V^T,  A = V^T M(0) V,
+
+    with (E, V, V^T P V) = `eigensystem`.  So each sample's Tr M P is
+    e^{-2 gamma_a t} sum_jk e^{-i(E_j - E_k)t} A_jk (V^T P V)_kj, one gemm per
+    `SIGMA_BLOCK` samples, written into sigma; when rho01 is not None, the
+    kept lab-frame M P of each sample is written into it.  Returns the
+    lab-frame M at t_eval[-1] and the segment record {propagator, wall_s}."""
+    started = time.perf_counter()
+    energies, vectors, mode_parity = eigensystem
+    modes = vectors.T @ _hermitian(block) @ vectors
+    weights = (modes * mode_parity).T  # V^T P V is symmetric
+    signs = _signs(len(energies))
+
+    def propagate(t):  # M(t) without its dephasing factor
+        turned = vectors * np.exp(-1j * t * energies)  # V e^{-iEt}
+        return turned @ modes @ turned.conj().T
+
+    for lo in range(0, len(t_eval), SIGMA_BLOCK):
+        t = t_eval[lo:lo + SIGMA_BLOCK]
+        fade = np.exp(-2.0 * gamma_a * t)
+        phase = np.exp(1j * np.multiply.outer(t, energies))
+        sigma[lo:lo + len(t)] = fade * ((phase @ weights) * phase.conj()).sum(axis=-1).real
+        if rho01 is not None:
+            for row, (t_row, fade_row) in enumerate(zip(t, fade), lo):
+                rho01[row] = fade_row * propagate(t_row) * signs
+    end = math.exp(-2.0 * gamma_a * t_eval[-1]) * propagate(t_eval[-1])
+    return end, {"propagator": "exact_eigh", "wall_s": time.perf_counter() - started}
+
+
 def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
                   keep_states: bool) -> VisibilityTrace:
-    """Evolve rho01 through (duration, coupling, flip_after) segments, one
-    DOP853 solve each; the populations come in closed form."""
+    """Evolve rho01 through (duration, coupling, flip_after) segments; the
+    populations come in closed form.  An undamped run (gamma_m = 0) propagates
+    each segment exactly (`_exact_segment`), from one eigh per coupling; a
+    damped one takes one DOP853 solve (`integrate_blocks`) per segment, which
+    nothing else can step."""
     dim = cfg.resolved_dim()
-    # an explicit step is stable only while h |rate| stays within
-    # STABILITY_LENGTH, so the fastest decay bounds the step count below
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where a rate overflows
-        rate = np.nanmax(np.abs(_decay(cfg, dim)))
-    min_steps = rate * sum(duration for duration, _, _ in segments) / STABILITY_LENGTH
-    if not min_steps <= MAX_STEP_BOUND:  # NaN is refused too
-        raise IntegrationError(
-            f"stiff run: decay rate {rate:.3e} needs at least {min_steps:.3e} explicit "
-            f"steps, above {MAX_STEP_BOUND:.0e}; the damping is too fast for the "
-            "explicit solver")
+    exact = cfg.gamma_m == 0
+    if not exact:
+        # an explicit step is stable only while h |rate| stays within
+        # STABILITY_LENGTH, so the fastest decay bounds the step count below
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where a rate overflows
+            rate = np.nanmax(np.abs(_decay(cfg, dim)))
+        min_steps = rate * sum(duration for duration, _, _ in segments) / STABILITY_LENGTH
+        if not min_steps <= MAX_STEP_BOUND:  # NaN is refused too
+            raise IntegrationError(
+                f"stiff run: decay rate {rate:.3e} needs at least {min_steps:.3e} explicit "
+                f"steps, above {MAX_STEP_BOUND:.0e}; the damping is too fast for the "
+                "explicit solver")
     period = 2.0 * math.pi / cfg.omega
     grids = []
     for duration, _, _ in segments:
@@ -554,13 +626,14 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     n_samples = sum(map(len, grids))
     sigma = np.empty(n_samples)
     states = np.empty((n_samples, 2 * dim, 2 * dim), complex) if keep_states else None
-    rhs = {c: _real_rhs(cfg, dim, c) for c in {seg[1] for seg in segments}}
+    propagators = {c: (_eigensystem if exact else _real_rhs)(cfg, dim, c)
+                   for c in {seg[1] for seg in segments}}
     # |+><+| (x) thermal(nbar), renormalized on the dim levels: rho01 = thermal/2,
     # so R = M = thermal P / 2
     probs = np.exp(np.arange(dim) * math.log(cfg.nbar / (cfg.nbar + 1.0))) if cfg.nbar \
         else np.eye(dim)[0]
     probs /= probs.sum()
-    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    parity = _signs(dim)
     block = np.diag(0.5 * probs * parity)
     # a bare run reads only each sample's diagonal; kept states read it all
     read = None if keep_states else np.arange(dim) * (dim + 1)
@@ -578,10 +651,17 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     # rho00 = D(alpha) thermal D(alpha)^dag / 2 with alpha' = drift alpha - i coupling
     drift, records, alphas, start = -(1j * cfg.omega + 0.5 * cfg.gamma_m), [], [], 0j
     for (duration, coupling, flip), t_eval in zip(segments, grids):
-        block, record = integrate_blocks(rhs[coupling], block, t_eval, sample, read=read,
-                                         first_step=min(FIRST_STEP, duration / 2))
+        if exact:
+            rows = slice(taken, taken + len(t_eval))
+            taken = rows.stop
+            block, record = _exact_segment(
+                propagators[coupling], block, t_eval, cfg.gamma_a, sigma[rows],
+                None if states is None else states[rows, :dim, dim:])
+        else:
+            block, record = integrate_blocks(propagators[coupling], block, t_eval, sample,
+                                             read=read, first_step=min(FIRST_STEP, duration / 2))
+            block = _to_lab(_hermitian(block), cfg.omega, duration)
         records.append({"duration": duration, "coupling": coupling} | record)
-        block = _to_lab(_hermitian(block), cfg.omega, duration)
         fixed = 1j * coupling / drift
         alphas.append(fixed + (start - fixed) * np.exp(drift * t_eval))
         start = alphas[-1][-1]  # t_eval ends at the segment's end
@@ -596,8 +676,10 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         states[:, :dim, :dim], states[:, dim:, dim:] = rho00, _parity(rho00)
         states[:, dim:, :dim] = states[:, :dim, dim:].conj().swapaxes(-1, -2)
     visibility = 2.0 * np.abs(sigma)
-    exact_error = np.abs(visibility - visibility_exact(
-        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times))
+    # visibility_exact is elementwise, so a chunk at a time bounds its temporaries
+    exact_error = np.abs(visibility - np.concatenate([visibility_exact(
+        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times[lo:lo + CHECK_CHUNK])
+        for lo in range(0, len(times), CHECK_CHUNK)]))
     tail = _top_levels_mass(cfg.nbar, alpha, dim)
     stats = {"dim": dim, "dim_rule": "config" if cfg.dim else "displaced_thermal_tail",
              "dim_tail_mass": float(next(m for d, m in cfg._dim_tails() if d == dim)),

@@ -899,18 +899,33 @@ def test_analytic_refusal_is_one_stderr_line(flags, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("rate", ["gamma_a = 1e155", "gamma_m = 1e12"])
-def test_stiff_simulate_is_refused_before_integrating(rate, tmp_path, capsys):
+@pytest.mark.parametrize("rates", ["gamma_m = 0.01, gamma_a = 1e155", "gamma_m = 1e12"])
+def test_stiff_simulate_is_refused_before_integrating(rates, tmp_path, capsys):
     # gamma_a = 1e155 stepped past a 60 s timeout: explicit steps shrink to
-    # the decay time and nothing bounded their number
+    # the decay time and nothing bounded their number.  Only a damped run
+    # steps; an undamped one is propagated exactly and never refused
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"units = natural\ng = 0.05\n{rate}\n")
+    cfg.write_text("units = natural\ng = 0.05\n" + "\n".join(rates.split(", ")) + "\n")
     started = time.perf_counter()
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
     assert code == 4 and time.perf_counter() - started < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: stiff run")
     assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_undamped_simulate_is_never_refused_as_stiff(tmp_path):
+    # the dephasing that makes a damped run stiff only fades an undamped one,
+    # which is propagated exactly: V = 1 at t = 0 and 0 after
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 0.05\ngamma_a = 1e155\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    visibility = [float(row[header.index("visibility")]) for row in rows]
+    assert visibility[0] == pytest.approx(1.0, abs=1e-15) and set(visibility[1:]) == {0.0}
+    segments = _read_manifest(out)["stats"]["segments"]
+    assert [s["propagator"] for s in segments] == ["exact_eigh"]
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate"])

@@ -31,6 +31,7 @@ from revivalsim.config import parse_config_file
 from revivalsim import dop853, lindblad
 from revivalsim.lindblad import (
     ATOL,
+    EXACT_ERROR_BOUND,
     MAX_DIM,
     MAX_RUN_SAMPLES,
     MAX_STEP_BOUND,
@@ -471,10 +472,31 @@ def test_step_bound_refuses_before_integrating(monkeypatch):
         run_protocol(cfg)
 
 
-@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
-def test_keep_states_leaves_visibility_bit_identical(protocol):
+def test_step_bound_counts_only_stepped_runs():
+    # an undamped run is propagated exactly, so dephasing far beyond the
+    # bound's reach (~1.2e5 steps here) never refuses it; the damped run at
+    # the same rates would step, and is refused
+    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_a=6e4, t_max=2.0 * math.pi,
+                         samples_per_period=100_000)
+    assert 2.0 * cfg.gamma_a * cfg.resolved_t_max() / STABILITY_LENGTH > MAX_STEP_BOUND
+    trace = run_protocol(cfg)
+    assert trace.stats["worst_exact_error"] <= EXACT_ERROR_BOUND
+    # the dephasing factor e^{-2 gamma_a t} is resolved before it underflows
+    fade = np.exp(-2.0 * cfg.gamma_a * trace.times[1:4])
+    assert fade[0] > 1e-4
+    assert trace.visibility[1:4] == pytest.approx(fade, rel=1e-9)
+    with pytest.raises(IntegrationError, match="stiff run"):
+        run_protocol(dataclasses.replace(cfg, gamma_m=0.01))
+
+
+@pytest.mark.parametrize("protocol, gamma_m", [
+    ("basic", 0.01), ("boosted", 0.01), ("spin_echo", 0.01), ("spin_echo", 0.0)],
+    ids=["basic", "boosted", "spin_echo", "spin_echo_undamped"])
+def test_keep_states_leaves_visibility_bit_identical(protocol, gamma_m):
+    # damped runs read one DOP853 solve; undamped ones the exact propagator,
+    # whose sigma takes the same gemm whether or not states are kept
     cfg = ProtocolConfig(g=0.1, g_prime=0.05 if protocol == "boosted" else 0.0,
-                         nbar=1.0, gamma_m=0.01, gamma_a=0.002, protocol=protocol,
+                         nbar=1.0, gamma_m=gamma_m, gamma_a=0.002, protocol=protocol,
                          samples_per_period=30)
     kept, bare = run_protocol(cfg, keep_states=True), run_protocol(cfg)
     assert bare.states is None and len(kept.states) == len(kept.times)
@@ -584,14 +606,29 @@ def test_spin_echo_pre_closing_and_closure():
          t_max=4.0 * math.pi),
     dict(g=0.1, nbar=1.0, gamma_m=0.02, gamma_a=0.005, protocol="spin_echo"),
     dict(g=0.1, nbar=1.0, gamma_m=0.1, gamma_a=0.01),  # Q = 10, dim 36
-], ids=["basic", "boosted", "spin_echo", "basic_q10"])
+    dict(g=0.1, g_prime=0.1, nbar=1.0, gamma_a=0.01, protocol="boosted",
+         t_max=4.0 * math.pi),  # undamped: the exact propagator
+], ids=["basic", "boosted", "spin_echo", "basic_q10", "boosted_undamped"])
 def test_engine_matches_exact_visibility(point):
-    # damping and dephasing on every protocol; measured 1.1e-10 to 3.6e-10
+    # damping and dephasing on every protocol; measured 1.1e-10 to 3.6e-10,
+    # and 1.1e-10 undamped
     cfg = ProtocolConfig(samples_per_period=40, **point)
     trace = run_protocol(cfg)
     exact = visibility_exact(cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar,
                              _segments(cfg), trace.times)
     assert np.max(np.abs(trace.visibility - exact)) <= 1e-8
+    assert np.array_equal(trace.exact_error, np.abs(trace.visibility - exact))
+
+
+def test_exact_check_runs_in_chunks_bit_for_bit():
+    # the check calls visibility_exact a chunk at a time, and reads its
+    # whole-grid value: 8,194 + 1 samples make two chunks
+    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_a=0.002,
+                         samples_per_period=lindblad.CHECK_CHUNK // 2 + 1)
+    trace = run_protocol(cfg)
+    assert len(trace.times) > lindblad.CHECK_CHUNK
+    exact = visibility_exact(cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar,
+                             _segments(cfg), trace.times)
     assert np.array_equal(trace.exact_error, np.abs(trace.visibility - exact))
 
 
@@ -660,11 +697,13 @@ def test_kept_rho00_matches_a_solve_of_its_block(protocol):
          t_max=4.0 * math.pi),
     dict(g=0.2, nbar=2.0, gamma_m=0.05, gamma_a=0.01, protocol="spin_echo"),
     dict(g=0.1, nbar=0.5, gamma_m=0.1, gamma_a=0.01),  # Q = 10
-], ids=["basic", "boosted", "spin_echo", "basic_q10"])
+    dict(g=0.2, nbar=2.0, gamma_a=0.01, protocol="spin_echo"),  # the exact propagator
+], ids=["basic", "boosted", "spin_echo", "basic_q10", "spin_echo_undamped"])
 def test_real_form_matches_a_solve_of_the_complex_rho01_block(point):
     # the engine's R = Re M + Im M, M = rho01 P, against the complex rho01
     # block (z_right = -1) integrated tightly: the kept rho01 = M P and
-    # V = 2 |Tr rho01|; measured at most 1.7e-11 and 2.9e-10
+    # V = 2 |Tr rho01|; measured at most 1.7e-11 and 2.9e-10 (undamped:
+    # 1.3e-13 and 3.1e-12)
     cfg = ProtocolConfig(samples_per_period=24, **point)
     trace = run_protocol(cfg, keep_states=True)
     dim = trace.stats["dim"]
@@ -721,6 +760,46 @@ def test_each_segment_is_one_rho01_solve(protocol, monkeypatch):
         "basic": 1, "boosted": 2, "spin_echo": 4}[protocol]
     for s in segments:
         assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
+
+
+@pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
+def test_undamped_segments_take_one_eigh_per_coupling(protocol, monkeypatch):
+    # gamma_m = 0: nothing steps, H is diagonalized once per distinct
+    # coupling, and each segment records the exact propagator
+    cfg = ProtocolConfig(g=0.1, g_prime=0.05 if protocol == "boosted" else 0.0,
+                         nbar=1.4, gamma_a=0.002, protocol=protocol)
+    couplings = []
+
+    def spy(cfg, dim, coupling):
+        couplings.append(coupling)
+        return eigensystem(cfg, dim, coupling)
+
+    eigensystem = lindblad._eigensystem
+    monkeypatch.setattr(lindblad, "_eigensystem", spy)
+    monkeypatch.setattr(lindblad, "integrate_blocks", lambda *a, **k: pytest.fail("stepped"))
+    segments = run_protocol(cfg).stats["segments"]
+    assert sorted(couplings) == sorted({s["coupling"] for s in segments})
+    assert len(segments) == {"basic": 1, "boosted": 2, "spin_echo": 4}[protocol]
+    for s in segments:
+        assert set(s) == {"duration", "coupling", "propagator", "wall_s"}
+        assert s["propagator"] == "exact_eigh" and s["wall_s"] > 0
+
+
+def test_dop853_meets_the_exact_propagator_undamped():
+    # undamped runs no longer step, so this keeps DOP853 on the real-form
+    # generator covered there: at the envelope's worst corner (lam 0.3,
+    # nbar 5, dim 122) its samples against the exact path's; measured 1.2e-9
+    cfg = ProtocolConfig(g=0.3, nbar=5.0, samples_per_period=100)
+    trace = run_protocol(cfg)
+    dim = trace.stats["dim"]
+    assert dim == 122
+    probs = thermal_density(cfg.nbar, dim).diagonal().real
+    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    chunks = []
+    integrate_blocks(_real_rhs(cfg, dim, cfg.g), np.diag(0.5 * probs * parity), trace.times,
+                     lambda t, values: chunks.append(values @ parity),
+                     read=np.arange(dim) * (dim + 1), first_step=lindblad.FIRST_STEP)
+    assert np.max(np.abs(np.concatenate(chunks) - trace.sigma_minus)) < 2e-9
 
 
 def test_diagnostics_stay_small_on_clean_run():
