@@ -30,8 +30,15 @@ maps M to P M P.  Kept states hold rho01 = M P.
 
 Without oscillator damping (gamma_m = 0), M obeys dM/dt = -i[H, M] - 2 gamma_a M
 exactly, truncation included, with H = omega ad a + coupling (a + ad) real,
-symmetric and tridiagonal.  So each segment is propagated in closed form,
-from one eigh of H per distinct coupling (`_exact_segment`); nothing steps.
+symmetric and tridiagonal: H = V diag(E) V^T from one eigh per distinct
+coupling.  Such a run never steps and never returns to the Fock basis: it
+carries the Hermitian mode matrix A = V^T M V, as its real form Re A + Im A,
+from the first sample to the last (`_exact_segment`).  Within a segment A_jk
+only picks up e^{-i(E_j - E_k)t} e^{-2 gamma_a t}; the echo gate maps A to
+Q A Q, Q = V^T P V, and a change of coupling to W A W^T, W = V_new^T V_old,
+two real gemms on the real form, as a real congruence keeps the symmetric and
+antisymmetric parts apart.  Each sample's Tr M P = Tr A Q, and each kept
+M = V A V^T, comes from the same A.
 
 With damping, rho01 takes one DOP853 solve (`integrate_blocks`) per segment.
 The solve carries R in the frame rotating with omega ad a, exact for the
@@ -52,8 +59,6 @@ visibility (`analytic.visibility_exact`).
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
 import numbers
 import time
@@ -98,10 +103,12 @@ STABILITY_LENGTH = 6.39
 MAX_STEP_BOUND = 100_000
 
 # Samples of an undamped segment whose sigma one gemm computes: a block's
-# temporaries are four (SIGMA_BLOCK, d) complex arrays, 0.5 MB each at dim 122
+# temporaries, and the phase steps its segment shares, are four arrays of
+# (SIGMA_BLOCK, d) complex values, 0.5 MB each at dim 122
 SIGMA_BLOCK = 256
-# Samples per `analytic.visibility_exact` call of a run's check: its
-# temporaries are about a dozen complex arrays of them, 1.6 MB in all
+# Samples per `analytic.visibility_exact` and `_top_levels_mass` call of a
+# run's checks: the first's temporaries are about a dozen complex arrays of
+# them, 1.6 MB in all, the second's a few real ones
 CHECK_CHUNK = 8192
 
 # scipy's DOP853 step-size controller: safety factor and step-change limits
@@ -196,29 +203,30 @@ class ProtocolConfig:
             return 4.0 * self.n_pi * lam
         return 2.0 * lam
 
-    def _dim_tails(self):
-        """Yield (d, P(n >= d - 2)) for d = 2, 3, ... of the state `resolved_dim` reads."""
-        mass = 1.0
-        for d, p in enumerate(_populations(self.nbar, self.max_displacement() ** 2), 2):
-            yield d, mass
-            mass -= p
+    def _dim_and_tail(self) -> tuple[int, float]:
+        """`resolved_dim` and the displaced thermal mass P(n >= dim - 2) at it,
+        from one walk of the populations in Python floats."""
+        dim = self.dim
+        if dim is None or 3 <= dim <= MAX_DIM:
+            mass = 1.0  # P(n >= d - 2) at d = 2, 3, ...
+            for d, p in enumerate(_populations(self.nbar, self.max_displacement() ** 2), 2):
+                if d == dim or (dim is None and (mass <= DIM_TAIL_BOUND or d > MAX_DIM)):
+                    break
+                mass -= p
+            dim = d
+        if not 3 <= dim <= MAX_DIM:
+            raise TruncationError(f"dim={dim} is outside [3, MAX_DIM={MAX_DIM}]; a default dim "
+                                  "beyond MAX_DIM means the coupling or nbar is too large")
+        return int(dim), mass
 
     def resolved_dim(self) -> int:
         """The run's Fock dim: the configured one, or the smallest d at which
         D(alpha) thermal(nbar) D(alpha)^dag, |alpha| = `max_displacement()`,
-        holds at most `DIM_TAIL_BOUND` at levels >= d - 2 (`_dim_tails`), the
-        two levels the run's tail-mass check reads.
+        holds at most `DIM_TAIL_BOUND` at levels >= d - 2, the two levels the
+        run's tail-mass check reads.
         A dim outside [3, `MAX_DIM`] raises TruncationError before anything is
         allocated; a configured dim is then judged by the run's own checks."""
-        dim = self.dim
-        if dim is None:
-            with np.errstate(invalid="ignore"):  # inf * 0 at an infinite displacement
-                dim = next(d for d, mass in self._dim_tails()
-                           if mass <= DIM_TAIL_BOUND or d > MAX_DIM)
-        if not 3 <= dim <= MAX_DIM:
-            raise TruncationError(f"dim={dim} is outside [3, MAX_DIM={MAX_DIM}]; a default dim "
-                                  "beyond MAX_DIM means the coupling or nbar is too large")
-        return int(dim)
+        return self._dim_and_tail()[0]
 
     def resolved_t_max(self) -> float:
         period = 2.0 * math.pi / self.omega
@@ -517,23 +525,28 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
     return values
 
 
-def _populations(nbar: float, mean):
-    """Yield p_0, p_1, ... of D(alpha) thermal(nbar) D(alpha)^dag at each
-    |alpha|^2 in mean (Bose, Jacobs & Knight, PRA 59, 3204 (1999)),
+def _populations(nbar: float, mean: float):
+    """Yield p_0, p_1, ... of D(alpha) thermal(nbar) D(alpha)^dag at |alpha|^2 =
+    mean (Bose, Jacobs & Knight, PRA 59, 3204 (1999)), as Python floats,
     p_n = r^n L_n(-|alpha|^2/(nbar (nbar+1))) e^{-|alpha|^2/(nbar+1)}/(nbar+1) with
     r = nbar/(nbar+1), by the Laguerre recurrence: Poisson at nbar = 0, and
     free of cancellation, as the argument is negative."""
     r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
-    prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
-    for n in itertools.count():
+    prev, p, n = 0.0, float(np.exp(-mean / (nbar + 1.0))) / (nbar + 1.0), 0
+    while True:
         yield p
-        prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
+        prev, p, n = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1), n + 1
 
 
 def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
-    """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each alpha."""
-    pops = itertools.islice(_populations(nbar, np.abs(alpha) ** 2), dim)
-    return sum(collections.deque(pops, maxlen=2))
+    """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each
+    alpha, by the recurrence of `_populations` on every alpha at once."""
+    mean = np.abs(alpha) ** 2
+    r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
+    prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
+    for n in range(dim - 1):
+        prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
+    return prev + p
 
 
 def _displaced_thermal(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -564,47 +577,90 @@ def _eigensystem(cfg: ProtocolConfig, dim: int, coupling: float):
     return energies, vectors, (vectors.T * _signs(dim)) @ vectors
 
 
-def _exact_segment(eigensystem, block, t_eval, gamma_a, sigma, rho01):
-    """Propagate M = rho01 P through one undamped segment in closed form,
-    from its real form `block` at t = 0 (see the module docstring):
+def _phase_steps(energies: np.ndarray, step: float, count: int) -> np.ndarray:
+    """e^{iE k step} for k = 0..count-1, shape (count, d): the phases of a
+    uniform grid's in-block offsets.  Each doubling of the rows multiplies
+    them by one row of exps, so the block costs about log2(count) rows of
+    complex exp, not count, and each phase is a product of at most that many."""
+    steps = np.ones((count, len(energies)), complex)
+    size = 1
+    while size < count:
+        rows = min(size, count - size)
+        np.multiply(steps[:rows], np.exp(1j * (size * step) * energies),
+                    out=steps[size:size + rows])
+        size *= 2
+    return steps
 
-        M(t) = e^{-2 gamma_a t} V e^{-iEt} A e^{iEt} V^T,  A = V^T M(0) V,
 
-    with (E, V, V^T P V) = `eigensystem`.  So each sample's Tr M P is
-    e^{-2 gamma_a t} sum_jk e^{-i(E_j - E_k)t} A_jk (V^T P V)_kj, one gemm per
-    `SIGMA_BLOCK` samples, written into sigma; when rho01 is not None, the
-    kept lab-frame M P of each sample is written into it.  Returns the
-    lab-frame M at t_eval[-1] and the segment record {propagator, wall_s}."""
+def _evolved_modes(block: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
+    """The real form of scale A_jk conj(p_j) p_k, from the real form `block`
+    of the Hermitian A: with F_jk = conj(p_j) p_k, it is scale (block o Re F
+    + block^T o Im F), o the elementwise product.  Re F and Im F are two
+    rank-2 real gemms, where numpy's complex outer product is several times
+    slower."""
+    cos_sin = np.stack([p.real, p.imag])
+    real = cos_sin.T @ cos_sin  # c_j c_k + s_j s_k
+    imag = cos_sin.T @ np.stack([p.imag, -p.real])  # c_j s_k - s_j c_k
+    return scale * (block * real + block.T * imag)
+
+
+def _exact_segment(eigensystem, phases, block, t_eval, gamma_a, sigma, rho01, carry):
+    """Propagate one undamped segment in closed form in the eigensystem
+    (E, V, Q = V^T P V) of its H.  The state is the mode matrix A = V^T M V,
+    M = rho01 P, held as its real form `block` = Re A + Im A (A is Hermitian),
+    and it evolves elementwise (see the module docstring):
+
+        A_jk(t) = e^{-2 gamma_a t} conj(p_j) p_k A_jk(0),  p = e^{iEt}.
+
+    So each sample's Tr M P = Tr A Q is e^{-2 gamma_a t} sum_jk G_jk
+    (c_j (c_k - s_k) + s_j (c_k + s_k)), with G = block o Q the real form of
+    A o Q (o the elementwise product) and (c, s) = (Re, Im) p: one real gemm
+    per `SIGMA_BLOCK` samples, written into sigma.  `phases` = (steps,
+    e^{iET}) of the segment's coupling and duration T: a block's phases are
+    the `_phase_steps` of the uniform grid's spacing times the row e^{iEt} of
+    the block's first sample.  When rho01 is not None, each sample's lab-frame
+    M P = V A(t) V^T P is written into it, two real gemms on the real form.
+    Returns the real form of A(T) when `carry` (a next segment reads it),
+    else None, and the segment record {propagator, wall_s}."""
     started = time.perf_counter()
     energies, vectors, mode_parity = eigensystem
-    modes = vectors.T @ _hermitian(block) @ vectors
-    weights = (modes * mode_parity).T  # V^T P V is symmetric
+    steps, end_phase = phases
+    weights = block * mode_parity  # Q is symmetric
     signs = _signs(len(energies))
-
-    def propagate(t):  # M(t) without its dephasing factor
-        turned = vectors * np.exp(-1j * t * energies)  # V e^{-iEt}
-        return turned @ modes @ turned.conj().T
-
     for lo in range(0, len(t_eval), SIGMA_BLOCK):
         t = t_eval[lo:lo + SIGMA_BLOCK]
+        n = len(t)
         fade = np.exp(-2.0 * gamma_a * t)
-        phase = np.exp(1j * np.multiply.outer(t, energies))
-        sigma[lo:lo + len(t)] = fade * ((phase @ weights) * phase.conj()).sum(axis=-1).real
+        phase = steps[:n] * np.exp(1j * t[0] * energies)
+        cos_sin = np.concatenate([phase.real, phase.imag])
+        product = cos_sin @ weights  # the rows c^T G, then s^T G
+        # c^T G (c - s) + s^T G (c + s), as row dots that make no temporaries
+        squares = np.einsum("ij,ij->i", product, cos_sin)
+        sigma[lo:lo + n] = fade * (squares[:n] + squares[n:]
+                                   + np.einsum("ij,ij->i", product[n:], cos_sin[:n])
+                                   - np.einsum("ij,ij->i", product[:n], cos_sin[n:]))
         if rho01 is not None:
-            for row, (t_row, fade_row) in enumerate(zip(t, fade), lo):
-                rho01[row] = fade_row * propagate(t_row) * signs
-    end = math.exp(-2.0 * gamma_a * t_eval[-1]) * propagate(t_eval[-1])
+            for row, (p, fade_row) in enumerate(zip(phase, fade), lo):
+                rho01[row] = _hermitian(
+                    vectors @ _evolved_modes(block, p, fade_row) @ vectors.T) * signs
+    fade_end = math.exp(-2.0 * gamma_a * t_eval[-1])
+    end = _evolved_modes(block, end_phase, fade_end) if carry else None
     return end, {"propagator": "exact_eigh", "wall_s": time.perf_counter() - started}
 
 
 def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]],
                   keep_states: bool) -> VisibilityTrace:
     """Evolve rho01 through (duration, coupling, flip_after) segments; the
-    populations come in closed form.  An undamped run (gamma_m = 0) propagates
-    each segment exactly (`_exact_segment`), from one eigh per coupling; a
-    damped one takes one DOP853 solve (`integrate_blocks`) per segment, which
-    nothing else can step."""
-    dim = cfg.resolved_dim()
+    populations come in closed form.  An undamped run (gamma_m = 0) takes one
+    eigh per distinct coupling and carries its mode matrix A = V^T M V from
+    segment to segment (`_exact_segment`): it enters modes once, from the
+    diagonal M(0), and changes basis only where the coupling does, with the
+    echo flip applied in modes and the phases of equal segments shared.  A
+    damped run takes one DOP853 solve (`integrate_blocks`) per segment, which
+    nothing else can step, and returns to the lab frame at each end.  The
+    Fock dim and its tail mass come from one walk of the dim rule
+    (`ProtocolConfig._dim_and_tail`)."""
+    dim, dim_tail_mass = cfg._dim_and_tail()
     exact = cfg.gamma_m == 0
     if not exact:
         # an explicit step is stable only while h |rate| stays within
@@ -650,24 +706,43 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
 
     # rho00 = D(alpha) thermal D(alpha)^dag / 2 with alpha' = drift alpha - i coupling
     drift, records, alphas, start = -(1j * cfg.omega + 0.5 * cfg.gamma_m), [], [], 0j
-    for (duration, coupling, flip), t_eval in zip(segments, grids):
+    phases = {}  # (coupling, duration) -> (steps, e^{iET}), shared by equal segments
+    basis = None  # the eigenvectors V that an exact run's A = V^T M V is written in
+    for index, ((duration, coupling, flip), t_eval) in enumerate(zip(segments, grids)):
         if exact:
+            energies, vectors, mode_parity = propagators[coupling]
+            if basis is None:  # the real, diagonal M(0) into modes: A = V^T M(0) V
+                block = (vectors.T * block.diagonal()) @ vectors
+            elif basis is not vectors:  # a new coupling: A -> W A W^T, W = V_new^T V_old
+                turn = vectors.T @ basis
+                block = turn @ block @ turn.T
+            basis = vectors
+            if (coupling, duration) not in phases:
+                # sized by the pair's first segment: only the run's first one has t = 0 too
+                phases[coupling, duration] = (
+                    _phase_steps(energies, t_eval[1] - t_eval[0], min(len(t_eval), SIGMA_BLOCK)),
+                    np.exp(1j * duration * energies))
             rows = slice(taken, taken + len(t_eval))
             taken = rows.stop
             block, record = _exact_segment(
-                propagators[coupling], block, t_eval, cfg.gamma_a, sigma[rows],
-                None if states is None else states[rows, :dim, dim:])
+                propagators[coupling], phases[coupling, duration], block, t_eval, cfg.gamma_a,
+                sigma[rows], None if states is None else states[rows, :dim, dim:],
+                carry=index + 1 < len(segments))
+            if flip and block is not None:  # P M P in modes: Q A Q
+                block = mode_parity @ block @ mode_parity
         else:
             block, record = integrate_blocks(propagators[coupling], block, t_eval, sample,
                                              read=read, first_step=min(FIRST_STEP, duration / 2))
             block = _to_lab(_hermitian(block), cfg.omega, duration)
+            if flip:
+                block = _parity(block)
+            block = block.real + block.imag
         records.append({"duration": duration, "coupling": coupling} | record)
         fixed = 1j * coupling / drift
         alphas.append(fixed + (start - fixed) * np.exp(drift * t_eval))
         start = alphas[-1][-1]  # t_eval ends at the segment's end
         if flip:  # the echo gate maps rho01 to rho10 = P M, so M to P M P, and alpha to -alpha
-            block, start = _parity(block), -start
-        block = block.real + block.imag
+            start = -start
     starts = np.cumsum([0.0] + [duration for duration, _, _ in segments])
     times = np.concatenate([t0 + grid for t0, grid in zip(starts, grids)])
     alpha = np.concatenate(alphas)
@@ -676,13 +751,14 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         states[:, :dim, :dim], states[:, dim:, dim:] = rho00, _parity(rho00)
         states[:, dim:, :dim] = states[:, :dim, dim:].conj().swapaxes(-1, -2)
     visibility = 2.0 * np.abs(sigma)
-    # visibility_exact is elementwise, so a chunk at a time bounds its temporaries
+    # both checks are elementwise, so a chunk at a time bounds their temporaries
+    chunks = [slice(lo, lo + CHECK_CHUNK) for lo in range(0, len(times), CHECK_CHUNK)]
     exact_error = np.abs(visibility - np.concatenate([visibility_exact(
-        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times[lo:lo + CHECK_CHUNK])
-        for lo in range(0, len(times), CHECK_CHUNK)]))
-    tail = _top_levels_mass(cfg.nbar, alpha, dim)
+        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times[chunk])
+        for chunk in chunks]))
+    tail = np.concatenate([_top_levels_mass(cfg.nbar, alpha[chunk], dim) for chunk in chunks])
     stats = {"dim": dim, "dim_rule": "config" if cfg.dim else "displaced_thermal_tail",
-             "dim_tail_mass": float(next(m for d, m in cfg._dim_tails() if d == dim)),
+             "dim_tail_mass": dim_tail_mass,
              "dim_tail_bound": DIM_TAIL_BOUND, "segments": records,
              "worst_exact_error": float(exact_error.max()),
              "exact_error_bound": EXACT_ERROR_BOUND,
