@@ -17,6 +17,10 @@ import numpy as np
 
 ArrayLike = "float | np.ndarray"
 
+# Times per pass of `visibility_exact`: its temporaries are about a dozen
+# complex arrays of them, 1.6 MB in all, however many times it is given
+CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class CouplingParams:
@@ -126,35 +130,41 @@ def visibility_exact(omega: float, gamma_m: float, gamma_a: float, nbar: float,
         ln V = int_0^t [2 g Im u - gamma_m nbar |u|^2] dsigma
                - 2 gamma_a t - nbar |u(t)|^2
 
-    (Bose, Jacobs & Knight, PRA 59, 3204 (1999)).  All samples walk back
-    together: a segment a sample has not reached has zero length for it.
+    (Bose, Jacobs & Knight, PRA 59, 3204 (1999)).  The samples walk back
+    `CHUNK` at a time, each chunk's together: a segment a sample has not
+    reached has zero length for it.  A value does not depend on which times
+    come with it.
     """
     times = np.asarray(times, dtype=float)
+    out = np.empty(times.size)
     kappa = 1j * omega - 0.5 * gamma_m
-    u = np.zeros(times.shape, dtype=complex)
-    log_v = -2.0 * gamma_a * times
-    end = sum(duration for duration, _, _ in segments)
-    for duration, coupling, flip in reversed(segments):
-        end -= duration
-        if flip:
-            u = -u
-        sigma = np.clip(times - end, 0.0, duration)
-        # u(sigma) = b + w e^{kappa sigma} from its value w + b where the walk enters
-        b = 2j * coupling / kappa
-        w = u - b
-        ramp = np.expm1(kappa * sigma) / kappa  # int_0^sigma e^{kappa s} ds
-        # int_0^sigma e^{-gamma_m s} ds, the integral of |e^{kappa s}|^2
-        fade = -np.expm1(-gamma_m * sigma) / gamma_m if gamma_m else sigma
-        int_u = b * sigma + w * ramp
-        int_abs2 = (abs(b) ** 2 * sigma + 2.0 * (np.conj(b) * w * ramp).real
-                    + np.abs(w) ** 2 * fade)
-        log_v += 2.0 * coupling * int_u.imag - gamma_m * nbar * int_abs2
-        # np.multiply, not `w * np.exp(...)`: numpy reuses a temporary of
-        # 256 kB or more in place with the operands swapped, and its complex
-        # product is not bitwise commutative, so a time's value would depend
-        # on how many times come with it
-        u = b + np.multiply(w, np.exp(kappa * sigma))
-    return np.exp(log_v - nbar * np.abs(u) ** 2)
+    for lo in range(0, times.size, CHUNK):
+        t = times.ravel()[lo:lo + CHUNK]
+        u = np.zeros(t.shape, dtype=complex)
+        log_v = -2.0 * gamma_a * t
+        end = sum(duration for duration, _, _ in segments)
+        for duration, coupling, flip in reversed(segments):
+            end -= duration
+            if flip:
+                u = -u
+            sigma = np.clip(t - end, 0.0, duration)
+            # u(sigma) = b + w e^{kappa sigma} from its value w + b where the walk enters
+            b = 2j * coupling / kappa
+            w = u - b
+            ramp = np.expm1(kappa * sigma) / kappa  # int_0^sigma e^{kappa s} ds
+            # int_0^sigma e^{-gamma_m s} ds, the integral of |e^{kappa s}|^2
+            fade = -np.expm1(-gamma_m * sigma) / gamma_m if gamma_m else sigma
+            int_u = b * sigma + w * ramp
+            int_abs2 = (abs(b) ** 2 * sigma + 2.0 * (np.conj(b) * w * ramp).real
+                        + np.abs(w) ** 2 * fade)
+            log_v += 2.0 * coupling * int_u.imag - gamma_m * nbar * int_abs2
+            # np.multiply, not `w * np.exp(...)`: numpy reuses a temporary of
+            # 256 kB or more in place with the operands swapped, and its
+            # complex product is not bitwise commutative, so a time's value
+            # would depend on how many times come with it
+            u = b + np.multiply(w, np.exp(kappa * sigma))
+        out[lo:lo + CHUNK] = np.exp(log_v - nbar * np.abs(u) ** 2)
+    return out.reshape(times.shape)
 
 
 def visibility_boosted(params: CouplingParams, omega_t) -> ArrayLike:

@@ -240,15 +240,11 @@ def cmd_analytic(args) -> int:
                 vis = analytic.visibility_damped(params, grid)
             elif formula == "damped-exact":
                 # the basic protocol at omega = 1; --gamma-a is the coherence
-                # decay over omega, twice the engine's sigma_z jump rate.  It
-                # is elementwise, so a chunk at a time bounds its temporaries
+                # decay over omega, twice the engine's sigma_z jump rate
                 segments = [(2.0 * math.pi * t_max, params.coupling, False)]
-                vis = np.empty(samples)
-                for start in range(0, samples, CSV_CHUNK_ROWS):
-                    chunk = slice(start, start + CSV_CHUNK_ROWS)
-                    vis[chunk] = analytic.visibility_exact(
-                        1.0, 1.0 / params.q_factor, 0.5 * params.qubit_decay, params.nbar,
-                        segments, grid[chunk])
+                vis = analytic.visibility_exact(
+                    1.0, 1.0 / params.q_factor, 0.5 * params.qubit_decay, params.nbar,
+                    segments, grid)
             elif formula == "boosted":
                 vis = analytic.visibility_boosted(params, grid)
             else:  # many-atom

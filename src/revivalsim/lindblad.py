@@ -67,13 +67,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dop853
-from .analytic import visibility_exact
+from .analytic import CHUNK, visibility_exact
 
 EXACT_ERROR_BOUND = 1e-7   # max tolerated |V - V_exact| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
 RTOL = 1e-10               # solver relative tolerance
 ATOL = 1e-12               # solver absolute tolerance
-FIRST_STEP = 1e-3          # first solver step of each protocol segment
 DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of a default dim
 
 # Largest Fock dim a run may use.  One (d, d) real protocol block takes
@@ -106,10 +105,6 @@ MAX_STEP_BOUND = 100_000
 # temporaries, and the phase steps its segment shares, are four arrays of
 # (SIGMA_BLOCK, d) complex values, 0.5 MB each at dim 122
 SIGMA_BLOCK = 256
-# Samples per `analytic.visibility_exact` and `_top_levels_mass` call of a
-# run's checks: the first's temporaries are about a dozen complex arrays of
-# them, 1.6 MB in all, the second's a few real ones
-CHECK_CHUNK = 8192
 
 # scipy's DOP853 step-size controller: safety factor and step-change limits
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
@@ -360,8 +355,7 @@ def _real_rhs(cfg: ProtocolConfig, dim: int, coupling: float):
     return rhs
 
 
-def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
-                     ) -> tuple[np.ndarray, dict]:
+def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None) -> tuple[np.ndarray, dict]:
     """Integrate the flattened stacked blocks under rhs(t, y) from t = 0 to
     t_eval[-1] > 0 at RTOL/ATOL, and pass the samples at the sorted times
     t_eval to sample(t, values) as the steps pass them: values holds the flat
@@ -370,30 +364,27 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
     or complex as blocks0 is.
 
     The loop is scipy's DOP853 step by step: its tableau (`dop853`), its
-    first f at t = 0, its first step (first_step, in (0, t_eval[-1]], or
-    `_initial_step`), its step-size controller and its numpy operations in
-    its order, so samples and records equal solve_ivp(method="DOP853",
-    t_eval=t_eval) bit for bit.  Samples come from each accepted step's dense
-    output at the t_eval points in (t_old, t] (the first step also takes
-    t = 0).  The 7-term interpolant is built only on the read entries, and on
-    all of them once, at t_eval[-1], the returned end.  Returns the blocks at
-    t_eval[-1] and the segment record
-    {duration, nfev, steps, rejected, dense_outputs, wall_s}; raises
-    ValueError on a non-finite start or a first step outside (0, t_eval[-1]],
-    and IntegrationError when the step size falls below 10 ulp of t.
+    first f at t = 0, its first step (`_initial_step`, one more evaluation),
+    its step-size controller and its numpy operations in its order, so
+    samples and records equal solve_ivp(method="DOP853", t_eval=t_eval) bit
+    for bit.  Samples come from each accepted step's dense output at the
+    t_eval points in (t_old, t] (the first step also takes t = 0).  The
+    7-term interpolant is built only on the read entries, and on all of them
+    once, at t_eval[-1], the returned end.  Returns the blocks at t_eval[-1]
+    and the segment record {duration, nfev, steps, rejected, dense_outputs,
+    wall_s}, nfev = 2 + 12 (steps + rejected) + 3 dense_outputs; raises
+    ValueError, before any evaluation, on t_eval[-1] <= 0 or a non-finite
+    start, and IntegrationError when the step size falls below 10 ulp of t.
     """
     started = time.perf_counter()
     t_end = float(t_eval[-1])
+    if not t_end > 0:
+        raise ValueError(f"the last sample time must be after t = 0, got {t_end}")
     y0 = np.ravel(blocks0)
     if not np.isfinite(y0).all():
         raise ValueError("every entry of the initial blocks must be finite")
     f0 = rhs(0.0, y0)
-    if first_step is None:
-        h_abs, setup_nfev = _initial_step(rhs, y0, f0, t_end), 2
-    elif 0 < first_step <= t_end:
-        h_abs, setup_nfev = first_step, 1
-    else:
-        raise ValueError(f"first step {first_step} is outside (0, {t_end}]")
+    h_abs = _initial_step(rhs, y0, f0, t_end)
     # the embedded 4/5 pair at rtol 1e-10 accumulates ~2e-8 of global error
     # over a full revival at the (lam=0.5, nbar=5) corner of the supported
     # envelope; the higher-order embedded pair is faster and ~20x tighter
@@ -477,7 +468,7 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None, first_step=None
             taken = upto
         K[0] = K[n_stages]
     record = {"duration": t_end,
-              "nfev": setup_nfev + n_stages * trials + n_extra * dense_outputs,
+              "nfev": 2 + n_stages * trials + n_extra * dense_outputs,
               "steps": steps, "rejected": trials - steps,
               "dense_outputs": dense_outputs, "wall_s": time.perf_counter() - started}
     return end.reshape(blocks0.shape), record
@@ -540,13 +531,17 @@ def _populations(nbar: float, mean: float):
 
 def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
     """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each
-    alpha, by the recurrence of `_populations` on every alpha at once."""
-    mean = np.abs(alpha) ** 2
-    r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
-    prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
-    for n in range(dim - 1):
-        prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
-    return prev + p
+    alpha of a 1-d array, by the recurrence of `_populations` on `CHUNK`
+    alphas at once, which bounds its temporaries to a few real arrays of them."""
+    out = np.empty(len(alpha))
+    for lo in range(0, len(alpha), CHUNK):
+        mean = np.abs(alpha[lo:lo + CHUNK]) ** 2
+        r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
+        prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
+        for n in range(dim - 1):
+            prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
+        out[lo:lo + CHUNK] = prev + p
+    return out
 
 
 def _displaced_thermal(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -732,7 +727,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
                 block = mode_parity @ block @ mode_parity
         else:
             block, record = integrate_blocks(propagators[coupling], block, t_eval, sample,
-                                             read=read, first_step=min(FIRST_STEP, duration / 2))
+                                             read=read)
             block = _to_lab(_hermitian(block), cfg.omega, duration)
             if flip:
                 block = _parity(block)
@@ -751,12 +746,9 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         states[:, :dim, :dim], states[:, dim:, dim:] = rho00, _parity(rho00)
         states[:, dim:, :dim] = states[:, :dim, dim:].conj().swapaxes(-1, -2)
     visibility = 2.0 * np.abs(sigma)
-    # both checks are elementwise, so a chunk at a time bounds their temporaries
-    chunks = [slice(lo, lo + CHECK_CHUNK) for lo in range(0, len(times), CHECK_CHUNK)]
-    exact_error = np.abs(visibility - np.concatenate([visibility_exact(
-        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times[chunk])
-        for chunk in chunks]))
-    tail = np.concatenate([_top_levels_mass(cfg.nbar, alpha[chunk], dim) for chunk in chunks])
+    exact_error = np.abs(visibility - visibility_exact(
+        cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times))
+    tail = _top_levels_mass(cfg.nbar, alpha, dim)
     stats = {"dim": dim, "dim_rule": "config" if cfg.dim else "displaced_thermal_tail",
              "dim_tail_mass": dim_tail_mass,
              "dim_tail_bound": DIM_TAIL_BOUND, "segments": records,

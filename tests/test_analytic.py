@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import boosted_swing, optimal_boost_coupling, visibility_many_atom_gaussian
+from revivalsim import analytic
 from revivalsim.analytic import (
+    CHUNK,
     CouplingParams,
     spin_echo_overlap,
     visibility_boosted,
@@ -202,6 +204,29 @@ def test_exact_departs_from_damped_expansion_at_second_order(q_factor):
 def test_exact_dephasing_is_twice_the_jump_rate():
     exact = visibility_exact(1.0, 0.0, 0.05, 2.0, [(4.0 * math.pi, 0.0, False)], X_GRID)
     assert np.max(np.abs(exact - np.exp(-0.1 * X_GRID))) < 1e-15
+
+
+@pytest.mark.parametrize("segments", [
+    [(4.0 * math.pi, 0.2, False)],
+    [(math.pi, 0.1, j not in (4, 8)) for j in range(1, 9)],  # spin echo, n_pi = 2
+], ids=["basic", "spin_echo"])
+def test_exact_whole_grid_equals_chunked(segments, monkeypatch):
+    # the walk takes CHUNK times at a time, and a value does not depend on
+    # which times come with it: the whole grid equals its pieces and a
+    # single walk over all of it bit for bit, across each chunk boundary
+    def exact(times):
+        return visibility_exact(1.0, 0.01, 0.002, 3.0, segments, times)
+
+    t_end = sum(duration for duration, _, _ in segments)
+    times = np.linspace(0.0, t_end, 2 * CHUNK + 5)
+    whole = exact(times)
+    cuts = [0, 1000, CHUNK - 1, CHUNK + 1, 2 * CHUNK, len(times)]
+    assert np.array_equal(whole, np.concatenate([exact(times[lo:hi])
+                                                 for lo, hi in zip(cuts, cuts[1:])]))
+    edges = [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK]
+    assert np.array_equal(whole[edges], [exact(times[i:i + 1])[0] for i in edges])
+    monkeypatch.setattr(analytic, "CHUNK", len(times))
+    assert np.array_equal(whole, exact(times))
 
 
 # ---------------------------------------------------------------------------

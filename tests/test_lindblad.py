@@ -19,6 +19,7 @@ from scipy.linalg import expm
 
 from oracles import SIGMA_Z, annihilation, initial_state, rotating_rhs, thermal_density
 from revivalsim.analytic import (
+    CHUNK,
     CouplingParams,
     spin_echo_overlap,
     visibility_boosted,
@@ -115,8 +116,13 @@ def _apply_protocol(cfg, dim, coupling, t, blocks):
 
 
 def _system(kind, dim):
-    """(rhs, blocks0) of a real system, the engine's rho01 generator on R, or a
-    complex one, the separable channel's three blocks."""
+    """(rhs, blocks0) of a real system, the engine's rho01 generator on R; a
+    complex one, the separable channel's three blocks; or a (dim, dim) block
+    of ones under a decay rate that switches on over 0.05 around t = 4, where
+    scipy's own first step and controller meet rejected trials (93 steps on
+    [0, 8], 22 of them rejected)."""
+    if kind == "switch":
+        return (lambda t, y: -20.0 * (1.0 + np.tanh((t - 4.0) / 0.05)) * y), np.ones((dim, dim))
     if kind == "real":
         cfg = ProtocolConfig(g=0.2, nbar=1.0, gamma_m=0.05, gamma_a=0.01)
         m = _random_state(np.random.default_rng(7), dim)
@@ -292,16 +298,14 @@ def test_kept_states_are_lab_frame_density_matrices(protocol):
     assert np.max(np.abs(states - np.array(want))) < 1e-8
 
 
-@pytest.mark.parametrize("first_step, kind", [
-    (None, "complex"), (4.0, "complex"), (None, "real"), (4.0, "real")],
-    ids=["None", "4.0", "None-real", "4.0-real"])
-def test_streamed_integration_equals_solve_ivp(first_step, kind):
+@pytest.mark.parametrize("kind", ["complex", "real", "switch"])
+def test_streamed_integration_equals_solve_ivp(kind):
     # the stepped DOP853 must reproduce solve_ivp(t_eval=...) bit for bit, on
     # a real state and a complex one; t_eval holds step ends of the same solve
-    # and the final t_bound, and a too-large first step forces rejected trials
+    # and the final t_bound, and the switched-on decay meets rejected trials
     dim, t_end = 6, 8.0
     rhs, blocks0 = _system(kind, dim)
-    options = dict(method="DOP853", rtol=1e-10, atol=1e-12, first_step=first_step)
+    options = dict(method="DOP853", rtol=1e-10, atol=1e-12)
     free = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), **options)
     grid, step_ends = np.linspace(0.0, t_end, 41), free.t[1:-1:3]
     assert not np.isin(step_ends, grid).any()
@@ -309,8 +313,7 @@ def test_streamed_integration_equals_solve_ivp(first_step, kind):
     sol = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), t_eval=t_eval, **options)
     chunks = []
     end, record = integrate_blocks(rhs, blocks0, t_eval,
-                                   lambda t, b: chunks.append((t.copy(), b.copy())),
-                                   first_step=first_step)
+                                   lambda t, b: chunks.append((t.copy(), b.copy())))
     times = np.concatenate([t for t, _ in chunks])
     path = np.concatenate([b for _, b in chunks])
     assert path.dtype == end.dtype == blocks0.dtype
@@ -319,17 +322,18 @@ def test_streamed_integration_equals_solve_ivp(first_step, kind):
     assert np.array_equal(end, path[-1])
     assert record["nfev"] == sol.nfev
     assert record["steps"] == len(free.t) - 1
-    # solve_ivp evaluates once at t0 and, with no first step, once to choose it
-    setup = 1 if first_step else 2
+    assert (record["steps"], record["rejected"]) == _scipy_step_counts(
+        rhs, blocks0.ravel(), t_end)
+    # solve_ivp evaluates once at t0 and once to choose its first step
     trials = record["steps"] + record["rejected"]
-    assert record["nfev"] == setup + 12 * trials + 3 * record["dense_outputs"]
+    assert record["nfev"] == 2 + 12 * trials + 3 * record["dense_outputs"]
     assert record["dense_outputs"] == len(chunks)
-    assert (record["rejected"] > 0) == (first_step is not None)
+    assert (record["rejected"] > 0) == (kind == "switch")
 
 
-def _scipy_step_counts(rhs, y0, t_end, first_step):
+def _scipy_step_counts(rhs, y0, t_end):
     """Accepted and rejected steps of scipy's own DOP853, stepped to t_end."""
-    solver = DOP853(rhs, 0.0, y0, t_end, rtol=RTOL, atol=ATOL, first_step=first_step)
+    solver = DOP853(rhs, 0.0, y0, t_end, rtol=RTOL, atol=ATOL)
     steps = trials = 0
     while solver.status == "running":
         before = solver.nfev
@@ -339,21 +343,19 @@ def _scipy_step_counts(rhs, y0, t_end, first_step):
     return steps, trials - steps
 
 
-@pytest.mark.parametrize("first_step, kind", [
-    (None, "real"), (1e-3, "real"), (2.0, "real"),
-    (None, "complex"), (1e-3, "complex"), (2.0, "complex")],
-    ids=["None", "0.001", "2.0", "None-complex", "0.001-complex", "2.0-complex"])
-def test_diagonal_read_equals_solve_ivp(first_step, kind, monkeypatch):
-    # the engine's damped, dephased, coupled rho01 generator on R, and the
-    # separable channel's complex blocks, read on the last block's diagonal
-    # only: the samples are solve_ivp's bit for bit, the returned block is its
-    # last full state, and the solver work is the same step for step
+@pytest.mark.parametrize("kind", ["real", "complex", "switch"])
+def test_diagonal_read_equals_solve_ivp(kind, monkeypatch):
+    # the engine's damped, dephased, coupled rho01 generator on R, the
+    # separable channel's complex blocks and the switched-on decay, read on
+    # the last block's diagonal only: the samples are solve_ivp's bit for
+    # bit, the returned block is its last full state, and the solver work is
+    # the same step for step
     dim, t_end = 12, 2.0 * math.pi
     rhs, blocks0 = _system(kind, dim)
     # the last step takes the final three samples at least
     t_eval = np.append(np.linspace(0.0, t_end, 41)[:-1], t_end - np.array([2e-9, 1e-9, 0.0]))
     sol = solve_ivp(rhs, (0.0, t_end), blocks0.ravel(), method="DOP853", t_eval=t_eval,
-                    rtol=RTOL, atol=ATOL, first_step=first_step)
+                    rtol=RTOL, atol=ATOL)
     read = blocks0.size - dim * dim + np.arange(dim) * (dim + 1)
     dense = lindblad._dense_values
     shapes = []  # every dense output's (times, entries)
@@ -362,7 +364,7 @@ def test_diagonal_read_equals_solve_ivp(first_step, kind, monkeypatch):
     chunks = []
     end, record = integrate_blocks(rhs, blocks0, t_eval,
                                    lambda t, values: chunks.append(values.copy()),
-                                   read=read, first_step=first_step)
+                                   read=read)
     assert all(chunk.shape[1:] == (dim,) and chunk.dtype == blocks0.dtype for chunk in chunks)
     # the whole block is interpolated once, at the end; the last step's
     # samples, like every other step's, only on the read entries
@@ -371,9 +373,9 @@ def test_diagonal_read_equals_solve_ivp(first_step, kind, monkeypatch):
     assert np.array_equal(np.concatenate(chunks), sol.y[read].T)
     assert np.array_equal(end, sol.y[:, -1].reshape(blocks0.shape))
     assert record["nfev"] == sol.nfev
-    steps, rejected = _scipy_step_counts(rhs, blocks0.ravel(), t_end, first_step)
+    steps, rejected = _scipy_step_counts(rhs, blocks0.ravel(), t_end)
     assert (record["steps"], record["rejected"]) == (steps, rejected)
-    assert (rejected > 0) == (first_step == 2.0)
+    assert (rejected > 0) == (kind == "switch")
 
 
 @pytest.mark.parametrize("rhs, y0, t_end", [
@@ -391,13 +393,12 @@ def test_first_step_rule_equals_solve_ivp(rhs, y0, t_end):
     _, record = integrate_blocks(rhs, y0, t_eval, lambda t, values: chunks.append(values.copy()))
     assert np.array_equal(np.concatenate(chunks), sol.y.T)
     assert record["nfev"] == sol.nfev
-    assert (record["steps"], record["rejected"]) == _scipy_step_counts(rhs, y0, t_end, None)
+    assert (record["steps"], record["rejected"]) == _scipy_step_counts(rhs, y0, t_end)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("first_step", [None, 1e-3])
 @pytest.mark.parametrize("nan_from", [0.0, 0.5])
-def test_nan_right_hand_side_raises_integration_error(first_step, nan_from):
+def test_nan_right_hand_side_raises_integration_error(nan_from):
     # a NaN from the first f gave scipy a NaN first step, which never falls
     # below the minimum step and so looped for ever; a later NaN shrinks the
     # step until it does
@@ -406,17 +407,19 @@ def test_nan_right_hand_side_raises_integration_error(first_step, nan_from):
 
     with pytest.raises(IntegrationError, match="spacing between numbers"):
         integrate_blocks(rhs, np.eye(3, dtype=complex), np.linspace(0.0, 1.0, 5),
-                         lambda t, values: None, first_step=first_step)
+                         lambda t, values: None)
 
 
-@pytest.mark.parametrize("first_step", [1.0 + 1e-9, 0.0])
-def test_first_step_outside_the_segment_raises_value_error(first_step):
-    # as scipy's DOP853 constructor does, before any step
-    rhs, blocks0, t_eval = (lambda t, y: -y), np.eye(3), np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        DOP853(rhs, 0.0, blocks0.ravel(), 1.0, first_step=first_step)
-    with pytest.raises(ValueError, match="first step"):
-        integrate_blocks(rhs, blocks0, t_eval, lambda t, values: None, first_step=first_step)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_eval", [[0.0], [-1.0, -0.5], [0.0, np.nan]],
+                         ids=["zero", "negative", "nan"])
+def test_end_at_or_before_zero_raises_value_error(t_eval):
+    # refused before rhs is called, where the step loop would never run
+    def rhs(t, y):
+        pytest.fail("rhs evaluated")
+
+    with pytest.raises(ValueError, match="after t = 0"):
+        integrate_blocks(rhs, np.eye(3), np.array(t_eval), lambda t, values: None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -621,35 +624,49 @@ def test_engine_matches_exact_visibility(point):
 
 
 def test_exact_check_runs_in_chunks_bit_for_bit():
-    # the check calls visibility_exact a chunk at a time, and reads its
-    # whole-grid value: 8,194 + 1 samples make two chunks
-    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_a=0.002,
-                         samples_per_period=lindblad.CHECK_CHUNK // 2 + 1)
+    # the check reads visibility_exact's whole-grid value, which it takes a
+    # chunk at a time: 8,194 + 1 samples make two chunks
+    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_a=0.002, samples_per_period=CHUNK // 2 + 1)
     trace = run_protocol(cfg)
-    assert len(trace.times) > lindblad.CHECK_CHUNK
+    assert len(trace.times) > CHUNK
     exact = visibility_exact(cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar,
                              _segments(cfg), trace.times)
     assert np.array_equal(trace.exact_error, np.abs(trace.visibility - exact))
 
 
 def test_tail_mass_runs_in_chunks_bit_for_bit(monkeypatch):
-    # the tail mass is taken a chunk at a time too, and equals its
-    # whole-run value: 8,194 + 1 samples make two chunks
-    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_a=0.002,
-                         samples_per_period=lindblad.CHECK_CHUNK // 2 + 1)
-    chunks = []
+    # the run takes the tail mass in one call over its whole alpha, which
+    # walks it a chunk at a time, and equals its value taken piece by piece:
+    # 8,194 + 1 samples make two chunks
+    cfg = ProtocolConfig(g=0.05, nbar=1.0, gamma_a=0.002, samples_per_period=CHUNK // 2 + 1)
+    calls = []
 
     def spy(nbar, alpha, dim):
-        chunks.append(alpha)
+        calls.append(alpha)
         return top_levels_mass(nbar, alpha, dim)
 
     top_levels_mass = lindblad._top_levels_mass
     monkeypatch.setattr(lindblad, "_top_levels_mass", spy)
     trace = run_protocol(cfg)
-    assert [len(alpha) for alpha in chunks] == [lindblad.CHECK_CHUNK,
-                                               len(trace.times) - lindblad.CHECK_CHUNK]
-    whole = top_levels_mass(cfg.nbar, np.concatenate(chunks), trace.stats["dim"])
-    assert np.array_equal(trace.tail_mass, whole)
+    assert [len(alpha) for alpha in calls] == [len(trace.times)]
+    third = len(trace.times) // 3
+    pieces = [top_levels_mass(cfg.nbar, calls[0][rows], trace.stats["dim"])
+              for rows in (slice(None, third), slice(third, None))]
+    assert np.array_equal(trace.tail_mass, np.concatenate(pieces))
+
+
+def test_top_levels_mass_whole_equals_chunked():
+    # CHUNK alphas at a time, elementwise: the whole array equals its pieces
+    # bit for bit, across each chunk boundary
+    rng = np.random.default_rng(5)
+    alphas = 2.0 * (rng.random(2 * CHUNK + 5) - 0.5) + 2j * (rng.random(2 * CHUNK + 5) - 0.5)
+    whole = _top_levels_mass(2.0, alphas, 40)
+    cuts = [0, 1000, CHUNK - 1, CHUNK + 1, 2 * CHUNK, len(alphas)]
+    assert np.array_equal(whole, np.concatenate([_top_levels_mass(2.0, alphas[lo:hi], 40)
+                                                 for lo, hi in zip(cuts, cuts[1:])]))
+    edges = [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK]
+    assert np.array_equal(whole[edges], [_top_levels_mass(2.0, alphas[i:i + 1], 40)[0]
+                                         for i in edges])
 
 
 def test_exact_check_refuses_a_run_off_the_exact_value(monkeypatch):
@@ -777,14 +794,15 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
     assert (stats["dim"], stats["dim_rule"]) == (cfg.resolved_dim(), "displaced_thermal_tail")
     assert stats["dim_tail_mass"] <= stats["dim_tail_bound"] == 1e-9
     assert len(stats["segments"]) == 8
-    # one evaluation at t = 0, 12 per DOP853 trial, 3 per dense output
+    # one evaluation at t = 0 and one to choose the first step, 12 per
+    # DOP853 trial, 3 per dense output
     for s in stats["segments"]:
         assert set(s) == {"duration", "coupling", "nfev", "steps", "rejected",
                           "dense_outputs", "wall_s"}
         assert s["nfev"] > 0 and s["wall_s"] > 0
         assert s["steps"] > 0 and s["rejected"] >= 0
         assert 0 < s["dense_outputs"] <= s["steps"]
-        assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
+        assert s["nfev"] == 2 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
     assert sum(s["duration"] for s in stats["segments"]) == pytest.approx(8 * math.pi)
     assert stats["worst_exact_error"] == trace.exact_error.max()
     assert stats["worst_tail_mass"] == trace.tail_mass.max()
@@ -815,7 +833,7 @@ def test_each_segment_is_one_rho01_solve(protocol, monkeypatch):
     assert solves == [(dim, dim)] * len(segments) == [(dim, dim)] * {
         "basic": 1, "boosted": 2, "spin_echo": 4}[protocol]
     for s in segments:
-        assert s["nfev"] == 1 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
+        assert s["nfev"] == 2 + 12 * (s["steps"] + s["rejected"]) + 3 * s["dense_outputs"]
 
 
 @pytest.mark.parametrize("protocol", ["basic", "boosted", "spin_echo"])
@@ -844,7 +862,7 @@ def test_undamped_segments_take_one_eigh_per_coupling(protocol, monkeypatch):
 def test_dop853_meets_the_exact_propagator_undamped():
     # undamped runs no longer step, so this keeps DOP853 on the real-form
     # generator covered there: at the envelope's worst corner (lam 0.3,
-    # nbar 5, dim 122) its samples against the exact path's; measured 1.2e-9
+    # nbar 5, dim 122) its samples against the exact path's; measured 1.0e-9
     cfg = ProtocolConfig(g=0.3, nbar=5.0, samples_per_period=100)
     trace = run_protocol(cfg)
     dim = trace.stats["dim"]
@@ -854,7 +872,7 @@ def test_dop853_meets_the_exact_propagator_undamped():
     chunks = []
     integrate_blocks(_real_rhs(cfg, dim, cfg.g), np.diag(0.5 * probs * parity), trace.times,
                      lambda t, values: chunks.append(values @ parity),
-                     read=np.arange(dim) * (dim + 1), first_step=lindblad.FIRST_STEP)
+                     read=np.arange(dim) * (dim + 1))
     assert np.max(np.abs(np.concatenate(chunks) - trace.sigma_minus)) < 2e-9
 
 
