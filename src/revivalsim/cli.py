@@ -35,7 +35,8 @@ from .algebra import thermal_occupation
 from .config import ConfigError, get_int, get_number, parse_config_file, require_keys
 from .constants import ATOMIC_MASS
 from .design import GeometryError, PhysicalConfig
-from .lindblad import MAX_DIM, IntegrationError, ProtocolConfig, TruncationError, run_protocol
+from .lindblad import (MAX_DIM, PROTOCOLS, IntegrationError, ProtocolConfig, TruncationError,
+                       run_protocol)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,7 +70,8 @@ def write_csv(path, header: list[str], columns) -> int:
     """Write the header and the rows of the equal-length columns, one chunk
     of rows at a time; return the row count.  Each column's format comes
     from its dtype: floats as %.17g, which round-trips exactly, booleans as
-    true/false, and ints and strings through str."""
+    true/false, and ints and strings through str.  A chunk that holds a NaN
+    or an infinity raises OverflowError before it is written."""
     columns = [np.asarray(column) for column in columns]
     columns = [_CSV_BOOLS[c.astype(np.intp)] if c.dtype.kind == "b" else c for c in columns]
     template = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
@@ -77,15 +79,11 @@ def write_csv(path, header: list[str], columns) -> int:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join(map(template.format, *chunk)))
+            chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
+            if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
+                raise OverflowError("a computed output value is not finite")
+            fh.write("".join(map(template.format, *(c.tolist() for c in chunk))))
     return n_rows
-
-
-def _require_finite(*columns) -> None:
-    """Refuse an output that holds a non-finite number, before it is opened."""
-    if not all(np.isfinite(np.asarray(column, dtype=float)).all() for column in columns):
-        raise OverflowError("a computed output value is not finite")
 
 
 def _json_text(payload: dict) -> str:
@@ -170,27 +168,67 @@ def _config_kwargs(values: dict, cls) -> dict:
     return kwargs
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = _finite_float(raw)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+    return value
+
+
+def _nonnegative_float(raw: str) -> float:
+    value = _finite_float(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw!r}")
+    return value
+
+
+def _range_triple(raw: str) -> tuple[float, float, int]:
+    parts = raw.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected lo,hi,n — got {raw!r}")
+    lo, hi, n = _positive_float(parts[0]), _positive_float(parts[1]), int(parts[2])
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"hi must be >= lo, got {raw!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n must be >= 1, got {raw!r}")
+    return lo, hi, n
+
+
 # ---------------------------------------------------------------- analytic
 
-_FORMULA_FLAGS = {
-    "ground": {"lam"},
-    "thermal": {"lam", "nbar"},
-    "damped": {"lam", "nbar", "q", "gamma_a"},
-    "damped-exact": {"lam", "nbar", "q", "gamma_a"},
-    "boosted": {"lam", "lam_prime", "nbar"},
-    "many-atom": {"lam", "nbar", "n_atoms"},
-    "spin-echo": {"lam", "n_pi"},
-}
-# each formula flag's option string and the `CouplingParams` field it sets
-# (None: read by cmd_analytic itself); absent flags keep the field's default
+# each formula flag's option string, the `CouplingParams` field it sets
+# (None: read by cmd_analytic itself), its type and its help; a flag not
+# passed is None, and its field keeps the default
 _FLAGS = {
-    "lam": ("--lambda", None),
-    "lam_prime": ("--lambda-prime", "boost_coupling"),
-    "nbar": ("--nbar", "nbar"),
-    "q": ("--q", "q_factor"),
-    "gamma_a": ("--gamma-a", "qubit_decay"),
-    "n_atoms": ("--n-atoms", None),
-    "n_pi": ("--n-pi", None),
+    "lam": ("--lambda", None, _finite_float, "dimensionless coupling g/omega"),
+    "lam_prime": ("--lambda-prime", "boost_coupling", _finite_float,
+                  "boost-stage coupling g'/omega"),
+    "nbar": ("--nbar", "nbar", _finite_float, None),
+    "q": ("--q", "q_factor", _finite_float, "quality factor omega/gamma_m"),
+    "gamma_a": ("--gamma-a", "qubit_decay", _finite_float,
+                "qubit coherence decay rate over omega; the simulate engine's gamma_a "
+                "(sigma_z jump rate) decays coherence at 2*gamma_a"),
+    "n_atoms": ("--n-atoms", None, int, None),
+    "n_pi": ("--n-pi", None, int, None),
+    "t_max": ("--t-max", None, _positive_float, "grid length in oscillator periods (default 2)"),
+    "samples": ("--samples", None, int, "rows in the half-open omega*t grid (default 400)"),
+}
+_GRID = {"t_max", "samples"}  # spin echo's rows are echo iterations, not a grid
+_FORMULA_FLAGS = {
+    "ground": {"lam"} | _GRID,
+    "thermal": {"lam", "nbar"} | _GRID,
+    "damped": {"lam", "nbar", "q", "gamma_a"} | _GRID,
+    "damped-exact": {"lam", "nbar", "q", "gamma_a"} | _GRID,
+    "boosted": {"lam", "lam_prime", "nbar"} | _GRID,
+    "many-atom": {"lam", "nbar", "n_atoms"} | _GRID,
+    "spin-echo": {"lam", "n_pi"},
 }
 
 
@@ -202,9 +240,6 @@ def cmd_analytic(args) -> int:
     if stray:
         names = ", ".join(sorted(_FLAGS[k][0] for k in stray))
         raise ConfigError(f"{names} not applicable to --formula {formula}")
-    if formula == "spin-echo" and (args.t_max is not None or args.samples is not None):
-        raise ConfigError("--t-max/--samples conflict with --formula spin-echo "
-                          "(rows are echo iterations)")
 
     lam = args.lam if args.lam is not None else 0.0
     t_max = args.t_max if args.t_max is not None else 2.0
@@ -226,10 +261,10 @@ def cmd_analytic(args) -> int:
         overlaps = (analytic.spin_echo_overlap(k, lam) for k in range(1, n_pi + 1))
         columns = (2.0 * math.pi * np.arange(1, n_pi + 1), np.fromiter(overlaps, float, n_pi))
     else:
-        given = {field: getattr(args, k) for k, (_, field) in _FLAGS.items()
+        given = {field: getattr(args, k) for k, (_, field, _, _) in _FLAGS.items()
                  if field and getattr(args, k) is not None}
         params = analytic.CouplingParams(coupling=lam, **given)
-        # an overflow leaves a non-finite value, which _require_finite refuses
+        # an overflow leaves a non-finite value, which write_csv refuses
         with np.errstate(over="ignore", invalid="ignore"), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -254,7 +289,6 @@ def cmd_analytic(args) -> int:
             _warn(args, str(warning.message))
         columns = (grid, vis)
 
-    _require_finite(*columns)
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
     n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"], columns),
@@ -325,7 +359,6 @@ def cmd_simulate(args) -> int:
         "exact_error": trace.exact_error,
         "tail_mass": trace.tail_mass,
     }
-    _require_finite(*columns.values())
     echo = dataclasses.asdict(cfg)
 
     def write(path):
@@ -443,7 +476,6 @@ def cmd_design(args) -> int:
                               f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
         table = np.fromiter((v for r in rows for v in r.values()), float).reshape(len(rows), -1)
-        _require_finite(table)
         write_outputs(args, lambda path: write_csv(path, list(rows[0]), table.T), {
             "config": dataclasses.asdict(cfg),
             "tau_range": list(args.tau_range),
@@ -469,39 +501,6 @@ def cmd_design(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
-    return value
-
-
-def _positive_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
-    return value
-
-
-def _nonnegative_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw!r}")
-    return value
-
-
-def _range_triple(raw: str) -> tuple[float, float, int]:
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected lo,hi,n — got {raw!r}")
-    lo, hi, n = _positive_float(parts[0]), _positive_float(parts[1]), int(parts[2])
-    if hi < lo:
-        raise argparse.ArgumentTypeError(f"hi must be >= lo, got {raw!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"n must be >= 1, got {raw!r}")
-    return lo, hi, n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revivalsim",
@@ -511,34 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form visibility curves")
-    p.add_argument(
-        "--formula",
-        required=True,
-        choices=sorted(_FORMULA_FLAGS),
-    )
-    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
-                   help="dimensionless coupling g/omega")
-    p.add_argument("--lambda-prime", dest="lam_prime", type=_finite_float,
-                   default=None, help="boost-stage coupling g'/omega")
-    p.add_argument("--nbar", type=_finite_float, default=None)
-    p.add_argument("--q", type=_finite_float, default=None,
-                   help="quality factor omega/gamma_m")
-    p.add_argument("--gamma-a", dest="gamma_a", type=_finite_float, default=None,
-                   help="qubit coherence decay rate over omega; the simulate "
-                        "engine's gamma_a (sigma_z jump rate) decays coherence "
-                        "at 2*gamma_a")
-    p.add_argument("--n-atoms", dest="n_atoms", type=int, default=None)
-    p.add_argument("--n-pi", dest="n_pi", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=_positive_float, default=None,
-                   help="grid length in oscillator periods (default 2)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="rows in the half-open omega*t grid (default 400)")
+    p.add_argument("--formula", required=True, choices=sorted(_FORMULA_FLAGS))
+    for key, (option, _, kind, text) in _FLAGS.items():
+        p.add_argument(option, dest=key, type=kind, help=text)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("simulate", help="run a master-equation protocol")
     p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--protocol", choices=("basic", "boosted", "spin_echo"),
+    p.add_argument("--protocol", choices=PROTOCOLS,
                    default=None, help="override the config's protocol")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
