@@ -168,6 +168,16 @@ def _config_kwargs(values: dict, cls) -> dict:
     return kwargs
 
 
+def _refuse_stray(args, flags: dict, allowed, where: str) -> None:
+    """The stray-flag rule: refuse, naming each, the flags of the table flags
+    (dest -> row, the option string first) passed to a mode that does not
+    read them; an absent flag is None."""
+    stray = sorted(row[0] for key, row in flags.items()
+                   if key not in allowed and getattr(args, key) is not None)
+    if stray:
+        raise ConfigError(f"{', '.join(stray)} not applicable to {where}")
+
+
 def _finite_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -234,12 +244,7 @@ _FORMULA_FLAGS = {
 
 def cmd_analytic(args) -> int:
     formula = args.formula
-    allowed = _FORMULA_FLAGS[formula]
-    passed = {k for k in _FLAGS if getattr(args, k) is not None}
-    stray = passed - allowed
-    if stray:
-        names = ", ".join(sorted(_FLAGS[k][0] for k in stray))
-        raise ConfigError(f"{names} not applicable to --formula {formula}")
+    _refuse_stray(args, _FLAGS, _FORMULA_FLAGS[formula], f"--formula {formula}")
 
     lam = args.lam if args.lam is not None else 0.0
     t_max = args.t_max if args.t_max is not None else 2.0
@@ -340,6 +345,11 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
         kwargs["protocol"] = protocol_override
     if kwargs.get("protocol") == "spin-echo":
         kwargs["protocol"] = "spin_echo"
+    if kwargs.get("protocol") == "spin_echo":
+        # its length is 2 n_pi periods, and ProtocolConfig would ignore t_max
+        for key in ("t_max", "t_max_periods"):
+            if key in values:
+                raise ConfigError(f"{key} not applicable to protocol spin_echo")
 
     try:
         return ProtocolConfig(**kwargs)
@@ -442,6 +452,13 @@ def cmd_verify(args) -> int:
 
 _DESIGN_KEYS = {f.name for f in dataclasses.fields(PhysicalConfig)} - {"atom_mass"} | {
     "atom_mass_amu", "atom_mass_kg"}
+# each mode flag's option string, type and help, and the flags each mode reads
+_DESIGN_FLAGS = {
+    "tau_range": ("--tau-range", _range_triple, "lo,hi,n (seconds, log-spaced)"),
+    "temp_range": ("--temp-range", _range_triple, "lo,hi,n (kelvin, log-spaced)"),
+    "sigma_level": ("--sigma-level", _positive_float, None),
+}
+_MODE_FLAGS = {"--point": {"sigma_level"}, "--sweep": {"tau_range", "temp_range"}}
 
 
 def _physical_config_from_file(values: dict) -> PhysicalConfig:
@@ -462,6 +479,8 @@ def _physical_config_from_file(values: dict) -> PhysicalConfig:
 
 
 def cmd_design(args) -> int:
+    mode = "--sweep" if args.sweep else "--point"
+    _refuse_stray(args, _DESIGN_FLAGS, _MODE_FLAGS[mode], mode)
     values = parse_config_file(args.config) if args.config else {}
     cfg = _physical_config_from_file(values)
 
@@ -484,12 +503,11 @@ def cmd_design(args) -> int:
         print(f"wrote {args.out} ({len(rows)} grid cells)")
         return EXIT_OK
 
+    sigma_level = args.sigma_level if args.sigma_level is not None else 5.0
     derived = design.derive(cfg)
     payload = dataclasses.asdict(derived)
-    payload["atoms_required"] = design.atoms_required(
-        derived.delta_v_boosted, args.sigma_level
-    )
-    payload["sigma_level"] = args.sigma_level
+    payload["atoms_required"] = design.atoms_required(derived.delta_v_boosted, sigma_level)
+    payload["sigma_level"] = sigma_level
     if derived.low_temperature_flag:
         _warn(args, "k_B*T/(hbar*omega) < 10; thermal contrast forms are outside "
                     "their validity range")
@@ -543,12 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--point", action="store_true", default=True)
     mode.add_argument("--sweep", action="store_true", default=False)
-    p.add_argument("--tau-range", dest="tau_range", type=_range_triple,
-                   default=None, help="lo,hi,n (seconds, log-spaced)")
-    p.add_argument("--temp-range", dest="temp_range", type=_range_triple,
-                   default=None, help="lo,hi,n (kelvin, log-spaced)")
-    p.add_argument("--sigma-level", dest="sigma_level", type=_positive_float,
-                   default=5.0)
+    for key, (option, kind, text) in _DESIGN_FLAGS.items():
+        p.add_argument(option, dest=key, type=kind, help=text)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_design)
 

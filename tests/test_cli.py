@@ -96,6 +96,19 @@ def test_write_csv_one_chunk_plus_one(tmp_path):
     assert lines == _oracle_lines(["x", "k", "b"], columns)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS + 3], ids=["first_chunk", "later_chunk"])
+def test_write_csv_refuses_a_non_finite_value(bad, row, tmp_path):
+    # the writer is the one check: a NaN used to reach verify's CSV with exit 0
+    values = np.linspace(0.0, 1.0, 2 * CSV_CHUNK_ROWS)
+    values[row] = bad
+    path = tmp_path / "x.csv"
+    with pytest.raises(OverflowError, match="not finite"):
+        write_csv(path, ["k", "x"], [np.arange(values.size), values])
+    # nothing of the refused chunk is written
+    assert len(path.read_text().splitlines()) == 1 + row // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(table=arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 3)),
                    elements=st.floats(allow_nan=False, allow_infinity=False)))
@@ -205,10 +218,13 @@ def test_analytic_stray_flag_is_named(tmp_path, capsys):
 
 
 def test_analytic_spin_echo_grid_flags_conflict(tmp_path, capsys):
+    # spin echo's rows are echo iterations: the grid flags are stray flags
     code = main(["analytic", "--formula", "spin-echo", "--lambda", "0.05",
-                 "--t-max", "1", "--out", str(tmp_path / "x.csv")])
+                 "--t-max", "1", "--samples", "8", "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "spin-echo" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--samples, --t-max not applicable to --formula spin-echo" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n_pi", ["0", "-2"])
@@ -506,6 +522,24 @@ def test_simulate_bad_t_max_is_a_config_error(lines, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, override, key", [
+    ("protocol = spin_echo\nt_max = 100\n", None, "t_max"),
+    ("protocol = spin-echo\nt_max_periods = 3\n", None, "t_max_periods"),
+    ("t_max = 6\n", "spin_echo", "t_max"),
+], ids=["t_max", "t_max_periods", "protocol_override"])
+def test_simulate_spin_echo_refuses_a_run_length(lines, override, key, tmp_path, capsys):
+    # spin echo runs 2 n_pi periods: t_max = 100 ran two periods and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 0.05\n" + lines)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    assert main(argv + (["--protocol", override] if override else [])) == 2
+    assert f"error: {key} not applicable to protocol spin_echo" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+    # the library still takes, and ignores, a spin-echo t_max
+    echo = ProtocolConfig(g=0.05, protocol="spin_echo", t_max=100.0)
+    assert echo.resolved_t_max() == 4.0 * math.pi
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -561,6 +595,17 @@ def test_verify_rows_are_the_witness_reports(tmp_path):
             want = getattr(report, name)
             got = text == "true" if isinstance(want, bool) else float(text)
             assert got == want, (kind, seed, name)
+
+
+def test_verify_refuses_a_non_finite_report(tmp_path, capsys, monkeypatch):
+    # verify's CSV had no finiteness check: a NaN field was written with exit 0
+    monkeypatch.setattr(witness, "run_property_suite", lambda *args, **kwargs: [
+        WitnessReport(True, 0.0, 0.0, math.nan)])
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", "4", "--samples", "8",
+                 "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_empty_suite(capsys):
@@ -650,7 +695,10 @@ def test_verify_rejects_bad_float_flags(flag, capsys):
 
 def test_design_point_defaults(capsys):
     assert main(["design", "--point"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    assert main(["design", "--point", "--sigma-level", "5"]) == 0
+    assert capsys.readouterr().out == printed
+    doc = json.loads(printed)
     assert doc["k_squared"] == pytest.approx(1.0384262601011322e-10, rel=1e-12)
     assert doc["delta_v_boosted"] == pytest.approx(6.9965622524194218e-06, rel=1e-12)
     assert doc["atoms_required"] == pytest.approx(510705580421.52692, rel=1e-12)
@@ -702,6 +750,21 @@ def test_design_rejects_bad_flags(flag, value, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--point", "--tau-range", "1,2,3"], "--tau-range"),
+    (["--temp-range", "1,2,3"], "--temp-range"),
+    (["--sweep", "--tau-range", "10,100,3", "--temp-range", "10,300,2", "--sigma-level", "3"],
+     "--sigma-level"),
+], ids=["point_tau_range", "default_temp_range", "sweep_sigma_level"])
+def test_design_refuses_flags_its_mode_does_not_read(argv, flag, tmp_path, capsys):
+    # each of these exited 0 and ignored the flag
+    mode = "--sweep" if "--sweep" in argv else "--point"
+    assert main(["design", *argv, "--out", str(tmp_path / "design.out")]) == 2
+    printed = capsys.readouterr()
+    assert f"error: {flag} not applicable to {mode}" in printed.err and printed.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_design_sweep_caps_its_grid(tmp_path, capsys):
