@@ -26,17 +26,17 @@ import sys
 import time
 import warnings
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic, design, witness
+from . import __version__, analytic, design
 from .algebra import thermal_occupation
 from .config import ConfigError, get_int, get_number, parse_config_file, require_keys
 from .constants import ATOMIC_MASS
 from .design import GeometryError, PhysicalConfig
-from .lindblad import (MAX_DIM, PROTOCOLS, IntegrationError, ProtocolConfig, TruncationError,
-                       run_protocol)
+from .protocol import MAX_DIM, PROTOCOLS, IntegrationError, ProtocolConfig, TruncationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,11 +70,13 @@ def write_csv(path, header: list[str], columns) -> int:
     """Write the header and the rows of the equal-length columns, one chunk
     of rows at a time; return the row count.  Each column's format comes
     from its dtype: floats as %.17g, which round-trips exactly, booleans as
-    true/false, and ints and strings through str.  A chunk that holds a NaN
-    or an infinity raises OverflowError before it is written."""
+    true/false, and ints and strings through str; a chunk's rows take one %
+    operation, the row template repeated per row on the values in row order.
+    A chunk that holds a NaN or an infinity raises OverflowError before it is
+    written."""
     columns = [np.asarray(column) for column in columns]
     columns = [_CSV_BOOLS[c.astype(np.intp)] if c.dtype.kind == "b" else c for c in columns]
-    template = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    template = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     n_rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -82,7 +84,8 @@ def write_csv(path, header: list[str], columns) -> int:
             chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
             if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
                 raise OverflowError("a computed output value is not finite")
-            fh.write("".join(map(template.format, *(c.tolist() for c in chunk))))
+            values = tuple(chain.from_iterable(zip(*(c.tolist() for c in chunk))))
+            fh.write(template * len(chunk[0]) % values)
     return n_rows
 
 
@@ -306,6 +309,10 @@ def cmd_analytic(args) -> int:
 
 _SIMULATE_KEYS = {f.name for f in dataclasses.fields(ProtocolConfig)} | {
     "units", "tau", "temperature", "t_max_periods"}
+# the keys only some protocols read, and those protocols: spin echo's length
+# is 2 n_pi periods, so it reads no t_max
+_PROTOCOL_KEYS = {"g_prime": {"boosted"}, "n_pi": {"spin_echo"},
+                  "t_max": {"basic", "boosted"}, "t_max_periods": {"basic", "boosted"}}
 
 
 def _protocol_config_from_file(values: dict, protocol_override: str | None) -> ProtocolConfig:
@@ -345,22 +352,25 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
         kwargs["protocol"] = protocol_override
     if kwargs.get("protocol") == "spin-echo":
         kwargs["protocol"] = "spin_echo"
-    if kwargs.get("protocol") == "spin_echo":
-        # its length is 2 n_pi periods, and ProtocolConfig would ignore t_max
-        for key in ("t_max", "t_max_periods"):
-            if key in values:
-                raise ConfigError(f"{key} not applicable to protocol spin_echo")
 
     try:
-        return ProtocolConfig(**kwargs)
+        cfg = ProtocolConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # ProtocolConfig takes, and ignores, a key its protocol does not read
+    stray = sorted(key for key, readers in _PROTOCOL_KEYS.items()
+                   if key in values and cfg.protocol not in readers)
+    if stray:
+        raise ConfigError(f"{', '.join(stray)} not applicable to protocol {cfg.protocol}")
+    return cfg
 
 
 def cmd_simulate(args) -> int:
     values = parse_config_file(args.config)
     cfg = _protocol_config_from_file(values, args.protocol)
-    trace = run_protocol(cfg)
+    from . import lindblad  # the engine, which analytic and design never load
+
+    trace = lindblad.run_protocol(cfg)
     columns = {
         "t": trace.times,
         "visibility": trace.visibility,
@@ -399,6 +409,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"--samples {args.samples} at --dim {args.dim} keeps {kept} state values "
             f"per channel, more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
+    from . import witness  # loads the engine
+
     contrast_cfg = witness.contrast_config(args.contrast_coupling)
     dim = contrast_cfg.resolved_dim()
     # the contrast run keeps one period of samples_per_period + 1 joint states

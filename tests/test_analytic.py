@@ -385,3 +385,35 @@ def test_closed_forms_import_without_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+def test_analytic_and_design_run_without_the_engine(tmp_path):
+    # the CLI loads the engine, lindblad, dop853 and witness, only to simulate and verify
+    import revivalsim
+
+    src = str(Path(revivalsim.__file__).resolve().parents[1])
+    (tmp_path / "run.cfg").write_text("units = natural\ng = 0.05\nt_max_periods = 1\n"
+                                      "samples_per_period = 8\n")
+    code = ("import sys\n"
+            "from revivalsim import cli\n"
+            "out = sys.argv[1] + '/'\n"
+            "engine = ('revivalsim.lindblad', 'revivalsim.dop853', 'revivalsim.witness')\n"
+            "runs = (['analytic', '--formula', 'thermal', '--lambda', '0.1', '--nbar', '2'],\n"
+            "        ['analytic', '--formula', 'damped-exact', '--lambda', '0.05',\n"
+            "         '--nbar', '1.5', '--q', '200', '--gamma-a', '0.001'],\n"
+            "        ['design', '--point'],\n"
+            "        ['design', '--sweep', '--tau-range', '10,100,3', '--temp-range', '10,300,2'])\n"
+            "for i, argv in enumerate(runs):\n"
+            "    assert cli.main(argv + ['--out', f'{out}{i}.out']) == 0, argv\n"
+            "loaded = [sorted(name for name in engine if name in sys.modules)]\n"
+            "assert cli.main(['simulate', '--config', out + 'run.cfg',\n"
+            "                 '--out', out + 'simulate.csv']) == 0\n"
+            "loaded.append(sorted(name for name in engine if name in sys.modules))\n"
+            "assert cli.main(['verify', '--seeds', '1', '--dim', '4', '--samples', '8']) == 0\n"
+            "loaded.append(sorted(name for name in engine if name in sys.modules))\n"
+            "print(loaded)")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip().splitlines()[-1] == (
+        "[[], ['revivalsim.dop853', 'revivalsim.lindblad'], "
+        "['revivalsim.dop853', 'revivalsim.lindblad', 'revivalsim.witness']]")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import boosted_swing
-from revivalsim import __version__, cli, witness
+from revivalsim import __version__, cli, lindblad, witness
 from revivalsim.cli import (CSV_CHUNK_ROWS, MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
                             _protocol_config_from_file, main, write_csv)
 from revivalsim.config import parse_config_file
@@ -540,6 +540,24 @@ def test_simulate_spin_echo_refuses_a_run_length(lines, override, key, tmp_path,
     assert echo.resolved_t_max() == 4.0 * math.pi
 
 
+@pytest.mark.parametrize("lines, override, message", [
+    ("g_prime = 0.1\n", None, "g_prime not applicable to protocol basic"),
+    ("n_pi = 3\n", None, "n_pi not applicable to protocol basic"),
+    ("protocol = boosted\nn_pi = 3\n", None, "n_pi not applicable to protocol boosted"),
+    ("protocol = boosted\ng_prime = 0.1\n", "basic", "g_prime not applicable to protocol basic"),
+    ("g_prime = 0.1\nn_pi = 2\n", "spin_echo", "g_prime not applicable to protocol spin_echo"),
+], ids=["g_prime_basic", "n_pi_basic", "n_pi_boosted", "g_prime_override", "g_prime_echo"])
+def test_simulate_refuses_a_key_its_protocol_does_not_read(lines, override, message, tmp_path,
+                                                           capsys):
+    # each ran, ignored the key and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 0.05\n" + lines)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    assert main(argv + (["--protocol", override] if override else [])) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -992,7 +1010,7 @@ def test_undamped_simulate_is_never_refused_as_stiff(tmp_path):
 def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
     # a missing directory and a directory ended in an OSError traceback
     # (exit 1), simulate's only after the whole integration
-    monkeypatch.setattr(cli, "run_protocol", lambda cfg: pytest.fail("integrated"))
+    monkeypatch.setattr(lindblad, "run_protocol", lambda cfg: pytest.fail("integrated"))
     (tmp_path / "dir").mkdir()
     argv = {"analytic": ["analytic", "--formula", "thermal", "--lambda", "0.1",
                          "--out", str(tmp_path / "missing" / "x.csv")],
