@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -26,7 +27,6 @@ import sys
 import time
 import warnings
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ EXIT_WITNESS = 5
 # `analytic` row limits, checked before the grid is built.  Rows are written,
 # and damped-exact evaluated, a chunk at a time, so the peak is the formula's
 # own arrays: above import, 10^6 rows took 20 MB for damped-exact, 25 MB for
-# thermal, 41 MB for many-atom and 48 MB for damped and boosted (186 MB at
+# thermal, 39 MB for many-atom and 48 MB for damped and boosted (185 MB at
 # 4 x 10^6), so 10^7 rows take at most about 0.5 GB, and the benchmark's
 # largest grid is 50,000.  MAX_SAMPLES also caps the cells of a
 # `design --sweep`, whose row dicts cost about 360 B a cell.
@@ -63,43 +63,238 @@ MAX_STATE_VALUES = 2**24
 # ---------------------------------------------------------------- helpers
 
 CSV_CHUNK_ROWS = 8192  # rows formatted and written at a time
-_CSV_BOOLS = np.array(["false", "true"])
+_CSV_BOOLS = np.array([b"false", b"true"])
+# The float kernel scales |x| by the double-double 10^e, |e| <= _POW_MAX, so it
+# decides the x with floor(log10 |x|) from 17 - _POW_MAX to 15 + _POW_MAX,
+# about 1e-263 <= |x| < 1e296, where 10^e split by Veltkamp's 2^27 + 1 and its
+# low part stay normal doubles.  A scaled value is off by a few 1e-15 at most,
+# so one whose fraction is within _TIE_MARGIN of one half is left undecided.
+_POW_MAX = 280
+_TIE_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2^27 + 1
+_FLOAT_WIDTH = 24  # len("-1.2345678901234567e-308")
+_GATHER_ROWS = 1024  # rows per layout gather, whose int index takes 0.2 MB
+# A value's 32-byte source row, eight 4-byte words: its leading digit as
+# "000d", its other 16 digits, ".-0e", the exponent's 4 digits, and the
+# exponent's sign followed by NULs.  Digit i is at byte 3 + i.
+_DOT, _MINUS, _ZERO, _E, _EXP, _EXP_SIGN, _NUL = 20, 21, 22, 23, 24, 28, 29
+
+
+@functools.cache
+def _float_tables():
+    """The kernel's tables, built on first use, not at import:
+    - the powers 10^e, -_POW_MAX <= e <= _POW_MAX, as rows hi_hi, hi_lo and
+      lo, where hi + lo is 10^e to about 2^-106, hi and lo each correctly
+      rounded from Python ints, and hi_hi + hi_lo is hi's Veltkamp split;
+    - the ASCII of 0..9999 as 4-byte words, and of "+"/"-" followed by NULs;
+    - the number of trailing zeros of each 4-digit group (4 for 0000);
+    - for each (layout, digits kept, sign), the 24 source-row positions of
+      a value's %.17g bytes, NUL-padded: layouts 0..20 are fixed notation
+      with decimal exponent layout - 4, 21 and 22 exponent notation with
+      two and three exponent digits."""
+    powers = []
+    for e in range(-_POW_MAX, _POW_MAX + 1):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        hi = num / den  # int true division rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        split = hi * _SPLIT
+        hi_hi = split - (split - hi)
+        powers.append((hi_hi, hi - hi_hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    ints = np.arange(10**4)
+    ascii4 = (ints[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    trailing = np.zeros(10**4, np.intp)
+    for place in (10, 100, 1000, 10**4):
+        trailing += ints % place == 0
+    signs = np.array([[ord("+"), 0, 0, 0], [ord("-"), 0, 0, 0]], np.uint8)
+    layouts = np.full((23, 17, 2, _FLOAT_WIDTH), _NUL, np.intp)
+    for layout in range(23):
+        for kept in range(1, 18):
+            if layout > 20:
+                exp = [_EXP + 1, _EXP + 2, _EXP + 3][22 - layout:]
+                body = [3] + [_DOT] * (kept > 1) + list(range(4, 3 + kept)) + [_E, _EXP_SIGN] + exp
+            elif layout >= 4:  # digits 0..layout - 4 before the point
+                point = layout - 3
+                body = list(range(3, 3 + max(point, kept)))
+                body[point:point] = [_DOT] * (kept > point)
+            else:  # "0.", 3 - layout zeros, the digits
+                body = [_ZERO, _DOT] + [_ZERO] * (3 - layout) + list(range(3, 3 + kept))
+            for sign in (0, 1):
+                row = [_MINUS] * sign + body
+                layouts[layout, kept - 1, sign, :len(row)] = row
+    return (np.array(powers).T.copy(), ascii4.view(np.uint32).ravel(), trailing,
+            signs.view(np.uint32).ravel(), layouts.reshape(-1, _FLOAT_WIDTH))
+
+
+def _scaled(x, powers, k):
+    """x 10^(16 - k), 10^(16 - k) from the power table, as a normalized
+    double-double (hi, lo): Dekker's exact product of x and the power's hi
+    part, x split by Veltkamp, plus x times the power's lo part."""
+    hi_hi, hi_lo, lo = powers.take(_POW_MAX + 16 - k, axis=1)
+    product = x * (hi_hi + hi_lo)
+    x_hi = x * _SPLIT
+    x_hi -= x_hi - x
+    tail = x_hi * hi_hi  # the product's rounding error, then its sum with x lo
+    tail -= product
+    tail += x_hi * hi_lo
+    x_hi -= x  # -x_lo
+    tail -= x_hi * hi_hi
+    tail -= x_hi * hi_lo
+    tail += x * lo
+    total = product + tail
+    product -= total
+    tail += product
+    return total, tail
+
+
+def _decimal(x, powers):
+    """(D, k, undecided) of positive finite floats x: the 17-digit integers
+    D in [10^16, 10^17] and decimal exponents k with x = D 10^(k - 16) to
+    nearest, a carry to 10^17 moving k up.  undecided marks an x outside the
+    power table (D = 10^16, k = 0) or within _TIE_MARGIN of a tie."""
+    k = np.floor(np.log10(x)).astype(np.intp)
+    undecided = (k <= 16 - _POW_MAX) | (k >= 16 + _POW_MAX)
+    x = np.where(undecided, 1.0, x)
+    k[undecided] = 0
+    high, low = _scaled(x, powers, k)
+    # log10 is one off for some x near a power of ten
+    off = (((high > 1e17) | ((high == 1e17) & (low >= 0))).astype(np.intp)
+           - ((high < 1e16) | ((high == 1e16) & (low < 0))))
+    redo = np.flatnonzero(off)
+    if redo.size:
+        k[redo] += off[redo]
+        high[redo], low[redo] = _scaled(x[redo], powers, k[redo])
+    whole = np.floor(low)
+    low -= whole  # the fraction
+    undecided |= np.abs(low - 0.5) < _TIE_MARGIN
+    digits = high.astype(np.int64)
+    digits += whole.astype(np.int64)
+    digits += low > 0.5
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    k += carry
+    return digits, k, undecided
+
+
+def _source_rows(digits, k, zero, ascii4, trailing, signs):
+    """Each value's 32-byte source row as eight uint32 words, and the count
+    of its 17 digits kept once trailing zeros are dropped (1 for zero)."""
+    lead, rest = np.divmod(digits, 10**16)
+    lead[zero] = 0
+    upper, lower = np.divmod(rest, 10**8)
+    src = np.empty((len(digits), 8), np.uint32)
+    src[:, 0] = ascii4.take(lead)
+    kept = np.ones(len(digits), np.intp)
+    for i, group in enumerate((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))):
+        src[:, 1 + i] = ascii4.take(group)
+        kept = np.where(group != 0, 4 * i + 5 - trailing.take(group), kept)
+    src[:, 5] = np.frombuffer(b".-0e", np.uint32)[0]
+    src[:, 6] = ascii4.take(np.abs(k))
+    src[:, 7] = np.where(k < 0, signs[1], signs[0])
+    return src, kept
+
+
+def _float_bytes(values: np.ndarray) -> np.ndarray:
+    """The %.17g bytes of each finite float64, NUL-padded to 24 bytes a row:
+    `_decimal` gives each |x|'s 17 digits and exponent k, `_source_rows`
+    their ASCII, and the row of the layout table keyed by (layout, digits
+    kept, sign) gathers the value's bytes.  What `_decimal` leaves undecided
+    is formatted as '%.17g' % x."""
+    powers, ascii4, trailing, signs, layouts = _float_tables()
+    zero = values == 0
+    digits, k, undecided = _decimal(np.where(zero, 1.0, np.abs(values)), powers)
+    src, kept = _source_rows(digits, k, zero, ascii4, trailing, signs)
+    layout = np.where((k >= -4) & (k <= 16), k + 4, np.where(np.abs(k) < 100, 21, 22))
+    keys = (layout * 17 + kept - 1) * 2 + np.signbit(values)
+    out = np.empty((len(values), _FLOAT_WIDTH), np.uint8)
+    for lo in range(0, len(values), _GATHER_ROWS):
+        rows = slice(lo, lo + _GATHER_ROWS)
+        index = layouts.take(keys[rows], axis=0)
+        index += np.arange(32 * lo, 32 * (lo + len(index)), 32)[:, None]
+        src.view(np.uint8).ravel().take(index, out=out[rows], mode="clip")
+    for i in np.flatnonzero(undecided):
+        text = ("%.17g" % values[i]).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _column_bytes(column: np.ndarray) -> np.ndarray:
+    """A column's CSV text, one NUL-padded row of bytes a value, by dtype:
+    floats as %.17g (`_float_bytes`), booleans as true/false, and ints and
+    strings as numpy casts them to bytes, which is how str writes them."""
+    if column.dtype.kind == "f":
+        return _float_bytes(column.astype(np.float64, copy=False))
+    text = _CSV_BOOLS[column.astype(np.intp)] if column.dtype.kind == "b" else column.astype("S")
+    return text.view(np.uint8).reshape(len(column), -1)
 
 
 def write_csv(path, header: list[str], columns) -> int:
     """Write the header and the rows of the equal-length columns, one chunk
-    of rows at a time; return the row count.  Each column's format comes
-    from its dtype: floats as %.17g, which round-trips exactly, booleans as
-    true/false, and ints and strings through str; a chunk's rows take one %
-    operation, the row template repeated per row on the values in row order.
-    A chunk that holds a NaN or an infinity raises OverflowError before it is
-    written."""
+    of rows at a time; return the row count.  Floats are written as %.17g,
+    which round-trips exactly, booleans as true/false, and ints and strings
+    as str writes them (`_column_bytes`).
+
+    A chunk's floats are formatted together by a numpy kernel
+    (`_float_bytes`): it scales each |v| to its 17 significant digits in
+    double-double arithmetic, rounds them, and gathers their ASCII and the
+    exponent's into each value's %g layout, the same bytes as '%.17g' % v.
+    A value the kernel cannot decide is formatted as '%.17g' % v itself:
+    |v| outside its power table (below about 1e-263 or from 1e296 on), or
+    a scaled value within 1e-9 of a rounding tie, such as 2**-25.  The
+    chunk's columns are joined by commas into a NUL-padded row matrix,
+    written with its NULs removed in one call.  A chunk that holds a NaN or
+    an infinity raises OverflowError before it is written."""
     columns = [np.asarray(column) for column in columns]
-    columns = [_CSV_BOOLS[c.astype(np.intp)] if c.dtype.kind == "b" else c for c in columns]
-    template = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     n_rows = len(columns[0])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
             if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
                 raise OverflowError("a computed output value is not finite")
-            values = tuple(chain.from_iterable(zip(*(c.tolist() for c in chunk))))
-            fh.write(template * len(chunk[0]) % values)
+            blocks = [_column_bytes(c) for c in chunk]
+            rows = np.zeros((len(chunk[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
+            end = 0
+            for block in blocks:
+                rows[:, end:end + block.shape[1]] = block
+                end += block.shape[1] + 1
+                rows[:, end - 1] = ord(",")
+            rows[:, -1] = ord("\n")
+            fh.write(rows[rows != 0])
     return n_rows
 
 
-def _json_text(payload: dict) -> str:
+def _json_text(value) -> str:
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # a non-finite number
         raise OverflowError("a computed output value is not finite") from exc
 
 
 def write_json(path, payload: dict) -> None:
-    text = _json_text(payload)
+    """Write the payload as json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) does, and a newline.  A value that is a 1-d float array
+    is written CSV_CHUNK_ROWS numbers at a time, each as float.__repr__ as
+    json writes it; a chunk that holds a NaN or an infinity raises
+    OverflowError before it is written."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write("{")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
+            value = payload[key]
+            if not isinstance(value, np.ndarray):
+                fh.write(_json_text(value)[:-1].replace("\n", "\n  "))
+            elif not value.size:
+                fh.write("[]")
+            else:
+                for start in range(0, len(value), CSV_CHUNK_ROWS):
+                    chunk = value[start:start + CSV_CHUNK_ROWS]
+                    if not np.isfinite(chunk).all():
+                        raise OverflowError("a computed output value is not finite")
+                    fh.write(("," if start else "[") + "\n    "
+                             + ",\n    ".join(map(float.__repr__, chunk.tolist())))
+                fh.write("\n  ]")
+        fh.write("\n}\n" if payload else "}\n")
 
 
 def _now() -> str:
@@ -385,7 +580,7 @@ def cmd_simulate(args) -> int:
         if args.format == "csv":
             write_csv(path, list(columns), columns.values())
         else:
-            write_json(path, dict({k: c.tolist() for k, c in columns.items()}, config=echo))
+            write_json(path, dict(columns, config=echo))
 
     write_outputs(args, write, echo, stats=trace.stats)
     print(

@@ -387,15 +387,25 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
 def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
     """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each
     alpha of a 1-d array, by the recurrence of `protocol._populations` on `CHUNK`
-    alphas at once, which bounds its temporaries to a few real arrays of them."""
+    alphas at once, in three buffers of them that each level's arithmetic
+    writes into."""
     out = np.empty(len(alpha))
+    buffers = np.empty((3, min(len(alpha), CHUNK)))
+    r = nbar / (nbar + 1.0)
     for lo in range(0, len(alpha), CHUNK):
         mean = np.abs(alpha[lo:lo + CHUNK]) ** 2
-        r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
-        prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
+        s = mean / (nbar + 1.0) ** 2
+        prev, p, step = buffers[:, :len(mean)]
+        prev[:] = 0.0
+        np.divide(np.exp(-mean / (nbar + 1.0)), nbar + 1.0, out=p)
         for n in range(dim - 1):
-            prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
-        out[lo:lo + CHUNK] = prev + p
+            np.add(s, r * (2 * n + 1), out=step)
+            step *= p
+            prev *= r * r * n
+            step -= prev
+            step /= n + 1
+            prev, p, step = p, step, prev
+        np.add(prev, p, out=out[lo:lo + CHUNK])
     return out
 
 

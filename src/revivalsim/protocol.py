@@ -28,9 +28,9 @@ DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of 
 MAX_DIM = 512
 
 # Most samples (samples_per_period x t_max / period) a run may take: `simulate`
-# peaks at about 0.9 kB per sample above import with JSON output and 0.2 kB
-# with CSV (2 x 10^5 samples, at dim 33 and dim 122 alike), so 10^6 take
-# about 1 GB; the benchmark's 401.
+# peaks at about 0.1 kB per sample above import with CSV or JSON output (2 x
+# 10^5 undamped samples: 18 MB at dim 54, 20 MB at dim 122), so 10^6 take
+# about 100 MB; the benchmark's 401.
 MAX_RUN_SAMPLES = 10**6
 
 PROTOCOLS = ("basic", "boosted", "spin_echo")

@@ -91,6 +91,22 @@ def initial_state(cfg, dim=None):
     return np.kron(PLUS_STATE, thermal_density(cfg.nbar, dim))
 
 
+def top_levels_mass(nbar, alpha, dim, chunk):
+    """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each
+    alpha, by the recurrence of `protocol._populations` on chunk alphas at a
+    time, each level's arithmetic allocating its results: the loop the
+    engine's `_top_levels_mass` runs in place."""
+    out = np.empty(len(alpha))
+    for lo in range(0, len(alpha), chunk):
+        mean = np.abs(alpha[lo:lo + chunk]) ** 2
+        r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
+        prev, p = 0.0, np.exp(-mean / (nbar + 1.0)) / (nbar + 1.0)
+        for n in range(dim - 1):
+            prev, p = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1)
+        out[lo:lo + chunk] = prev + p
+    return out
+
+
 def boosted_swing(params):
     """Half-to-full-period visibility rise of the boosted protocol:
 

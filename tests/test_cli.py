@@ -1,5 +1,6 @@
 """End-to-end tests of the batch CLI (in-process via main(argv))."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,11 +65,23 @@ def _write_and_read(path, header, columns):
 
 
 def test_write_csv_float_extremes_round_trip(tmp_path):
-    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 2.0, -3.0, 0.1, 1e22, 1e-7])
+    # the smallest and largest magnitudes first, then each %g layout
+    # boundary, doubles just below a power of ten that round up to it, exact
+    # ties (round half even, down and up), three-digit exponents and both
+    # edges of the float kernel's power table
+    lo, hi = 10.0 ** (17 - cli._POW_MAX), 10.0 ** (15 + cli._POW_MAX)
+    edges = [1e-4, math.nextafter(1e-4, 0), 1e16, 1e17, 9.99999999999999999e-5, 1e-14, 1e98,
+             2.0**-25, 3 * 2.0**-26, 3 * 2.0**-25, 1e-100, 2.5e250, 1e-310,
+             lo, math.nextafter(lo, 0), hi, math.nextafter(hi, 0), 10 * hi]
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 2.0, -3.0, 0.1, 1e22, 1e-7]
+                      + edges + [-v for v in edges])
     n_rows, lines = _write_and_read(tmp_path / "x.csv", ["x"], [values])
     assert n_rows == values.size
     assert lines == _oracle_lines(["x"], [values])
     assert lines[1:5] == ["-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "2"]
+    assert lines[9:13] == ["0.0001", "9.9999999999999991e-05", "10000000000000000", "1e+17"]
+    assert lines[13:20] == ["0.0001", "1e-14", "1e+98", "2.9802322387695312e-08",
+                            "4.4703483581542969e-08", "8.9406967163085938e-08", "1e-100"]
     written = np.array([float(line) for line in lines[1:]])
     assert written.tobytes() == values.tobytes()  # bit for bit, the sign of -0 too
 
@@ -87,10 +100,13 @@ def test_write_csv_zero_rows_is_the_header(tmp_path):
 
 
 def test_write_csv_one_chunk_plus_one(tmp_path):
+    # one chunk mixes what the float kernel writes, the values outside its
+    # power table and the exact ties it leaves to '%.17g' % v, and zeros
     rng = np.random.default_rng(16)
-    columns = [rng.standard_normal(CSV_CHUNK_ROWS + 1)
-               * 10.0 ** rng.integers(-300, 300, CSV_CHUNK_ROWS + 1),
-               np.arange(CSV_CHUNK_ROWS + 1), rng.random(CSV_CHUNK_ROWS + 1) < 0.5]
+    floats = (rng.standard_normal(CSV_CHUNK_ROWS + 1)
+              * 10.0 ** rng.integers(-300, 300, CSV_CHUNK_ROWS + 1))
+    floats[rng.integers(0, CSV_CHUNK_ROWS, 40)] = [2.0**-25, -3 * 2.0**-25, 0.0, -0.0] * 10
+    columns = [floats, np.arange(CSV_CHUNK_ROWS + 1), rng.random(CSV_CHUNK_ROWS + 1) < 0.5]
     n_rows, lines = _write_and_read(tmp_path / "x.csv", ["x", "k", "b"], columns)
     assert n_rows == CSV_CHUNK_ROWS + 1
     assert lines == _oracle_lines(["x", "k", "b"], columns)
@@ -109,9 +125,15 @@ def test_write_csv_refuses_a_non_finite_value(bad, row, tmp_path):
     assert len(path.read_text().splitlines()) == 1 + row // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS
 
 
+# every finite float64 bit pattern: sign, biased exponent 0..2046, mantissa
+_FINITE_BITS = st.builds(lambda sign, exponent, mantissa: float(np.uint64(
+    sign << 63 | exponent << 52 | mantissa).view(np.float64)),
+    st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(table=arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 3)),
-                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+                   elements=st.floats(allow_nan=False, allow_infinity=False) | _FINITE_BITS))
 def test_write_csv_matches_the_oracle_on_float64(table):
     header = [f"c{j}" for j in range(table.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
@@ -445,6 +467,41 @@ def test_simulate_json_format(tmp_path):
     trace = run_protocol(ProtocolConfig(g=0.1, t_max=1.0, samples_per_period=40))
     assert doc["t"] == trace.times.tolist()
     assert doc["visibility"] == trace.visibility.tolist()
+
+
+def test_write_json_streams_what_json_dumps_writes(tmp_path):
+    # array values are written a chunk at a time, each float by its repr
+    rng = np.random.default_rng(7)
+    columns = {"t": np.linspace(0.0, 1.0, 2 * CSV_CHUNK_ROWS + 3),
+               "x": rng.standard_normal(CSV_CHUNK_ROWS) * 10.0 ** rng.integers(-300, 300,
+                                                                              CSV_CHUNK_ROWS),
+               "empty": np.array([]),
+               "re": (np.array([1.0, -0.0, 5e-324]) + 0j).real}  # a strided view
+    payload = dict(columns, config={"g": 0.1, "name": "a\nb", "dim": None, "list": [1, 2.5]},
+                   count=3, text="x")
+    path = tmp_path / "x.json"
+    cli.write_json(path, payload)
+    oracle = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    assert path.read_text() == json.dumps(oracle, sort_keys=True, indent=2,
+                                          allow_nan=False) + "\n"
+    cli.write_json(path, {})
+    assert path.read_text() == "{}\n"
+
+
+@pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS + 3], ids=["first_chunk", "later_chunk"])
+def test_simulate_json_refuses_a_non_finite_value(row, tmp_path, capsys, monkeypatch):
+    trace = run_protocol(ProtocolConfig(g=0.1, t_max=2.0 * math.pi, samples_per_period=40))
+    times = np.linspace(0.0, 1.0, 2 * CSV_CHUNK_ROWS)
+    times[row] = math.nan
+    monkeypatch.setattr(lindblad, "run_protocol", lambda cfg: dataclasses.replace(
+        trace, times=times, visibility=np.ones_like(times), sigma_minus=np.ones_like(times) + 0j,
+        exact_error=np.zeros_like(times), tail_mass=np.zeros_like(times)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 0.1\n")
+    assert main(["simulate", "--config", str(cfg), "--format", "json",
+                 "--out", str(tmp_path / "trace.json")]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_simulate_protocol_override(tmp_path):

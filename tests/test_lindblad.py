@@ -17,7 +17,8 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
-from oracles import SIGMA_Z, annihilation, initial_state, rotating_rhs, thermal_density
+from oracles import (SIGMA_Z, annihilation, initial_state, rotating_rhs, thermal_density,
+                     top_levels_mass)
 from revivalsim.analytic import (
     CHUNK,
     CouplingParams,
@@ -667,6 +668,17 @@ def test_top_levels_mass_whole_equals_chunked():
     edges = [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK]
     assert np.array_equal(whole[edges], [_top_levels_mass(2.0, alphas[i:i + 1], 40)[0]
                                          for i in edges])
+
+
+@pytest.mark.parametrize("dim", [9, 43, 122])
+@pytest.mark.parametrize("nbar", [0.0, 2.0])
+def test_top_levels_mass_is_the_allocating_loop(dim, nbar):
+    # the in-place recurrence does the oracle's operations in its order, so
+    # the tail mass is the same bit for bit, in both chunks and at the edge
+    rng = np.random.default_rng(dim)
+    alphas = 3.0 * (rng.random(CHUNK + 7) - 0.5) + 3j * (rng.random(CHUNK + 7) - 0.5)
+    assert np.array_equal(_top_levels_mass(nbar, alphas, dim),
+                          top_levels_mass(nbar, alphas, dim, CHUNK))
 
 
 def test_exact_check_refuses_a_run_off_the_exact_value(monkeypatch):
