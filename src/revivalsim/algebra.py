@@ -1,8 +1,8 @@
 """Bose-Einstein occupation of a thermal oscillator.
 
 `design`, `cli` and the benchmark turn a temperature into the occupation
-nbar here; the truncated thermal state and the Fock dim rule that bounds it
-live in `lindblad`.  This module imports no numpy.
+nbar here; the Fock dim rule lives in `protocol`, and the truncated thermal
+state it bounds in `lindblad`.  This module imports no numpy.
 """
 
 from __future__ import annotations

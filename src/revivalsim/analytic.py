@@ -209,8 +209,9 @@ def visibility_many_atom(n_atoms: int, params: CouplingParams, omega_t) -> Array
     return out if out.ndim else float(out)
 
 
-def spin_echo_overlap(n_pi: int, coupling: float) -> float:
-    """Branch overlap after n_pi echo iterations (pre-closing):
+def spin_echo_overlap(n_pi, coupling: float) -> ArrayLike:
+    """Branch overlap after n_pi echo iterations (pre-closing), n_pi an int
+    or an int array:
 
         exp[-32 n_pi^2 lam^2]
 
@@ -218,6 +219,8 @@ def spin_echo_overlap(n_pi: int, coupling: float) -> float:
     conditional displacement by 4*lam, so n_pi iterations separate the
     branches by 8*n_pi*lam in phase space.
     """
-    if n_pi < 1:
-        raise ValueError(f"n_pi must be >= 1, got {n_pi}")
-    return math.exp(-32.0 * n_pi**2 * coupling**2)
+    n_pi = np.asarray(n_pi, dtype=float)  # exact below 2^53, where n_pi^2 rounds once
+    if np.any(n_pi < 1):
+        raise ValueError(f"n_pi must be >= 1, got {np.min(n_pi):g}")
+    out = np.exp(-32.0 * n_pi**2 * coupling**2)
+    return out if out.ndim else float(out)

@@ -44,19 +44,18 @@ EXIT_DOMAIN = 3
 EXIT_NUMERICS = 4
 EXIT_WITNESS = 5
 
-# `analytic` row limits, checked before the grid is built.  Rows are written,
-# and damped-exact evaluated, a chunk at a time, so the peak is the formula's
-# own arrays: above import, 10^6 rows took 20 MB for damped-exact, 25 MB for
-# thermal, 39 MB for many-atom and 48 MB for damped and boosted (185 MB at
-# 4 x 10^6), so 10^7 rows take at most about 0.5 GB, and the benchmark's
-# largest grid is 50,000.  MAX_SAMPLES also caps the cells of a
+# `analytic` row limits, checked by the parser before any grid is built.  Rows
+# are written, and damped-exact evaluated, a chunk at a time, so the peak is
+# the formula's own arrays: above import, 10^6 rows took 20 MB for
+# damped-exact, 25 MB for thermal, 39 MB for many-atom and 48 MB for damped and
+# boosted (185 MB at 4 x 10^6), so 10^7 rows take at most about 0.5 GB, and the
+# benchmark's largest grid is 50,000.  MAX_SAMPLES also caps the cells of a
 # `design --sweep`, whose row dicts cost about 360 B a cell.
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
 # `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
 # its peak memory is about four times those (430 MB above import for the
 # 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
-# The same budget bounds the contrast case's kept states.
 MAX_STATE_VALUES = 2**24
 
 
@@ -397,6 +396,18 @@ def _nonnegative_float(raw: str) -> float:
     return value
 
 
+def _count(lo: int, hi: float = math.inf, note: str = ""):
+    """The type of an int flag from lo to hi; note follows the bounds in a refusal."""
+    def count(raw: str) -> int:
+        value = int(raw)
+        if not lo <= value <= hi:
+            bounds = f"between {lo} and {hi}" if hi < math.inf else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}{note}, got {raw!r}")
+        return value
+    count.__name__ = "int"  # argparse names it in "invalid int value"
+    return count
+
+
 def _range_triple(raw: str) -> tuple[float, float, int]:
     parts = raw.split(",")
     if len(parts) != 3:
@@ -423,10 +434,11 @@ _FLAGS = {
     "gamma_a": ("--gamma-a", "qubit_decay", _finite_float,
                 "qubit coherence decay rate over omega; the simulate engine's gamma_a "
                 "(sigma_z jump rate) decays coherence at 2*gamma_a"),
-    "n_atoms": ("--n-atoms", None, int, None),
-    "n_pi": ("--n-pi", None, int, None),
+    "n_atoms": ("--n-atoms", None, _count(1), None),
+    "n_pi": ("--n-pi", None, _count(1, MAX_N_PI), None),
     "t_max": ("--t-max", None, _positive_float, "grid length in oscillator periods (default 2)"),
-    "samples": ("--samples", None, int, "rows in the half-open omega*t grid (default 400)"),
+    "samples": ("--samples", None, _count(2, MAX_SAMPLES),
+                "rows in the half-open omega*t grid (default 400)"),
 }
 _GRID = {"t_max", "samples"}  # spin echo's rows are echo iterations, not a grid
 _FORMULA_FLAGS = {
@@ -447,30 +459,19 @@ def cmd_analytic(args) -> int:
     lam = args.lam if args.lam is not None else 0.0
     t_max = args.t_max if args.t_max is not None else 2.0
     samples = args.samples if args.samples is not None else 400
-    if samples < 2:
-        raise ConfigError("--samples must be >= 2")
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
-    if args.n_atoms is not None and args.n_atoms < 1:
-        raise ConfigError(f"--n-atoms must be >= 1, got {args.n_atoms}")
 
-    if formula == "spin-echo":
-        n_pi = args.n_pi if args.n_pi is not None else 1
-        if n_pi < 1:
-            raise ConfigError(f"--n-pi must be >= 1, got {n_pi}")
-        if n_pi > MAX_N_PI:
-            raise ConfigError(f"--n-pi must be <= {MAX_N_PI}, got {n_pi}")
-        # columns first, so an overflowing lambda fails before the file opens
-        overlaps = (analytic.spin_echo_overlap(k, lam) for k in range(1, n_pi + 1))
-        columns = (2.0 * math.pi * np.arange(1, n_pi + 1), np.fromiter(overlaps, float, n_pi))
-    else:
-        given = {field: getattr(args, k) for k, (_, field, _, _) in _FLAGS.items()
-                 if field and getattr(args, k) is not None}
-        params = analytic.CouplingParams(coupling=lam, **given)
-        # an overflow leaves a non-finite value, which write_csv refuses
-        with np.errstate(over="ignore", invalid="ignore"), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    # columns first, so an overflowing lambda fails before the file opens; an
+    # overflow that leaves a non-finite value is refused by write_csv
+    with np.errstate(over="ignore", invalid="ignore"), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if formula == "spin-echo":  # rows are echo iterations, not a time grid
+            iterations = np.arange(1, (args.n_pi if args.n_pi is not None else 1) + 1)
+            grid, vis = 2.0 * math.pi * iterations, analytic.spin_echo_overlap(iterations, lam)
+        else:
+            given = {field: getattr(args, k) for k, (_, field, _, _) in _FLAGS.items()
+                     if field and getattr(args, k) is not None}
+            params = analytic.CouplingParams(coupling=lam, **given)
             grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
             if formula in ("ground", "thermal"):  # ground is thermal at nbar = 0
                 vis = analytic.visibility_thermal(params, grid)
@@ -488,14 +489,13 @@ def cmd_analytic(args) -> int:
             else:  # many-atom
                 n_atoms = args.n_atoms if args.n_atoms is not None else 1
                 vis = analytic.visibility_many_atom(n_atoms, params, grid)
-        for warning in caught:
-            _warn(args, str(warning.message))
-        columns = (grid, vis)
+    for warning in caught:
+        _warn(args, str(warning.message))
 
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"], columns),
-                           echo)
+    n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"],
+                                                        (grid, vis)), echo)
     print(f"wrote {args.out} ({n_rows} rows)")
     return EXIT_OK
 
@@ -592,28 +592,25 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def cmd_verify(args) -> int:
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be >= 1 (empty suite rejected)")
-    if not 2 <= args.dim <= MAX_DIM:
-        raise ConfigError(f"--dim must be between 2 and MAX_DIM={MAX_DIM}")
-    if args.samples < 1:
-        raise ConfigError("--samples must be >= 1")
-    kept = (args.samples + 1) * (2 * args.dim) ** 2
+def _refuse_kept_states(run: str, samples: int, dim: int, scope: str = "") -> None:
+    """The kept-state budget: refuse run if its samples + 1 joint (2 dim,
+    2 dim) states (per scope) hold more than MAX_STATE_VALUES values."""
+    kept = (samples + 1) * (2 * dim) ** 2
     if kept > MAX_STATE_VALUES:
-        raise ConfigError(
-            f"--samples {args.samples} at --dim {args.dim} keeps {kept} state values "
-            f"per channel, more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
+        raise ConfigError(f"{run} keeps {kept} state values{scope}, "
+                          f"more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
+
+
+def cmd_verify(args) -> int:
+    _refuse_kept_states(f"--samples {args.samples} at --dim {args.dim}", args.samples,
+                        args.dim, " per channel")
     from . import witness  # loads the engine
 
     contrast_cfg = witness.contrast_config(args.contrast_coupling)
     dim = contrast_cfg.resolved_dim()
     # the contrast run keeps one period of samples_per_period + 1 joint states
-    kept = (contrast_cfg.samples_per_period + 1) * (2 * dim) ** 2
-    if kept > MAX_STATE_VALUES:
-        raise ConfigError(
-            f"--contrast-coupling {args.contrast_coupling} needs dim {dim} and keeps "
-            f"{kept} state values, more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
+    _refuse_kept_states(f"--contrast-coupling {args.contrast_coupling} needs dim {dim} and",
+                        contrast_cfg.samples_per_period, dim)
 
     reports = witness.run_property_suite(
         args.seeds, args.dim, tol=args.tol, t_max=args.t_max, samples=args.samples
@@ -701,8 +698,8 @@ def cmd_design(args) -> int:
             raise ConfigError(f"--tau-range and --temp-range give {cells} grid cells, "
                               f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
-        table = np.fromiter((v for r in rows for v in r.values()), float).reshape(len(rows), -1)
-        write_outputs(args, lambda path: write_csv(path, list(rows[0]), table.T), {
+        columns = {key: [row[key] for row in rows] for key in rows[0]}
+        write_outputs(args, lambda path: write_csv(path, list(columns), columns.values()), {
             "config": dataclasses.asdict(cfg),
             "tau_range": list(args.tau_range),
             "temp_range": list(args.temp_range),
@@ -726,6 +723,7 @@ def cmd_design(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache  # built on the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revivalsim",
@@ -750,12 +748,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="separable-channel monotonicity suite")
-    p.add_argument("--seeds", type=int, required=True,
+    p.add_argument("--seeds", type=_count(1, note=" (empty suite rejected)"), required=True,
                    help="number of random channels (seeds 0..N-1)")
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--dim", type=_count(2, MAX_DIM), default=16)
     p.add_argument("--tol", type=_nonnegative_float, default=1e-6)
     p.add_argument("--t-max", dest="t_max", type=_positive_float, default=8.0)
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--samples", type=_count(1), default=400)
     p.add_argument("--negativity-tol", dest="negativity_tol",
                    type=_nonnegative_float, default=1e-8)
     p.add_argument("--contrast-coupling", dest="contrast_coupling",
@@ -777,9 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.started_at, args.warnings = _now(), []

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import (TAIL_MASS_BOUND, ProtocolConfig, VisibilityTrace, integrate_blocks,
-                       negativities, run_protocol)
+from .lindblad import ProtocolConfig, VisibilityTrace, integrate_blocks, negativities, run_protocol
 
 HERMITICITY_TOL = 1e-12
 TRACE_ERROR_BOUND = 1e-7  # recorded next to a separable run's worst |Tr rho - 1|
@@ -149,7 +148,7 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
     stats = {"dim": spec.dim, "dim_rule": "spec", "segments": [segment],
              "worst_trace_error": float(trace_error.max()),
              "trace_error_bound": TRACE_ERROR_BOUND,
-             "worst_tail_mass": float(tail.max()), "tail_mass_bound": TAIL_MASS_BOUND}
+             "worst_tail_mass": float(tail.max())}
     return VisibilityTrace(t_eval, 2.0 * np.abs(sigma), sigma, tail, states, stats,
                            trace_error=trace_error)
 

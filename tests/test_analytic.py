@@ -346,6 +346,22 @@ def test_spin_echo_overlap_values():
 def test_spin_echo_overlap_validation():
     with pytest.raises(ValueError):
         spin_echo_overlap(0, 0.05)
+    with pytest.raises(ValueError, match="got 0"):
+        spin_echo_overlap(np.arange(0, 5), 0.05)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.0123, 0.037, 0.1, 0.2, 0.3])
+def test_spin_echo_overlap_array_is_its_scalar_calls(lam):
+    # the CLI's column is one array call; the benchmark checks it against
+    # one call per iteration, bit for bit
+    n_pi = np.arange(1, 20001)
+    column = spin_echo_overlap(n_pi, lam)
+    scalars = np.array([spin_echo_overlap(k, lam) for k in n_pi.tolist()])
+    assert isinstance(spin_echo_overlap(7, lam), float)
+    assert column.tobytes() == scalars.tobytes()
+    # math.exp of the same argument rounds apart in a few values, by one ulp
+    loop = np.array([math.exp(-32.0 * k**2 * lam**2) for k in n_pi.tolist()])
+    assert np.all(np.abs(column - loop) <= np.spacing(loop))
 
 
 @given(n_pi=st.integers(min_value=1, max_value=6), lam=lam_strategy)

@@ -259,19 +259,48 @@ def test_analytic_rejects_n_pi_below_one(n_pi, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flags", [
-    ("--formula", "many-atom", "--n-atoms", "0"),
-    ("--formula", "many-atom", "--n-atoms", "-3"),
-    ("--formula", "thermal", "--samples", str(MAX_SAMPLES + 1)),
-    ("--formula", "thermal", "--samples", "1000000000"),
-    ("--formula", "spin-echo", "--n-pi", str(MAX_N_PI + 1)),
-], ids=["n_atoms_0", "n_atoms_neg", "samples_cap", "samples_1e9", "n_pi_cap"])
-def test_analytic_rejects_out_of_range_counts(flags, tmp_path, capsys):
+_ANALYTIC = ["analytic", "--lambda", "0.1", "--formula"]
+# every int flag of analytic and verify: the command line that reads it, and
+# its bounds (None: no bound above)
+_COUNT_FLAGS = [
+    ([*_ANALYTIC, "many-atom"], "--n-atoms", 1, None),
+    ([*_ANALYTIC, "spin-echo"], "--n-pi", 1, MAX_N_PI),
+    ([*_ANALYTIC, "thermal"], "--samples", 2, MAX_SAMPLES),
+    (["verify"], "--seeds", 1, None),
+    (["verify", "--seeds", "1"], "--dim", 2, MAX_DIM),
+    (["verify", "--seeds", "1"], "--samples", 1, None),
+]
+
+
+def _count_cases():
+    """Each int flag at lo - 1, lo, hi and hi + 1, with the exit it gets from
+    the parser (0: parsed), and the older cases far out of range."""
+    yield from (pytest.param([*_ANALYTIC, formula, flag, value], flag, 2, id=name)
+                for formula, flag, value, name in [
+                    ("many-atom", "--n-atoms", "0", "n_atoms_0"),
+                    ("many-atom", "--n-atoms", "-3", "n_atoms_neg"),
+                    ("thermal", "--samples", str(MAX_SAMPLES + 1), "samples_cap"),
+                    ("thermal", "--samples", "1000000000", "samples_1e9"),
+                    ("spin-echo", "--n-pi", str(MAX_N_PI + 1), "n_pi_cap")])
+    for argv, flag, lo, hi in _COUNT_FLAGS:
+        values = [(lo - 1, 2), (lo, 0)] + ([] if hi is None else [(hi, 0), (hi + 1, 2)])
+        for value, code in values:
+            yield pytest.param([*argv, f"{flag}={value}"], flag, code,
+                               id=f"{argv[0]}{flag}={value}")
+
+
+@pytest.mark.parametrize("argv, flag, code", _count_cases())
+def test_analytic_rejects_out_of_range_counts(argv, flag, code, tmp_path, capsys):
     # --n-atoms 0 was a domain error (exit 3), and --samples 1e9 asked numpy
-    # for a 7.45 GiB grid (exit 1); the bounds apply before anything is built
+    # for a 7.45 GiB grid (exit 1); the parser applies the bounds, before
+    # anything is built, and lets a value within them through
     out = tmp_path / "x.csv"
-    assert main(["analytic", "--lambda", "0.1", *flags, "--out", str(out)]) == 2
-    assert flags[2] in capsys.readouterr().err
+    if code == 0:
+        args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+        assert getattr(args, flag[2:].replace("-", "_")) == int(argv[-1].split("=")[1])
+        return
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -955,6 +984,31 @@ def test_manifest_records_write_time(argv, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process; a refusal leaves nothing
+    # behind, and each call gets its own namespace and warnings
+    damped = ["analytic", "--formula", "damped", "--lambda", "0.1", "--q", "5",
+              "--samples", "8"]
+    calls = [(["analytic", "--formula", "thermal", "--samples", "1"], "a.csv", 2),
+             (damped, "b.csv", 0), (["design", "--point"], "c.json", 0), (damped, "d.csv", 0)]
+    runs = {}
+    for mode in ("fresh", "cached"):
+        (tmp_path / mode).mkdir()
+        cli.build_parser.cache_clear()
+        for argv, name, code in calls:
+            if mode == "fresh":
+                cli.build_parser.cache_clear()
+            out = tmp_path / mode / name
+            assert main([*argv, "--out", str(out)]) == code
+            run = [capsys.readouterr().err]
+            if code == 0:
+                run += [out.read_bytes(), _read_manifest(out)["warnings"]]
+            runs.setdefault(mode, []).append(run)
+    assert cli.build_parser.cache_info()[:2] == (3, 1)  # the cached run's hits, misses
+    assert runs["cached"] == runs["fresh"]
+    assert runs["cached"][1][2] and runs["cached"][1][2] == runs["cached"][3][2]
 
 
 def test_version_flag():

@@ -158,6 +158,9 @@ def test_separable_stats_and_states():
     assert trace.stats["dim"] == 6 and trace.stats["dim_rule"] == "spec"
     assert trace.stats["segments"][0]["nfev"] > 0
     assert trace.stats["worst_trace_error"] == trace.trace_error.max() < 1e-9
+    # the spec's dim is the model, not a truncation: no tail mass bound applies
+    assert trace.stats["worst_tail_mass"] == trace.tail_mass.max()
+    assert "tail_mass_bound" not in trace.stats
 
 
 def test_coupled_case_revives_and_entangles():
