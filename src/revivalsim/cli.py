@@ -3,15 +3,16 @@
 Subcommands: ``analytic`` (closed-form curves), ``simulate`` (master
 equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
-``<out>.manifest.json`` with the config echo, tool version, timestamps,
-sha256 of each output, the time spent writing it and the run's validity
+``<out>.manifest.json`` with the config echo, tool version, timestamps, the
+sha256 and size of the output's bytes, hashed as they are written (no output
+is read back), the time spent writing and hashing it and the run's validity
 warnings (also printed to stderr); the manifest lands before its output, so
 an output never exists without one.  Outputs themselves are deterministic
 for identical inputs.
 Exit codes: 0 success, 2 usage/config error (an unwritable --out too), 3
 domain error or value out of range (a non-finite output value too), 4
-solver, truncation, exact-visibility check or linalg failure, 5 witness-suite
-failure.
+solver, truncation, exact-visibility or separable-trace check or linalg
+failure, 5 witness-suite failure.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ _POW_MAX = 280
 _TIE_MARGIN = 1e-9
 _SPLIT = 134217729.0  # 2^27 + 1
 _FLOAT_WIDTH = 24  # len("-1.2345678901234567e-308")
-_GATHER_ROWS = 1024  # rows per layout gather, whose int index takes 0.2 MB
 # A value's 32-byte source row, eight 4-byte words: its leading digit as
 # "000d", its other 16 digits, ".-0e", the exponent's 4 digits, and the
 # exponent's sign followed by NULs.  Digit i is at byte 3 + i.
@@ -203,13 +203,9 @@ def _float_bytes(values: np.ndarray) -> np.ndarray:
     digits, k, undecided = _decimal(np.where(zero, 1.0, np.abs(values)), powers)
     src, kept = _source_rows(digits, k, zero, ascii4, trailing, signs)
     layout = np.where((k >= -4) & (k <= 16), k + 4, np.where(np.abs(k) < 100, 21, 22))
-    keys = (layout * 17 + kept - 1) * 2 + np.signbit(values)
-    out = np.empty((len(values), _FLOAT_WIDTH), np.uint8)
-    for lo in range(0, len(values), _GATHER_ROWS):
-        rows = slice(lo, lo + _GATHER_ROWS)
-        index = layouts.take(keys[rows], axis=0)
-        index += np.arange(32 * lo, 32 * (lo + len(index)), 32)[:, None]
-        src.view(np.uint8).ravel().take(index, out=out[rows], mode="clip")
+    index = layouts.take((layout * 17 + kept - 1) * 2 + np.signbit(values), axis=0)
+    index += np.arange(0, 32 * len(values), 32)[:, None]
+    out = src.view(np.uint8).ravel().take(index, mode="clip")
     for i in np.flatnonzero(undecided):
         text = ("%.17g" % values[i]).encode()
         out[i] = 0
@@ -227,11 +223,11 @@ def _column_bytes(column: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(len(column), -1)
 
 
-def write_csv(path, header: list[str], columns) -> int:
-    """Write the header and the rows of the equal-length columns, one chunk
-    of rows at a time; return the row count.  Floats are written as %.17g,
-    which round-trips exactly, booleans as true/false, and ints and strings
-    as str writes them (`_column_bytes`).
+def write_csv(fh, header: list[str], columns) -> None:
+    """Write to the binary file fh the header and the rows of the
+    equal-length columns, one chunk of rows at a time.  Floats are written
+    as %.17g, which round-trips exactly, booleans as true/false, and ints
+    and strings as str writes them (`_column_bytes`).
 
     A chunk's floats are formatted together by a numpy kernel
     (`_float_bytes`): it scales each |v| to its 17 significant digits in
@@ -244,23 +240,20 @@ def write_csv(path, header: list[str], columns) -> int:
     written with its NULs removed in one call.  A chunk that holds a NaN or
     an infinity raises OverflowError before it is written."""
     columns = [np.asarray(column) for column in columns]
-    n_rows = len(columns[0])
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
-            if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
-                raise OverflowError("a computed output value is not finite")
-            blocks = [_column_bytes(c) for c in chunk]
-            rows = np.zeros((len(chunk[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
-            end = 0
-            for block in blocks:
-                rows[:, end:end + block.shape[1]] = block
-                end += block.shape[1] + 1
-                rows[:, end - 1] = ord(",")
-            rows[:, -1] = ord("\n")
-            fh.write(rows[rows != 0])
-    return n_rows
+    fh.write((",".join(header) + "\n").encode())
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
+        if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
+            raise OverflowError("a computed output value is not finite")
+        blocks = [_column_bytes(c) for c in chunk]
+        rows = np.zeros((len(chunk[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
+        end = 0
+        for block in blocks:
+            rows[:, end:end + block.shape[1]] = block
+            end += block.shape[1] + 1
+            rows[:, end - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        fh.write(rows[rows != 0])
 
 
 def _json_text(value) -> str:
@@ -270,30 +263,30 @@ def _json_text(value) -> str:
         raise OverflowError("a computed output value is not finite") from exc
 
 
-def write_json(path, payload: dict) -> None:
-    """Write the payload as json.dumps(payload, sort_keys=True, indent=2,
-    allow_nan=False) does, and a newline.  A value that is a 1-d float array
-    is written CSV_CHUNK_ROWS numbers at a time, each as float.__repr__ as
-    json writes it; a chunk that holds a NaN or an infinity raises
+def write_json(fh, payload: dict) -> None:
+    """Write to the binary file fh the payload as json.dumps(payload,
+    sort_keys=True, indent=2, allow_nan=False) does, and a newline; that text
+    is ASCII, so its bytes are its characters.  A value that is a 1-d float
+    array is written CSV_CHUNK_ROWS numbers at a time, each as float.__repr__
+    as json writes it; a chunk that holds a NaN or an infinity raises
     OverflowError before it is written."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("{")
-        for i, key in enumerate(sorted(payload)):
-            fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
-            value = payload[key]
-            if not isinstance(value, np.ndarray):
-                fh.write(_json_text(value)[:-1].replace("\n", "\n  "))
-            elif not value.size:
-                fh.write("[]")
-            else:
-                for start in range(0, len(value), CSV_CHUNK_ROWS):
-                    chunk = value[start:start + CSV_CHUNK_ROWS]
-                    if not np.isfinite(chunk).all():
-                        raise OverflowError("a computed output value is not finite")
-                    fh.write(("," if start else "[") + "\n    "
-                             + ",\n    ".join(map(float.__repr__, chunk.tolist())))
-                fh.write("\n  ]")
-        fh.write("\n}\n" if payload else "}\n")
+    fh.write(b"{")
+    for i, key in enumerate(sorted(payload)):
+        fh.write((("," if i else "") + "\n  " + json.dumps(key) + ": ").encode())
+        value = payload[key]
+        if not isinstance(value, np.ndarray):
+            fh.write(_json_text(value)[:-1].replace("\n", "\n  ").encode())
+        elif not value.size:
+            fh.write(b"[]")
+        else:
+            for start in range(0, len(value), CSV_CHUNK_ROWS):
+                chunk = value[start:start + CSV_CHUNK_ROWS]
+                if not np.isfinite(chunk).all():
+                    raise OverflowError("a computed output value is not finite")
+                fh.write((("," if start else "[") + "\n    "
+                          + ",\n    ".join(map(float.__repr__, chunk.tolist()))).encode())
+            fh.write(b"\n  ]")
+    fh.write(b"\n}\n" if payload else b"}\n")
 
 
 def _now() -> str:
@@ -306,48 +299,52 @@ def _warn(args, message: str) -> None:
     args.warnings.append(message)
 
 
-def write_manifest(path, args, config: dict, output: Path, **extra) -> None:
-    """Write to path the manifest of the output ``args.out``, whose contents
-    are in the file output: the command, its config echo, the tool version,
-    when the command started and finished, the output's sha256 and size, the
-    run's warnings and any extra fields.  The output is hashed 1 MiB at a
-    time, never read whole."""
-    digest = hashlib.sha256()
-    with open(output, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-        size = fh.tell()
-    write_json(path, {
-        "command": args.command,
-        "config": config,
-        "tool_version": __version__,
-        "started_at": args.started_at,
-        "finished_at": _now(),
-        "outputs": [{"path": str(args.out), "sha256": digest.hexdigest(), "bytes": size}],
-        "warnings": args.warnings,
-        **extra,
-    })
+class _Hashed:
+    """The binary file fh, each write also fed to a sha256 and counted."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256, self.bytes = fh, hashlib.sha256(), 0
+
+    def write(self, data) -> None:
+        self.sha256.update(data)
+        self.bytes += self.fh.write(data)
 
 
-def write_outputs(args, write, config: dict, **extra):
-    """Write ``args.out`` through write(path) and then ``<args.out>.manifest.json``,
-    each to a temp file beside it, and move the manifest into place first:
-    an output never exists without its manifest, which records ``write_s``,
-    the wall time write took.  On any error both temp files are removed.
-    Returns what write returned."""
+def write_outputs(args, write, config: dict, **extra) -> None:
+    """Write ``args.out`` through write(fh), fh a binary file, and then its
+    manifest ``<args.out>.manifest.json``: the command, its config echo, the
+    tool version, when the command started and finished, the sha256 and size
+    of the bytes write wrote, hashed as they were written, the wall time
+    ``write_s`` write and the hashing took, the run's warnings and any extra
+    fields.  Each file goes to a temp file beside it, and the manifest is
+    moved into place first, so an output never exists without its manifest.
+    On any error both temp files are removed."""
     out = Path(args.out)
     temps = [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
     try:
         start = time.perf_counter()
-        result = write(temps[0])
+        with open(temps[0], "wb") as fh:
+            hashed = _Hashed(fh)
+            write(hashed)
         write_s = time.perf_counter() - start
-        write_manifest(temps[1], args, config, temps[0], write_s=write_s, **extra)
+        with open(temps[1], "wb") as fh:
+            write_json(fh, {
+                "command": args.command,
+                "config": config,
+                "tool_version": __version__,
+                "started_at": args.started_at,
+                "finished_at": _now(),
+                "outputs": [{"path": str(args.out), "sha256": hashed.sha256.hexdigest(),
+                             "bytes": hashed.bytes}],
+                "warnings": args.warnings,
+                "write_s": write_s,
+                **extra,
+            })
         os.replace(temps[1], f"{out}.manifest.json")
         os.replace(temps[0], out)
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
-    return result
 
 
 def _config_kwargs(values: dict, cls) -> dict:
@@ -494,9 +491,8 @@ def cmd_analytic(args) -> int:
 
     echo = {k: getattr(args, k) for k in _FLAGS}
     echo.update({"formula": formula, "t_max": t_max, "samples": samples})
-    n_rows = write_outputs(args, lambda path: write_csv(path, ["omega_t", "visibility"],
-                                                        (grid, vis)), echo)
-    print(f"wrote {args.out} ({n_rows} rows)")
+    write_outputs(args, lambda fh: write_csv(fh, ["omega_t", "visibility"], (grid, vis)), echo)
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return EXIT_OK
 
 
@@ -533,10 +529,11 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
         raise ConfigError("give either nbar or temperature, not both")
     if "temperature" in values:
         temp = get_number(values, "temperature")
-        if units == "natural":
-            kwargs["nbar"] = thermal_occupation(omega, temp, hbar=1.0, k_boltzmann=1.0)
-        else:
-            kwargs["nbar"] = thermal_occupation(omega, temp)
+        natural = {"hbar": 1.0, "k_boltzmann": 1.0} if units == "natural" else {}
+        try:
+            kwargs["nbar"] = thermal_occupation(omega, temp, **natural)
+        except ValueError as exc:  # a negative temperature or omega
+            raise ConfigError(str(exc)) from exc
 
     if "t_max" in values and "t_max_periods" in values:
         raise ConfigError("give either t_max or t_max_periods, not both")
@@ -576,11 +573,11 @@ def cmd_simulate(args) -> int:
     }
     echo = dataclasses.asdict(cfg)
 
-    def write(path):
+    def write(fh):
         if args.format == "csv":
-            write_csv(path, list(columns), columns.values())
+            write_csv(fh, list(columns), columns.values())
         else:
-            write_json(path, dict(columns, config=echo))
+            write_json(fh, dict(columns, config=echo))
 
     write_outputs(args, write, echo, stats=trace.stats)
     print(
@@ -626,7 +623,7 @@ def cmd_verify(args) -> int:
         header = ["kind", "seed"] + [f.name for f in dataclasses.fields(witness.WitnessReport)]
         rows = [("random", seed, *dataclasses.astuple(r)) for seed, r in enumerate(reports)]
         rows.append(("contrast", -1, *dataclasses.astuple(contrast)))
-        write_outputs(args, lambda path: write_csv(path, header, zip(*rows)), {
+        write_outputs(args, lambda fh: write_csv(fh, header, zip(*rows)), {
             "seeds": args.seeds,
             "dim": args.dim,
             "tol": args.tol,
@@ -699,7 +696,7 @@ def cmd_design(args) -> int:
                               f"more than {MAX_SAMPLES}")
         rows = design.sweep_grid(cfg, args.tau_range, args.temp_range)
         columns = {key: [row[key] for row in rows] for key in rows[0]}
-        write_outputs(args, lambda path: write_csv(path, list(columns), columns.values()), {
+        write_outputs(args, lambda fh: write_csv(fh, list(columns), columns.values()), {
             "config": dataclasses.asdict(cfg),
             "tau_range": list(args.tau_range),
             "temp_range": list(args.temp_range),
@@ -716,7 +713,7 @@ def cmd_design(args) -> int:
         _warn(args, "k_B*T/(hbar*omega) < 10; thermal contrast forms are outside "
                     "their validity range")
     if args.out:
-        write_outputs(args, lambda path: write_json(path, payload), dataclasses.asdict(cfg))
+        write_outputs(args, lambda fh: write_json(fh, payload), dataclasses.asdict(cfg))
     print(_json_text(payload), end="")
     return EXIT_OK
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import ProtocolConfig, VisibilityTrace, integrate_blocks, negativities, run_protocol
+from .lindblad import (IntegrationError, ProtocolConfig, VisibilityTrace, integrate_blocks,
+                       negativities, run_protocol)
 
 HERMITICITY_TOL = 1e-12
-TRACE_ERROR_BOUND = 1e-7  # recorded next to a separable run's worst |Tr rho - 1|
+TRACE_ERROR_BOUND = 1e-7  # max tolerated |Tr rho - 1| along a separable run
 
 PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
 
@@ -128,7 +129,9 @@ def _block_rhs(spec: SeparableChannelSpec):
 def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: float, *,
                        samples: int = 400) -> VisibilityTrace:
     """Evolve the joint state rho0 under the separable channel and sample
-    its visibility; the trace keeps the joint (n, 2d, 2d) states."""
+    its visibility; the trace keeps the joint (n, 2d, 2d) states.  Raises
+    IntegrationError when a sample's trace is more than TRACE_ERROR_BOUND
+    off 1."""
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if samples < 1:
@@ -149,6 +152,9 @@ def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: floa
              "worst_trace_error": float(trace_error.max()),
              "trace_error_bound": TRACE_ERROR_BOUND,
              "worst_tail_mass": float(tail.max())}
+    if not stats["worst_trace_error"] <= TRACE_ERROR_BOUND:  # NaN fails too
+        raise IntegrationError(f"the separable state's trace is {stats['worst_trace_error']:.3e} "
+                               f"off 1, above {TRACE_ERROR_BOUND:.1e}")
     return VisibilityTrace(t_eval, 2.0 * np.abs(sigma), sigma, tail, states, stats,
                            trace_error=trace_error)
 

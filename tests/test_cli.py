@@ -58,10 +58,12 @@ def _oracle_lines(header, columns):
 
 
 def _write_and_read(path, header, columns):
-    n_rows = write_csv(path, header, columns)
+    """The rows write_csv wrote to the file path, counted, and its lines."""
+    with open(path, "wb") as fh:
+        write_csv(fh, header, columns)
     text = path.read_text()
     assert text.endswith("\n")
-    return n_rows, text.splitlines()
+    return text.count("\n") - 1, text.splitlines()
 
 
 def test_write_csv_float_extremes_round_trip(tmp_path):
@@ -119,8 +121,8 @@ def test_write_csv_refuses_a_non_finite_value(bad, row, tmp_path):
     values = np.linspace(0.0, 1.0, 2 * CSV_CHUNK_ROWS)
     values[row] = bad
     path = tmp_path / "x.csv"
-    with pytest.raises(OverflowError, match="not finite"):
-        write_csv(path, ["k", "x"], [np.arange(values.size), values])
+    with open(path, "wb") as fh, pytest.raises(OverflowError, match="not finite"):
+        write_csv(fh, ["k", "x"], [np.arange(values.size), values])
     # nothing of the refused chunk is written
     assert len(path.read_text().splitlines()) == 1 + row // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS
 
@@ -509,11 +511,13 @@ def test_write_json_streams_what_json_dumps_writes(tmp_path):
     payload = dict(columns, config={"g": 0.1, "name": "a\nb", "dim": None, "list": [1, 2.5]},
                    count=3, text="x")
     path = tmp_path / "x.json"
-    cli.write_json(path, payload)
+    with open(path, "wb") as fh:
+        cli.write_json(fh, payload)
     oracle = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
     assert path.read_text() == json.dumps(oracle, sort_keys=True, indent=2,
                                           allow_nan=False) + "\n"
-    cli.write_json(path, {})
+    with open(path, "wb") as fh:
+        cli.write_json(fh, {})
     assert path.read_text() == "{}\n"
 
 
@@ -606,6 +610,19 @@ def test_simulate_bad_t_max_is_a_config_error(lines, message, tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("units", ["natural", "si"])
+@pytest.mark.parametrize("key", ["nbar", "temperature"])
+def test_simulate_negative_occupation_or_temperature_is_a_config_error(key, units, tmp_path,
+                                                                      capsys):
+    # temperature = -1 used to exit 3 as a domain error, while nbar = -1 exits 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = {units}\nomega = 1\ng = 0.05\n{key} = -1\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("lines, override, key", [
@@ -765,6 +782,22 @@ def test_verify_rejects_contrast_states_over_budget(coupling, dim, tmp_path, cap
     assert f"--contrast-coupling {coupling} needs dim {dim}" in err
     assert f"keeps {201 * (2 * dim) ** 2} state values" in err
     assert not out.exists()
+
+
+def test_verify_trace_drift_is_a_numerics_error(tmp_path, capsys, monkeypatch):
+    # a separable right-hand side that leaks trace at rate 1e-6: over
+    # --t-max 8 the trace falls about 8e-6, past TRACE_ERROR_BOUND (1e-7)
+    def leaky_rhs(spec):
+        rhs = block_rhs(spec)
+        return lambda t, y: rhs(t, y) - 1e-6 * y
+
+    block_rhs = witness._block_rhs
+    monkeypatch.setattr(witness, "_block_rhs", leaky_rhs)
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", "4", "--samples", "8",
+                 "--out", str(out)]) == 4
+    assert "trace" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_linalg_failure_is_a_numerics_error(tmp_path, capsys, monkeypatch):
@@ -938,12 +971,12 @@ def test_design_low_temperature_flag_goes_to_the_manifest(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analytic", "simulate"])
 def test_failed_manifest_leaves_no_output(command, tmp_path, monkeypatch):
     # the manifest is written half and then fails: neither file, nor a temp
-    # file, may be left behind
-    def broken(path, *args, **kwargs):
-        Path(path).write_text("{")
+    # file, may be left behind (write_json writes only the manifest here)
+    def broken(fh, payload):
+        fh.write(b"{")
         raise RuntimeError("manifest write failed")
 
-    monkeypatch.setattr(cli, "write_manifest", broken)
+    monkeypatch.setattr(cli, "write_json", broken)
     argv = {"analytic": ["analytic", "--formula", "thermal", "--lambda", "0.1"],
             "simulate": ["simulate", "--config", str(CONFIGS / "demo_basic.cfg")]}[command]
     with pytest.raises(RuntimeError, match="manifest write failed"):
@@ -971,14 +1004,22 @@ def test_manifest_lands_before_its_output(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["analytic", "--formula", "thermal", "--lambda", "0.1"],
     ["simulate", "--config", str(CONFIGS / "demo_basic.cfg")],
+    ["simulate", "--config", str(CONFIGS / "demo_basic.cfg"), "--format", "json"],
     ["verify", "--seeds", "1", "--dim", "4", "--samples", "20"],
+    ["design", "--point"],
     ["design", "--sweep", "--tau-range", "10,100,3", "--temp-range", "10,300,2"],
-], ids=["analytic", "simulate", "verify", "design-sweep"])
+], ids=["analytic", "simulate", "simulate-json", "verify", "design-point", "design-sweep"])
 def test_manifest_records_write_time(argv, tmp_path, capsys):
+    # every writer's manifest: its write time, and the sha256 and size of
+    # the bytes as written, which must be those of the file on disk
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    write_s = _read_manifest(out)["write_s"]
+    manifest = _read_manifest(out)
+    write_s = manifest["write_s"]
     assert isinstance(write_s, float) and write_s >= 0.0
+    data = out.read_bytes()
+    assert manifest["outputs"] == [{"path": str(out), "sha256": hashlib.sha256(data).hexdigest(),
+                                    "bytes": len(data)}]
 
 
 # ---------------------------------------------------------------------------
@@ -1236,3 +1277,18 @@ def test_fuzz_simulate_config_and_dim(config, units, protocol, counts):
             _protocol_config_from_file(parse_config_file(path), None).resolved_dim()
         except (ValueError, OverflowError, TruncationError):
             pass  # exit 2, 3 or 4 from main
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seeds=st.integers(1, 2), dim=st.integers(2, 6), samples=st.integers(1, 40),
+       coupling=st.floats(-1.0, 1.0))
+def test_fuzz_verify(seeds, dim, samples, coupling):
+    # small suites only: a witness failure (exit 5) still writes its CSV
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "x.csv"
+        code = main(["verify", f"--seeds={seeds}", f"--dim={dim}", f"--samples={samples}",
+                     f"--contrast-coupling={coupling!r}", "--out", str(out)])
+        assert code in (0, 2, 3, 4, 5)
+        assert out.exists() == (code in (0, 5))
+        assert sorted(p.name for p in Path(tmp).iterdir()) == (
+            ["x.csv", "x.csv.manifest.json"] if out.exists() else [])
