@@ -55,8 +55,8 @@ EXIT_WITNESS = 5
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
 # `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
-# its peak memory is about four times those (430 MB above import for the
-# 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
+# its peak memory is about twice those (214 MB above import for the 105 MB
+# kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
 MAX_STATE_VALUES = 2**24
 
 
@@ -517,6 +517,8 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
         if "tau" in values:
             raise ConfigError("tau is an SI key; natural units take omega directly")
     elif "tau" in values:
+        if "omega" in values:
+            raise ConfigError("give either tau or omega, not both")
         tau = get_number(values, "tau")
         if tau <= 0:
             raise ConfigError(f"tau must be positive, got {tau!r}")

@@ -657,17 +657,19 @@ def run_protocol(cfg: ProtocolConfig, *, keep_states: bool = False) -> Visibilit
 def negativities(states: np.ndarray) -> np.ndarray:
     """Negativity across the qubit|oscillator cut of each joint state in an
     (n, 2d, 2d) stack: the sum of |negative eigenvalues| of the partial
-    transpose over the qubit, from one stacked eigvalsh."""
+    transpose over the qubit, from one stacked eigvalsh.  The states must be
+    Hermitian, as every state this package builds is exactly; so is each
+    partial transpose then, and only its lower triangle is read."""
     n_states, n = np.shape(states)[:2]
     if n % 2 != 0:
         raise ValueError(f"joint dimension must be even, got {n}")
     d = n // 2
     pt = np.reshape(states, (n_states, 2, d, 2, d)).transpose(0, 3, 2, 1, 4)
-    pt = pt.reshape(n_states, n, n)
-    eigs = np.linalg.eigvalsh(0.5 * (pt + pt.conj().swapaxes(-1, -2)))
+    eigs = np.linalg.eigvalsh(pt.reshape(n_states, n, n))
     return -np.minimum(eigs, 0.0).sum(axis=-1)
 
 
 def negativity(rho: np.ndarray) -> float:
-    """Entanglement negativity of one joint state across the qubit|oscillator cut."""
+    """Entanglement negativity of one Hermitian joint state across the
+    qubit|oscillator cut; only its partial transpose's lower triangle is read."""
     return float(negativities(np.asarray(rho)[None])[0])

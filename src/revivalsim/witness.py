@@ -165,6 +165,8 @@ def check_monotonic(trace: VisibilityTrace, tol: float = 1e-6) -> WitnessReport:
     monotonic      V never rises by more than tol between adjacent samples
     max_violation  largest rise of V above its running minimum (the revival
                    amplitude for a genuinely non-monotonic curve)
+    negativity_peak largest negativity of the trace's joint states, which it
+                   must keep (`run_protocol(..., keep_states=True)`)
     decay_rate_fit least-squares exponential rate of V(t) (clipped at the
                    floor of numerical noise); for a separable channel with
                    B^dag B = c*1 this fits 2*gamma*c
@@ -173,6 +175,9 @@ def check_monotonic(trace: VisibilityTrace, tol: float = 1e-6) -> WitnessReport:
     t = np.asarray(trace.times, dtype=float)
     if len(v) < 2:
         raise ValueError("trace must contain at least two samples")
+    if trace.states is None:
+        raise ValueError("the trace kept no joint states to take the negativity of; "
+                         "run it with keep_states=True")
     increments = np.diff(v)
     monotonic = bool(np.all(increments <= tol))
     running_min = np.minimum.accumulate(v)
@@ -183,13 +188,10 @@ def check_monotonic(trace: VisibilityTrace, tol: float = 1e-6) -> WitnessReport:
     slope = np.polyfit(t, logv, 1)[0]
     decay_rate = float(-slope)
 
-    neg_peak = 0.0
-    if trace.states is not None:
-        neg_peak = float(negativities(trace.states).max())
     return WitnessReport(
         monotonic=monotonic,
         max_violation=max_violation,
-        negativity_peak=neg_peak,
+        negativity_peak=float(negativities(trace.states).max()),
         decay_rate_fit=decay_rate,
     )
 

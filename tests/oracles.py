@@ -4,16 +4,19 @@ The engine never builds the joint operators or the joint initial state: it
 works on oscillator blocks.  These helpers build them the textbook way, with
 np.kron, so the tests can check the block forms against them.
 `rotating_rhs` is the complex block generator the engine's real parity form
-is checked against.  The closed forms here are the approximations the
-package's own formulas are checked against.
+is checked against, and `separable_blocks` propagates a separable channel's
+blocks exactly, with `expm` of generators built from its joint operators.
+The closed forms here are the approximations the package's own formulas are
+checked against.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from revivalsim.analytic import visibility_thermal
-from revivalsim.witness import PLUS_STATE
+from revivalsim.witness import PLUS_STATE, split_blocks
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -82,6 +85,55 @@ def rotating_rhs(cfg, dim, coupling, z_right):
         return out
 
     return rhs
+
+
+def separable_generators(spec):
+    """The d^2 x d^2 generators of a separable channel's blocks [rho00,
+    rho11, rho01], acting on each block flattened row by row.
+
+    The joint operators are block diagonal in the qubit, so on qubit level s
+    (sigma_z eigenvalue z_s = +1, -1) the Hamiltonian omega_0 sigma_z (x) 1 +
+    1 (x) H_B is H_s = z_s omega_0 + H_B and the jumps sigma_z (x) B,
+    sigma_z (x) 1 and 1 (x) C are z_s B, z_s 1 and C.  The Lindblad equation
+    then gives block (s, s') as
+
+        -i (H_s rho - rho H_s') + sum_j rate_j (L_js rho L_js'^dag
+            - (L_js^dag L_js rho + rho L_js'^dag L_js') / 2),
+
+    and A rho B flattens to kron(A, B^T) rho.
+    """
+    eye = np.eye(spec.dim)
+
+    def level(z):
+        jumps = [(z * spec.b_operator, spec.gamma), (z * eye, spec.qubit_dephasing)]
+        jumps += [(np.asarray(op, dtype=complex), rate) for op, rate in spec.oscillator_lindblads]
+        return z * spec.qubit_splitting * eye + spec.oscillator_hamiltonian, jumps
+
+    generators = []
+    for z_left, z_right in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
+        (h_left, left), (h_right, right) = level(z_left), level(z_right)
+        gen = -1j * (np.kron(h_left, eye) - np.kron(eye, h_right.T))
+        for (op_left, rate), (op_right, _) in zip(left, right):
+            gen += rate * (np.kron(op_left, op_right.conj())
+                           - 0.5 * np.kron(op_left.conj().T @ op_left, eye)
+                           - 0.5 * np.kron(eye, (op_right.conj().T @ op_right).T))
+        generators.append(gen)
+    return generators
+
+
+def separable_blocks(spec, rho0, times):
+    """The blocks [rho00, rho11, rho01] of the joint state rho0 evolved by the
+    separable channel, shape (len(times), 3, d, d), on a uniform grid from
+    times[0] = 0: each block is stepped by expm of its generator times the
+    grid's spacing."""
+    d = spec.dim
+    out = np.empty((len(times), 3, d, d), dtype=complex)
+    out[0] = split_blocks(rho0)
+    for k, gen in enumerate(separable_generators(spec)):
+        step = expm(gen * (times[1] - times[0]))
+        for n in range(1, len(times)):
+            out[n, k] = (step @ out[n - 1, k].ravel()).reshape(d, d)
+    return out
 
 
 def initial_state(cfg, dim=None):

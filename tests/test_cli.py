@@ -612,6 +612,16 @@ def test_simulate_bad_t_max_is_a_config_error(lines, message, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_si_tau_with_omega_is_a_config_error(tmp_path, capsys):
+    # tau used to overwrite omega: this ran at omega = 2 pi / 10 and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = si\ntau = 10\nomega = 5\ng = 0.05\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "give either tau or omega, not both" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("units", ["natural", "si"])
 @pytest.mark.parametrize("key", ["nbar", "temperature"])
 def test_simulate_negative_occupation_or_temperature_is_a_config_error(key, units, tmp_path,

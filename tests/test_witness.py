@@ -8,13 +8,14 @@ counterexample.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import initial_state
+from oracles import initial_state, separable_blocks
 from revivalsim.lindblad import (
     ProtocolConfig,
     negativities,
@@ -25,6 +26,7 @@ from revivalsim.witness import (
     SeparableChannelSpec,
     check_monotonic,
     coupled_contrast_case,
+    join_blocks,
     random_product_state,
     random_separable_spec,
     run_property_suite,
@@ -112,6 +114,24 @@ def test_property_suite_rows():
     assert all(r.max_violation <= 1e-6 for r in reports)
 
 
+def test_separable_runs_meet_an_exact_propagation():
+    # verify's default channels (dim 16, t_max 8, 400 samples) against expm
+    # of each block's generator, built from the joint operators; seeds 0-9
+    # hold 0, 1 and 2 local oscillator jumps.  Measured at most 1.4e-11 in V
+    # (seed 0) and 1.8e-11 in the kept states, the DOP853 solve's own error
+    jumps = set()
+    for seed in range(10):
+        spec = random_separable_spec(seed, 16)
+        rho0 = random_product_state(seed, 16)
+        trace = simulate_separable(spec, rho0, 8.0, samples=400)
+        blocks = separable_blocks(spec, rho0, trace.times)
+        visibility = 2.0 * np.abs(np.trace(blocks[:, 2], axis1=-2, axis2=-1))
+        assert np.max(np.abs(trace.visibility - visibility)) < 5e-11, seed
+        assert np.max(np.abs(trace.states - join_blocks(blocks))) < 5e-11, seed
+        jumps.add(len(spec.oscillator_lindblads))
+    assert jumps == {0, 1, 2}
+
+
 def test_property_suite_rejects_empty():
     with pytest.raises(ValueError):
         run_property_suite(0, 8)
@@ -149,6 +169,45 @@ def test_batched_negativity_matches_per_state():
     assert np.max(np.abs(negativities(trace.states) - want)) < 1e-12
     assert check_monotonic(trace).negativity_peak == pytest.approx(want.max(), abs=1e-12)
     assert want.max() > 0.3
+
+
+def _partial_transposes(states):
+    """The partial transpose over the qubit of each (2d, 2d) state."""
+    n, d = len(states), states.shape[-1] // 2
+    return states.reshape(n, 2, d, 2, d).transpose(0, 3, 2, 1, 4).reshape(states.shape)
+
+
+@pytest.mark.parametrize("source", [
+    dict(gamma_m=0.0), dict(gamma_m=0.05), dict(gamma_m=0.05, protocol="spin_echo"),
+    *range(5)], ids=["undamped", "damped", "damped_spin_echo"]
+    + [f"separable_{seed}" for seed in range(5)])
+def test_kept_states_are_exactly_hermitian(source):
+    # negativities hands each partial transpose to eigvalsh as it is, which
+    # reads only its lower triangle: every producer must build states, and so
+    # partial transposes, that equal their conjugate transposes exactly
+    if isinstance(source, int):  # a separable channel's seed
+        states = simulate_separable(random_separable_spec(source, 6),
+                                    random_product_state(source, 6), 3.0, samples=30).states
+    else:  # a protocol run's point
+        cfg = ProtocolConfig(g=0.2, nbar=1.0, gamma_a=0.01, samples_per_period=20, **source)
+        states = run_protocol(cfg, keep_states=True).states
+    assert len(states) > 1
+    for stack in (states, _partial_transposes(states)):
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+
+def test_negativities_allocates_about_its_input():
+    # the partial transposes are one copy of the stack; symmetrizing them
+    # allocated two more (3.0 x the input)
+    states = run_protocol(ProtocolConfig(g=0.25, t_max=2.0 * math.pi, samples_per_period=20,
+                                         dim=48), keep_states=True).states
+    tracemalloc.start()
+    try:
+        negativities(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * states.nbytes
 
 
 def test_separable_stats_and_states():
@@ -189,6 +248,8 @@ def test_coupled_case_contrast_meets_its_closed_forms():
 
 
 def _synthetic_trace(t, v):
+    """A trace with the given visibilities whose kept states are all one
+    product state, so its negativity peak is 0."""
     from revivalsim.lindblad import VisibilityTrace
 
     t = np.asarray(t, dtype=float)
@@ -199,6 +260,7 @@ def _synthetic_trace(t, v):
         sigma_minus=v.astype(complex) / 2.0,
         trace_error=np.zeros_like(t),
         tail_mass=np.zeros_like(t),
+        states=np.repeat(random_product_state(0, 2)[None], len(t), axis=0),
     )
 
 
@@ -216,8 +278,17 @@ def test_tolerance_permits_noise_level_rises():
 
 
 def test_check_monotonic_requires_two_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two samples"):
         check_monotonic(_synthetic_trace([0.0], [1.0]))
+
+
+def test_check_monotonic_refuses_a_trace_without_states():
+    # it used to report negativity_peak 0.0 for this entangling run, a value
+    # it never computed
+    trace = run_protocol(ProtocolConfig(g=0.25, t_max=2.0 * math.pi, samples_per_period=20))
+    assert trace.states is None
+    with pytest.raises(ValueError, match="keep_states=True"):
+        check_monotonic(trace)
 
 
 # ---------------------------------------------------------------------------
