@@ -372,25 +372,17 @@ def _refuse_stray(args, flags: dict, allowed, where: str) -> None:
         raise ConfigError(f"{', '.join(stray)} not applicable to {where}")
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
-    return value
-
-
-def _positive_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
-    return value
-
-
-def _nonnegative_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw!r}")
-    return value
+def _float(bound: str = ""):
+    """The type of a finite float flag, also "positive" or ">= 0" if bound says so."""
+    def real(raw: str) -> float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+        if bound and (value <= 0 if bound == "positive" else value < 0):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {raw!r}")
+        return value
+    real.__name__ = "float"  # argparse names it in "invalid float value"
+    return real
 
 
 def _count(lo: int, hi: float = math.inf, note: str = ""):
@@ -405,17 +397,19 @@ def _count(lo: int, hi: float = math.inf, note: str = ""):
     return count
 
 
-def _range_triple(raw: str) -> tuple[float, float, int]:
+def _range(raw: str) -> tuple[float, float, int]:
+    """The type of a lo,hi,n flag: positive floats lo <= hi, and n >= 1."""
     parts = raw.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo,hi,n — got {raw!r}")
-    lo, hi, n = _positive_float(parts[0]), _positive_float(parts[1]), int(parts[2])
+    positive = _float("positive")
+    lo, hi, n = positive(parts[0]), positive(parts[1]), _count(1)(parts[2])
     if hi < lo:
         raise argparse.ArgumentTypeError(f"hi must be >= lo, got {raw!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"n must be >= 1, got {raw!r}")
     return lo, hi, n
 
+
+_range.__name__ = "lo,hi,n"  # argparse names it in "invalid lo,hi,n value"
 
 # ---------------------------------------------------------------- analytic
 
@@ -423,17 +417,18 @@ def _range_triple(raw: str) -> tuple[float, float, int]:
 # (None: read by cmd_analytic itself), its type and its help; a flag not
 # passed is None, and its field keeps the default
 _FLAGS = {
-    "lam": ("--lambda", None, _finite_float, "dimensionless coupling g/omega"),
-    "lam_prime": ("--lambda-prime", "boost_coupling", _finite_float,
+    "lam": ("--lambda", None, _float(), "dimensionless coupling g/omega"),
+    "lam_prime": ("--lambda-prime", "boost_coupling", _float(),
                   "boost-stage coupling g'/omega"),
-    "nbar": ("--nbar", "nbar", _finite_float, None),
-    "q": ("--q", "q_factor", _finite_float, "quality factor omega/gamma_m"),
-    "gamma_a": ("--gamma-a", "qubit_decay", _finite_float,
+    "nbar": ("--nbar", "nbar", _float(), None),
+    "q": ("--q", "q_factor", _float(), "quality factor omega/gamma_m"),
+    "gamma_a": ("--gamma-a", "qubit_decay", _float(),
                 "qubit coherence decay rate over omega; the simulate engine's gamma_a "
                 "(sigma_z jump rate) decays coherence at 2*gamma_a"),
     "n_atoms": ("--n-atoms", None, _count(1), None),
     "n_pi": ("--n-pi", None, _count(1, MAX_N_PI), None),
-    "t_max": ("--t-max", None, _positive_float, "grid length in oscillator periods (default 2)"),
+    "t_max": ("--t-max", None, _float("positive"),
+              "grid length in oscillator periods (default 2)"),
     "samples": ("--samples", None, _count(2, MAX_SAMPLES),
                 "rows in the half-open omega*t grid (default 400)"),
 }
@@ -657,9 +652,9 @@ _DESIGN_KEYS = {f.name for f in dataclasses.fields(PhysicalConfig)} - {"atom_mas
     "atom_mass_amu", "atom_mass_kg"}
 # each mode flag's option string, type and help, and the flags each mode reads
 _DESIGN_FLAGS = {
-    "tau_range": ("--tau-range", _range_triple, "lo,hi,n (seconds, log-spaced)"),
-    "temp_range": ("--temp-range", _range_triple, "lo,hi,n (kelvin, log-spaced)"),
-    "sigma_level": ("--sigma-level", _positive_float, None),
+    "tau_range": ("--tau-range", _range, "lo,hi,n (seconds, log-spaced)"),
+    "temp_range": ("--temp-range", _range, "lo,hi,n (kelvin, log-spaced)"),
+    "sigma_level": ("--sigma-level", _float("positive"), None),
 }
 _MODE_FLAGS = {"--point": {"sigma_level"}, "--sweep": {"tau_range", "temp_range"}}
 
@@ -750,13 +745,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_count(1, note=" (empty suite rejected)"), required=True,
                    help="number of random channels (seeds 0..N-1)")
     p.add_argument("--dim", type=_count(2, MAX_DIM), default=16)
-    p.add_argument("--tol", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--t-max", dest="t_max", type=_positive_float, default=8.0)
+    p.add_argument("--tol", type=_float(">= 0"), default=1e-6)
+    p.add_argument("--t-max", dest="t_max", type=_float("positive"), default=8.0)
     p.add_argument("--samples", type=_count(1), default=400)
     p.add_argument("--negativity-tol", dest="negativity_tol",
-                   type=_nonnegative_float, default=1e-8)
+                   type=_float(">= 0"), default=1e-8)
     p.add_argument("--contrast-coupling", dest="contrast_coupling",
-                   type=_finite_float, default=0.25)
+                   type=_float(), default=0.25)
     p.add_argument("--out", default=None, help="summary CSV path")
     p.set_defaults(func=cmd_verify)
 

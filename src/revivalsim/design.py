@@ -235,9 +235,10 @@ def sweep_grid(
         return [10.0 ** (math.log10(lo) + k * step) for k in range(n)]
 
     rows = []
+    temps = _log_grid(t_lo, t_hi, int(n_temp))
     for tau in _log_grid(tau_lo, tau_hi, int(n_tau)):
         omega = 2.0 * math.pi / tau  # PhysicalConfig.omega at hold time tau
-        for temp in _log_grid(t_lo, t_hi, int(n_temp)):
+        for temp in temps:
             dv, dvb = _contrasts(cfg, omega, thermal_occupation(omega, temp))
             rows.append(
                 {

@@ -6,7 +6,9 @@ qubit coherence can only decay: d<sigma_minus>/dt = -2*gamma <sigma_minus
 (x) B^dag B>.  A visibility revival therefore certifies that the channel
 can generate entanglement.  Generators here use the same standard-form
 dissipator as `lindblad` (rate * (L rho L^dag - {L^dag L, rho}/2)), so for
-B^dag B = c*1 the visibility decays at exactly 2*gamma*c.
+B^dag B = c*1 the visibility decays at exactly 2*gamma*c.  The qubit
+dephasing, the sigma_z (x) 1 jump, enters K as the decay gamma_a (z_s z_s' - 1)
+of block (s, s'), as in `lindblad` and `analytic`: -2 gamma_a on rho01 alone.
 
 These generators keep the sigma_z blocks apart but lack the protocol's
 parity symmetry, so a joint state is the stacked (3, d, d) array [rho00,
@@ -99,20 +101,21 @@ class WitnessReport:
 
 
 def _block_rhs(spec: SeparableChannelSpec):
-    """Right-hand side for the flat blocks [rho00, rho11, rho01]: block
-    (s, s') obeys -i(K_s rho - rho K_s'^dag) + sum_j rate_j c_j L_j rho L_j^dag
-    with K_s = z_s omega_0 + H_B - (i/2) sum_j rate_j L_j^dag L_j, where
-    c_j = z_s z_s' for the sigma_z (x) L jumps and 1 for the local ones."""
+    """Right-hand side for the flat blocks [rho00, rho11, rho01]: block (s, s') obeys
+    -i(K rho - rho K_s'^dag) + sum_j rate_j c_j L_j rho L_j^dag, where K = K_s + i gamma_a
+    (z_s z_s' - 1) holds the qubit dephasing as a decay, K_s = z_s omega_0 + H_B - (i/2)
+    sum_j rate_j L_j^dag L_j, and c_j = z_s z_s' for sigma_z (x) B and 1 for local jumps."""
     d = spec.dim
     eye = np.eye(d, dtype=complex)
     coupled = Z_LEVEL[BLOCK_LEFT] * Z_LEVEL[BLOCK_RIGHT]
-    jumps = [(spec.b_operator, spec.gamma, coupled), (eye, spec.qubit_dephasing, coupled)]
+    jumps = [(spec.b_operator, spec.gamma, coupled)]
     jumps += [(np.asarray(op, dtype=complex), rate, np.ones(3))
               for op, rate in spec.oscillator_lindblads]
     loss = sum(rate * op.conj().T @ op for op, rate, _ in jumps)
     k = [z * spec.qubit_splitting * eye + spec.oscillator_hamiltonian - 0.5j * loss
          for z in Z_LEVEL]
-    left = np.stack([k[s] for s in BLOCK_LEFT])
+    left = np.stack([k[s] + 1j * spec.qubit_dephasing * (c - 1.0) * eye
+                     for s, c in zip(BLOCK_LEFT, coupled)])
     right = np.stack([k[s].conj().T for s in BLOCK_RIGHT])
     feeds = [(op, op.conj().T, (rate * c)[:, None, None]) for op, rate, c in jumps if rate]
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -22,12 +23,16 @@ from revivalsim import __version__, cli, lindblad, witness
 from revivalsim.cli import (CSV_CHUNK_ROWS, MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
                             _protocol_config_from_file, main, write_csv)
 from revivalsim.config import parse_config_file
+from revivalsim.constants import ATOMIC_MASS
 from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_protocol
 from revivalsim.analytic import (CouplingParams, spin_echo_overlap, visibility_exact,
                                   visibility_thermal)
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# an underscore-prefixed name, such as a private type function's in argparse's
+# "invalid <type> value"
+PRIVATE_NAME = re.compile(r"\b_\w")
 
 
 def _read_csv(path):
@@ -317,21 +322,24 @@ def test_analytic_rejects_nonfinite_flags(tmp_path, capsys):
     for flag, formula in (("--lambda", "ground"), ("--lambda-prime", "boosted"),
                           ("--nbar", "thermal"), ("--q", "damped"),
                           ("--gamma-a", "damped")):
-        for bad in ("nan", "inf", "-inf"):
+        for bad in ("nan", "inf", "-inf", "abc"):
             argv = ["analytic", "--formula", formula, f"{flag}={bad}", "--out", str(out)]
             if flag != "--lambda":
                 argv += ["--lambda", "0.1"]
             assert main(argv) == 2, (flag, bad)
-            assert "must be finite" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert ("invalid float value" if bad == "abc" else "must be finite") in err
+            assert not PRIVATE_NAME.search(err), err
     assert not out.exists()
 
 
 def test_analytic_rejects_nonpositive_t_max(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    for bad in ("-3", "0", "nan"):
+    for bad in ("-3", "0", "nan", "abc"):
         assert main(["analytic", "--formula", "thermal", "--lambda", "0.1",
                      f"--t-max={bad}", "--out", str(out)]) == 2
-        assert "--t-max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--t-max" in err and not PRIVATE_NAME.search(err), err
     assert not out.exists()
 
 
@@ -563,6 +571,17 @@ def test_simulate_config_conflicts(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "wibble" in capsys.readouterr().err
 
+    cfg.write_text("units = furlong\ng = 0.1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "units must be 'si' or 'natural', got 'furlong'" in capsys.readouterr().err
+
+    cfg.write_text("units = natural\ng = 0.1\nt_max = 5\nt_max_periods = 1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "give either t_max or t_max_periods, not both" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
 
 def test_simulate_rejects_non_integral_counts(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -668,6 +687,15 @@ def test_simulate_refuses_a_key_its_protocol_does_not_read(lines, override, mess
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
     assert main(argv + (["--protocol", override] if override else [])) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_simulate_nbar_beyond_the_float_range_is_a_domain_error(tmp_path, capsys):
+    # hbar omega / k_B T underflows to 0, where nbar = 1 / expm1(0) is no float
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\nomega = 1e-200\ng = 0.05\ntemperature = 1e200\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    assert "nbar is beyond the float range" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
@@ -827,12 +855,23 @@ def test_verify_linalg_failure_is_a_numerics_error(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=-1e-6", "--negativity-tol=nan",
                                   "--negativity-tol=-1", "--t-max=nan", "--t-max=0",
                                   "--contrast-coupling=nan",
-                                  "--contrast-coupling=inf"])
+                                  "--contrast-coupling=inf", "--tol=abc",
+                                  "--negativity-tol=abc", "--t-max=abc",
+                                  "--contrast-coupling=abc"])
 def test_verify_rejects_bad_float_flags(flag, capsys):
     # a NaN tolerance used to read as a witness failure (exit 5) and a NaN
     # coupling as a domain error (exit 3); both are usage errors
     assert main(["verify", "--seeds", "1", "--dim", "4", flag]) == 2
-    assert flag.split("=")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag.split("=")[0] in err and not PRIVATE_NAME.search(err), err
+
+
+def test_verify_echoes_valid_tolerances(tmp_path):
+    out = tmp_path / "witness.csv"
+    assert main(["verify", "--seeds", "1", "--dim", "4", "--t-max", "2", "--samples", "20",
+                 "--tol", "1e-5", "--negativity-tol", "1e-7", "--out", str(out)]) == 0
+    config = _read_manifest(out)["config"]
+    assert config["tol"] == 1e-5 and config["negativity_tol"] == 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +920,9 @@ def test_design_sweep(tmp_path):
     ("--tau-range", "-10,100,3"), ("--tau-range", "10,100,0"), ("--tau-range", "100,10,3"),
     ("--temp-range", "10,nan,2"), ("--temp-range", "inf,300,2"),
     ("--temp-range", "10,0,2"), ("--temp-range", "10,-300,2"), ("--temp-range", "10,300,0"),
-    ("--temp-range", "300,10,2"),
+    ("--temp-range", "300,10,2"), ("--tau-range", "1,2,x"), ("--temp-range", "1,x,2"),
     ("--sigma-level", "nan"), ("--sigma-level", "inf"), ("--sigma-level", "0"),
-    ("--sigma-level", "-5"),
+    ("--sigma-level", "-5"), ("--sigma-level", "abc"),
 ])
 def test_design_rejects_bad_flags(flag, value, tmp_path, capsys):
     # NaN used to reach the sweep CSV and the point JSON with exit 0, and an
@@ -895,7 +934,8 @@ def test_design_rejects_bad_flags(flag, value, tmp_path, capsys):
         ranges = {"--tau-range": "10,100,3", "--temp-range": "10,300,2", flag: value}
         argv = ["design", "--sweep", *(f"{k}={v}" for k, v in ranges.items())]
     assert main(argv + ["--out", str(out)]) == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err and not PRIVATE_NAME.search(err), err
     assert not out.exists()
 
 
@@ -942,6 +982,21 @@ def test_design_unknown_key_exit_code(tmp_path, capsys):
     cfg.write_text("humidity = 0.4\n")
     assert main(["design", "--config", str(cfg), "--point"]) == 2
     assert "humidity" in capsys.readouterr().err
+
+
+def test_design_atom_mass_in_kg_or_amu(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("atom_mass_amu = 87\n")
+    assert main(["design", "--config", str(cfg), "--point"]) == 0
+    by_amu = capsys.readouterr().out
+    cfg.write_text(f"atom_mass_kg = {87 * ATOMIC_MASS!r}\n")
+    assert main(["design", "--config", str(cfg), "--point"]) == 0
+    assert capsys.readouterr().out == by_amu
+    cfg.write_text(f"atom_mass_amu = 87\natom_mass_kg = {87 * ATOMIC_MASS!r}\n")
+    assert main(["design", "--config", str(cfg), "--point",
+                 "--out", str(tmp_path / "design.json")]) == 2
+    assert "give either atom_mass_amu or atom_mass_kg" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_design_low_temperature_warning(tmp_path, capsys):

@@ -202,10 +202,15 @@ def test_protocol_rhs_matches_dense_lindblad():
 
 
 def test_separable_rhs_matches_dense_lindblad():
+    # two random channels with every kind of jump, and the second's dephasing
+    # both alone (no coupled or local jumps) and absent
     rng = np.random.default_rng(5)
-    for dim, seed in ((6, 2), (12, 3)):
-        spec = random_separable_spec(seed, dim)
-        assert spec.oscillator_lindblads and spec.qubit_dephasing > 0
+    specs = [random_separable_spec(2, 6), random_separable_spec(3, 12)]
+    assert all(spec.oscillator_lindblads and spec.qubit_dephasing > 0 for spec in specs)
+    specs += [dataclasses.replace(specs[1], gamma=0.0, oscillator_lindblads=[]),
+              dataclasses.replace(specs[1], qubit_dephasing=0.0)]
+    for spec in specs:
+        dim = spec.dim
         eye_q, eye_m = np.eye(2), np.eye(dim)
         h = spec.qubit_splitting * np.kron(SIGMA_Z, eye_m) + np.kron(
             eye_q, spec.oscillator_hamiltonian)

@@ -93,6 +93,11 @@ def test_random_spec_is_deterministic():
     assert len(a.oscillator_lindblads) == len(b.oscillator_lindblads)
 
 
+def test_random_spec_needs_two_levels():
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        random_separable_spec(0, 1)
+
+
 def test_random_product_state_is_valid():
     rho = random_product_state(4, 10)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
