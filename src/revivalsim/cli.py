@@ -55,8 +55,8 @@ EXIT_WITNESS = 5
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
 # `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
-# its peak memory is about twice those (214 MB above import for the 105 MB
-# kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
+# its peak memory is those and slab temporaries (121 MB above import for the
+# 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
 MAX_STATE_VALUES = 2**24
 
 
@@ -465,7 +465,9 @@ def cmd_analytic(args) -> int:
                      if field and getattr(args, k) is not None}
             params = analytic.CouplingParams(coupling=lam, **given)
             grid = 2.0 * math.pi * t_max * np.arange(samples) / samples
-            if formula in ("ground", "thermal"):  # ground is thermal at nbar = 0
+            if formula == "ground":
+                vis = analytic.visibility_ground(lam, grid)
+            elif formula == "thermal":
                 vis = analytic.visibility_thermal(params, grid)
             elif formula == "damped":
                 vis = analytic.visibility_damped(params, grid)
@@ -611,24 +613,16 @@ def cmd_verify(args) -> int:
     )
     contrast = witness.coupled_contrast_case(args.contrast_coupling, tol=args.tol)
 
-    separable_ok = all(r.monotonic for r in reports) and all(
-        r.negativity_peak <= args.negativity_tol for r in reports
-    )
+    separable_ok = all(r.monotonic and r.negativity_peak <= args.negativity_tol for r in reports)
     contrast_ok = (not contrast.monotonic) and contrast.negativity_peak > 0.01
 
     if args.out:
         header = ["kind", "seed"] + [f.name for f in dataclasses.fields(witness.WitnessReport)]
         rows = [("random", seed, *dataclasses.astuple(r)) for seed, r in enumerate(reports)]
         rows.append(("contrast", -1, *dataclasses.astuple(contrast)))
-        write_outputs(args, lambda fh: write_csv(fh, header, zip(*rows)), {
-            "seeds": args.seeds,
-            "dim": args.dim,
-            "tol": args.tol,
-            "t_max": args.t_max,
-            "samples": args.samples,
-            "negativity_tol": args.negativity_tol,
-            "contrast_coupling": args.contrast_coupling,
-        })
+        flags = ("seeds", "dim", "tol", "t_max", "samples", "negativity_tol", "contrast_coupling")
+        write_outputs(args, lambda fh: write_csv(fh, header, zip(*rows)),
+                      {key: getattr(args, key) for key in flags})
 
     n_bad = sum(1 for r in reports if not r.monotonic)
     print(

@@ -46,7 +46,7 @@ truncated operators: the coupling becomes coupling (a e^{-i omega t} + ad
 e^{i omega t}), and the right-hand side is six banded shifts of the flat block
 with real weights.  The block returns to the lab frame through M at each
 segment end (before a gate) and when kept.  A run holds O(d^2) memory on
-either path unless it keeps its states, which go into one (n, 2d, 2d) array.
+either path unless it keeps its states, in one (n, 2d, 2d) array filled in place.
 
 A run is refused before anything is allocated when it asks for more than
 `MAX_RUN_SAMPLES` samples or `ProtocolConfig.resolved_dim`, the one Fock-dim
@@ -94,6 +94,10 @@ MAX_STEP_BOUND = 100_000
 # (SIGMA_BLOCK, d) complex values, 0.5 MB each at dim 122
 SIGMA_BLOCK = 256
 
+# Kept joint states filled by a run, or partial-transposed by `negativities`, at a
+# time, so that their temporaries are a slab's size, not the whole stack's
+STATE_SLAB = 32
+
 # scipy's DOP853 step-size controller: safety factor and step-change limits
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
@@ -108,10 +112,9 @@ class VisibilityTrace:
     continuous across gates).  tail_mass is the occupation of the top two
     Fock levels.
     states, when kept, holds the joint lab-frame density matrices, shape
-    (n, 2d, 2d).  exact_error (`run_protocol`) is each sample's |V - V_exact|,
-    trace_error (`witness.simulate_separable`) its |Tr rho - 1|; the other is
-    None.  stats records the run: the Fock dim and the rule that chose it, a
-    record per segment and each diagnostic's worst value and bound.  A
+    (n, 2d, 2d).  exact_error (`run_protocol` only) is each sample's |V - V_exact|.
+    stats records the run: the Fock dim and the rule that chose it, a record
+    per segment and each diagnostic's worst value and bound.  A
     `run_protocol` segment records its duration and coupling, then either its
     DOP853 solve's nfev, steps, rejected, dense_outputs and wall_s (damped
     runs: only a stepper evolves them) or `propagator` "exact_eigh" and wall_s
@@ -125,7 +128,6 @@ class VisibilityTrace:
     states: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
     exact_error: np.ndarray | None = None
-    trace_error: np.ndarray | None = None
 
 
 def _parity(rho: np.ndarray) -> np.ndarray:
@@ -606,10 +608,12 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     starts = np.cumsum([0.0] + [duration for duration, _, _ in segments])
     times = np.concatenate([t0 + grid for t0, grid in zip(starts, grids)])
     alpha = np.concatenate(alphas)
-    if states is not None:
-        rho00 = _displaced_thermal(alpha, probs)
-        states[:, :dim, :dim], states[:, dim:, dim:] = rho00, _parity(rho00)
-        states[:, dim:, :dim] = states[:, :dim, dim:].conj().swapaxes(-1, -2)
+    if states is not None:  # rho00, rho11 = P rho00 P and rho10 = rho01^dag, a slab at a time
+        for lo in range(0, n_samples, STATE_SLAB):
+            slab = states[lo:lo + STATE_SLAB]
+            rho00 = _displaced_thermal(alpha[lo:lo + STATE_SLAB], probs)
+            slab[:, :dim, :dim], slab[:, dim:, dim:] = rho00, _parity(rho00)
+            slab[:, dim:, :dim] = slab[:, :dim, dim:].conj().swapaxes(-1, -2)
     visibility = 2.0 * np.abs(sigma)
     exact_error = np.abs(visibility - visibility_exact(
         cfg.omega, cfg.gamma_m, cfg.gamma_a, cfg.nbar, segments, times))
@@ -657,16 +661,19 @@ def run_protocol(cfg: ProtocolConfig, *, keep_states: bool = False) -> Visibilit
 def negativities(states: np.ndarray) -> np.ndarray:
     """Negativity across the qubit|oscillator cut of each joint state in an
     (n, 2d, 2d) stack: the sum of |negative eigenvalues| of the partial
-    transpose over the qubit, from one stacked eigvalsh.  The states must be
-    Hermitian, as every state this package builds is exactly; so is each
-    partial transpose then, and only its lower triangle is read."""
+    transpose over the qubit, one eigvalsh per `STATE_SLAB` states.  The states
+    must be Hermitian, as every state this package builds is exactly; so is
+    each partial transpose then, and only its lower triangle is read."""
     n_states, n = np.shape(states)[:2]
     if n % 2 != 0:
         raise ValueError(f"joint dimension must be even, got {n}")
     d = n // 2
-    pt = np.reshape(states, (n_states, 2, d, 2, d)).transpose(0, 3, 2, 1, 4)
-    eigs = np.linalg.eigvalsh(pt.reshape(n_states, n, n))
-    return -np.minimum(eigs, 0.0).sum(axis=-1)
+    out = np.empty(n_states)
+    for lo in range(0, n_states, STATE_SLAB):
+        pt = np.reshape(states[lo:lo + STATE_SLAB], (-1, 2, d, 2, d)).transpose(0, 3, 2, 1, 4)
+        eigs = np.linalg.eigvalsh(pt.reshape(-1, n, n))
+        out[lo:lo + STATE_SLAB] = -np.minimum(eigs, 0.0).sum(axis=-1)
+    return out
 
 
 def negativity(rho: np.ndarray) -> float:

@@ -20,8 +20,8 @@ DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of 
 # Largest Fock dim a run may use.  One (d, d) real protocol block takes
 # 8 d^2 bytes (2.1 MB at 512) and a run peaks at about 50 of them, 16 of
 # them the solver's stages (tracemalloc at dim 122: 6.0 MB); a run that keeps
-# its states adds a complex (2d, 2d) joint state per sample (so `verify`
-# bounds its kept states by `cli.MAX_STATE_VALUES`).
+# its states adds a complex (2d, 2d) joint state per sample, filled in place
+# (so `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).
 # So a dim far beyond the supported envelope (122 at lambda = 0.3, nbar = 5;
 # 268 at lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused
 # before anything is built.
@@ -127,8 +127,12 @@ class ProtocolConfig:
         from one walk of the populations in Python floats."""
         dim = self.dim
         if dim is None or 3 <= dim <= MAX_DIM:
+            reach, scale = self.max_displacement(), self.nbar + 1.0  # squared in the walk
+            if math.isinf(reach * reach) or math.isinf(scale * scale):  # where ** would raise
+                raise TruncationError("|alpha|^2 or (nbar + 1)^2 overflows a float: the coupling "
+                                      f"or nbar is too large for any dim up to MAX_DIM={MAX_DIM}")
             mass = 1.0  # P(n >= d - 2) at d = 2, 3, ...
-            for d, p in enumerate(_populations(self.nbar, self.max_displacement() ** 2), 2):
+            for d, p in enumerate(_populations(self.nbar, reach ** 2), 2):
                 if d == dim or (dim is None and (mass <= DIM_TAIL_BOUND or d > MAX_DIM)):
                     break
                 mass -= p
@@ -143,8 +147,9 @@ class ProtocolConfig:
         D(alpha) thermal(nbar) D(alpha)^dag, |alpha| = `max_displacement()`,
         holds at most `DIM_TAIL_BOUND` at levels >= d - 2, the two levels the
         run's tail-mass check reads.
-        A dim outside [3, `MAX_DIM`] raises TruncationError before anything is
-        allocated; a configured dim is then judged by the run's own checks."""
+        A dim outside [3, `MAX_DIM`], or an |alpha|^2 or (nbar + 1)^2 beyond a
+        float, raises TruncationError before anything is allocated; a
+        configured dim is then judged by the run's own checks."""
         return self._dim_and_tail()[0]
 
     def resolved_t_max(self) -> float:

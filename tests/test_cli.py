@@ -1125,19 +1125,17 @@ def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
 
 
-@pytest.mark.parametrize("command", ["ground", "thermal", "boosted", "spin-echo",
-                                     "design", "simulate"])
+@pytest.mark.parametrize("command", ["ground", "thermal", "boosted", "spin-echo", "design"])
 def test_overflow_is_a_domain_error(command, tmp_path, capsys):
-    # float overflow used to end in an OverflowError traceback (exit 1)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("units = natural\ng = 1e200\n")
-    argv = {"design": ["design", "--point", "--sigma-level", "1e200"],
-            "simulate": ["simulate", "--config", str(cfg)]}.get(
+    # float overflow used to end in an OverflowError traceback (exit 1); the
+    # same overflow in simulate's dim rule is a truncation error (exit 4),
+    # in test_out_of_range_values_write_nothing
+    argv = {"design": ["design", "--point", "--sigma-level", "1e200"]}.get(
         command, ["analytic", "--formula", command, "--lambda", "1e200"])
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 3
     assert "out of range" in capsys.readouterr().err
-    assert sorted(tmp_path.iterdir()) == [cfg]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_range_syntax(tmp_path):
@@ -1165,13 +1163,19 @@ def test_bad_range_syntax(tmp_path):
     (["design"], "splitting = 1e-200\nsphere_radius = 1e-201\n", 3),
     (["simulate"], "units = natural\ng = 0.01\nnbar = 1e16\n", 4),
     (["simulate"], "units = natural\ng = 0.01\ntemperature = 1e20\n", 4),
+    (["simulate"], "units = natural\ng = 1e200\n", 4),
+    (["simulate"], "units = natural\ng = 0.05\nnbar = 1e200\n", 4),
+    (["simulate"], "units = natural\ndim = 20\ng = 1e200\n", 4),
 ], ids=["thermal_nbar", "damped_nbar", "thermal_lambda", "damped_lambda",
         "t_max_1e308", "t_max_1e307", "design_density", "design_temperature",
         "sweep_temperature", "design_hold_time", "sweep_tau", "design_splitting",
-        "simulate_nbar", "simulate_temperature"])
+        "simulate_nbar", "simulate_temperature", "simulate_g", "simulate_nbar_1e200",
+        "simulate_dim_g"])
 def test_out_of_range_values_write_nothing(argv, config, code, tmp_path, capsys):
     # the analytic and the first three design runs exited 0 with a nan or
-    # inf in their output; the rest ended in a ZeroDivisionError traceback
+    # inf in their output; the rest up to simulate_temperature ended in a
+    # ZeroDivisionError traceback; the last three, whose |alpha|^2 or
+    # (nbar + 1)^2 overflows in the dim rule, exited 3 as a domain error
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv = argv + ["--config", str(tmp_path / "run.cfg")]

@@ -55,7 +55,6 @@ from revivalsim.lindblad import (
 from revivalsim.witness import (
     PLUS_STATE,
     _block_rhs,
-    join_blocks,
     random_product_state,
     random_separable_spec,
     split_blocks,
@@ -261,9 +260,9 @@ def test_echo_gate_swaps_blocks():
     rho00, rho01 = _protocol_blocks(rho)
     got = np.stack([_parity(rho00), rho01.conj().T])
     assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-15
-    joint = join_blocks(np.stack([got[0], parity @ got[0] @ parity, got[1]]))
-    assert np.max(np.abs(joint - want)) < 1e-15
-    assert np.max(np.abs(join_blocks(split_blocks(rho)) - rho)) < 1e-15
+    # and the gated rho11 and rho10 are P rho00 P and rho01^dag of its blocks
+    assert np.max(np.abs(want[7:, 7:] - parity @ got[0] @ parity)) < 1e-15
+    assert np.max(np.abs(want[7:, :7] - got[1].conj().T)) < 1e-15
     # so a flip maps the closed-form rho00 at alpha to the one at -alpha
     alpha, probs = np.array([0.4 - 0.3j]), thermal_density(0.8, 30).diagonal().real
     assert np.max(np.abs(_parity(_displaced_thermal(alpha, probs))
@@ -824,7 +823,7 @@ def test_stats_record_dim_segments_and_worst_diagnostics():
     assert stats["worst_exact_error"] == trace.exact_error.max()
     assert stats["worst_tail_mass"] == trace.tail_mass.max()
     assert stats["exact_error_bound"] == 1e-7 and stats["tail_mass_bound"] == 1e-6
-    assert "worst_trace_error" not in stats and trace.trace_error is None
+    assert "worst_trace_error" not in stats
     forced = run_protocol(ProtocolConfig(g=0.05, nbar=1.0, dim=30, samples_per_period=20))
     assert (forced.stats["dim"], forced.stats["dim_rule"]) == (30, "config")
     # a configured dim records its margin too: P(n >= 28) at |alpha| = 0.1
@@ -1091,8 +1090,11 @@ def test_boost_corner_meets_the_exact_visibility_at_a_configured_dim():
 def test_resolved_dim_refuses_dims_above_cap():
     # only the dim is computed here: nothing of that size is allocated
     assert ProtocolConfig(dim=MAX_DIM).resolved_dim() == MAX_DIM
+    # g = 1e155 and nbar = 1e200 overflow |alpha|^2 and (nbar + 1)^2, which a
+    # float's ** raised as OverflowError
     for cfg in (ProtocolConfig(dim=MAX_DIM + 1), ProtocolConfig(g=1e6),
-                ProtocolConfig(nbar=1e9)):
+                ProtocolConfig(nbar=1e9), ProtocolConfig(g=1e155),
+                ProtocolConfig(nbar=1e200)):
         with pytest.raises(TruncationError, match="MAX_DIM"):
             cfg.resolved_dim()
 
@@ -1103,6 +1105,15 @@ def test_thermal_tail_guard_on_forced_dim():
     cfg = ProtocolConfig(g=0.6, nbar=3.0, dim=30, t_max=1.0)
     with pytest.raises(TruncationError, match="Fock tail mass"):
         run_protocol(cfg)
+
+
+@pytest.mark.parametrize("point", [dict(g=1e200), dict(g=0.05, nbar=1e200), dict(g=1e308)],
+                         ids=["g", "nbar", "g_inf_displacement"])
+def test_overflowing_displacement_or_nbar_refuses_a_configured_dim(point):
+    # a configured dim skips the default-dim search, but the tail walk still
+    # squares |alpha| and nbar + 1; at g = 1e308 |alpha| = 2 g is inf itself
+    with pytest.raises(TruncationError, match="overflows a float"):
+        run_protocol(ProtocolConfig(dim=20, **point))
 
 
 def _simulate_trace(tmp_path, fmt):
