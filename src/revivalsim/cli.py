@@ -54,10 +54,6 @@ EXIT_WITNESS = 5
 # `design --sweep`, whose row dicts cost about 360 B a cell.
 MAX_SAMPLES = 10**7
 MAX_N_PI = 10**6
-# `verify` keeps (samples + 1) joint (2 dim, 2 dim) states per channel, and
-# its peak memory is those and slab temporaries (121 MB above import for the
-# 105 MB kept at --dim 64 --samples 400): 2^24 complex values are 256 MiB.
-MAX_STATE_VALUES = 2**24
 
 
 # ---------------------------------------------------------------- helpers
@@ -588,30 +584,14 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _refuse_kept_states(run: str, samples: int, dim: int, scope: str = "") -> None:
-    """The kept-state budget: refuse run if its samples + 1 joint (2 dim,
-    2 dim) states (per scope) hold more than MAX_STATE_VALUES values."""
-    kept = (samples + 1) * (2 * dim) ** 2
-    if kept > MAX_STATE_VALUES:
-        raise ConfigError(f"{run} keeps {kept} state values{scope}, "
-                          f"more than MAX_STATE_VALUES={MAX_STATE_VALUES}")
-
-
 def cmd_verify(args) -> int:
-    _refuse_kept_states(f"--samples {args.samples} at --dim {args.dim}", args.samples,
-                        args.dim, " per channel")
     from . import witness  # loads the engine
 
-    contrast_cfg = witness.contrast_config(args.contrast_coupling)
-    dim = contrast_cfg.resolved_dim()
-    # the contrast run keeps one period of samples_per_period + 1 joint states
-    _refuse_kept_states(f"--contrast-coupling {args.contrast_coupling} needs dim {dim} and",
-                        contrast_cfg.samples_per_period, dim)
-
+    # the contrast first: the engine refuses its over-budget stack before any channel runs
+    contrast = witness.coupled_contrast_case(args.contrast_coupling, tol=args.tol)
     reports = witness.run_property_suite(
         args.seeds, args.dim, tol=args.tol, t_max=args.t_max, samples=args.samples
     )
-    contrast = witness.coupled_contrast_case(args.contrast_coupling, tol=args.tol)
 
     separable_ok = all(r.monotonic and r.negativity_peak <= args.negativity_tol for r in reports)
     contrast_ok = (not contrast.monotonic) and contrast.negativity_peak > 0.01

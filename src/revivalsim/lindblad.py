@@ -49,12 +49,14 @@ segment end (before a gate) and when kept.  A run holds O(d^2) memory on
 either path unless it keeps its states, in one (n, 2d, 2d) array filled in place.
 
 A run is refused before anything is allocated when it asks for more than
-`MAX_RUN_SAMPLES` samples or `ProtocolConfig.resolved_dim`, the one Fock-dim
-rule, refuses its dim, and, damped, before it steps when its fastest decay
-needs more than `MAX_STEP_BOUND` explicit steps.  Once evolved, it is refused
-when its displaced state fills its top two levels beyond `TAIL_MASS_BOUND`, or
-when a sample is more than `EXACT_ERROR_BOUND` off the model's exact
-visibility (`analytic.visibility_exact`).
+`MAX_RUN_SAMPLES` samples, `ProtocolConfig.resolved_dim`, the one Fock-dim
+rule, refuses its dim, its largest displacement puts more than
+`TAIL_MASS_BOUND` at levels >= dim - 2, or its kept states would exceed
+`MAX_STATE_VALUES` (`kept_states`, a ConfigError); and, damped, before it steps
+when its fastest decay needs more than `MAX_STEP_BOUND` explicit steps.  Once
+evolved, it is refused when a sample's top two levels hold more than
+`TAIL_MASS_BOUND`, or when a sample is more than `EXACT_ERROR_BOUND` off the
+model's exact visibility (`analytic.visibility_exact`).
 
 `ProtocolConfig`, its dim rule, the caps `MAX_DIM` and `MAX_RUN_SAMPLES`, the
 protocol names and the errors are defined in `protocol`, which the CLI loads
@@ -71,8 +73,8 @@ import numpy as np
 
 from . import dop853
 from .analytic import CHUNK, visibility_exact
-from .protocol import (DIM_TAIL_BOUND, MAX_DIM, MAX_RUN_SAMPLES, PROTOCOLS,
-                       IntegrationError, ProtocolConfig, TruncationError)
+from .protocol import (DIM_TAIL_BOUND, MAX_DIM, MAX_RUN_SAMPLES, PROTOCOLS, IntegrationError,
+                       ProtocolConfig, TruncationError, kept_states)
 
 EXACT_ERROR_BOUND = 1e-7   # max tolerated |V - V_exact| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
@@ -523,6 +525,9 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
     Fock dim and its tail mass come from one walk of the dim rule
     (`ProtocolConfig._dim_and_tail`)."""
     dim, dim_tail_mass = cfg._dim_and_tail()
+    if not dim_tail_mass <= TAIL_MASS_BOUND:  # it bounds every sample's tail; NaN fails too
+        raise TruncationError(f"Fock tail mass {dim_tail_mass:.3e} at dim {dim} (levels >= dim"
+                              f" - 2) exceeds {TAIL_MASS_BOUND:.1e}; increase dim")
     exact = cfg.gamma_m == 0
     if not exact:
         # an explicit step is stable only while h |rate| stays within
@@ -543,7 +548,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         grids.append(np.linspace(0.0, duration, n_int + 1)[1 if grids else 0:])
     n_samples = sum(map(len, grids))
     sigma = np.empty(n_samples)
-    states = np.empty((n_samples, 2 * dim, 2 * dim), complex) if keep_states else None
+    states = kept_states(n_samples, dim) if keep_states else None
     propagators = {c: (_eigensystem if exact else _real_rhs)(cfg, dim, c)
                    for c in {seg[1] for seg in segments}}
     # |+><+| (x) thermal(nbar), renormalized on the dim levels: rho01 = thermal/2,

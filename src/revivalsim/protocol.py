@@ -1,10 +1,11 @@
 """The master-equation engine's input contract: `ProtocolConfig`, the one
 Fock-dim rule (`ProtocolConfig.resolved_dim`), the caps a run is checked
-against before anything is allocated (`MAX_DIM`, `MAX_RUN_SAMPLES`) and the
-errors the engine raises.  It needs only numpy, so the CLI checks a
-`simulate` config, and runs `analytic` and `design`, without loading the
-engine (`lindblad`, `dop853`, `witness`); `lindblad` imports these names
-from here, so `lindblad.ProtocolConfig` and the rest are the same objects.
+against before anything is allocated (`MAX_DIM`, `MAX_RUN_SAMPLES`, and
+`MAX_STATE_VALUES` in `kept_states`) and the errors the engine raises.  It
+needs only numpy and `config`, so the CLI checks a `simulate` config, and runs
+`analytic` and `design`, without loading the engine (`lindblad`, `dop853`,
+`witness`); `lindblad` imports these names from here, so
+`lindblad.ProtocolConfig` and the rest are the same objects.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
+
 DIM_TAIL_BOUND = 1e-9      # max displaced thermal mass at levels >= dim - 2 of a default dim
 
 # Largest Fock dim a run may use.  One (d, d) real protocol block takes
 # 8 d^2 bytes (2.1 MB at 512) and a run peaks at about 50 of them, 16 of
 # them the solver's stages (tracemalloc at dim 122: 6.0 MB); a run that keeps
-# its states adds a complex (2d, 2d) joint state per sample, filled in place
-# (so `verify` bounds its kept states by `cli.MAX_STATE_VALUES`).
+# its states adds a complex (2d, 2d) joint state per sample (`kept_states`).
 # So a dim far beyond the supported envelope (122 at lambda = 0.3, nbar = 5;
 # 268 at lambda = 0.3, nbar = 12) asks for gigabytes or more and is refused
 # before anything is built.
@@ -33,7 +35,22 @@ MAX_DIM = 512
 # about 100 MB; the benchmark's 401.
 MAX_RUN_SAMPLES = 10**6
 
+# Most values a kept (n, 2d, 2d) joint-state stack may hold: 2^24 complex values
+# are 256 MiB, and a `verify` peak is its stacks and slab temporaries (121 MB
+# above import for the 105 MB kept at --dim 64 --samples 400).
+MAX_STATE_VALUES = 2**24
+
 PROTOCOLS = ("basic", "boosted", "spin_echo")
+
+
+def kept_states(n: int, dim: int) -> np.ndarray:
+    """The empty complex (n, 2 dim, 2 dim) stack of n kept joint states, or
+    ConfigError, before allocating, if it would hold over `MAX_STATE_VALUES` values."""
+    values = n * (2 * dim) ** 2
+    if values > MAX_STATE_VALUES:
+        raise ConfigError(f"{n} kept joint states at dim {dim} hold {values} values, more "
+                          f"than MAX_STATE_VALUES={MAX_STATE_VALUES}")
+    return np.empty((n, 2 * dim, 2 * dim), complex)
 
 
 class IntegrationError(RuntimeError):

@@ -13,7 +13,8 @@ of block (s, s'), as in `lindblad` and `analytic`: -2 gamma_a on rho01 alone.
 These generators keep the sigma_z blocks apart but lack the protocol's
 parity symmetry, so a joint state is the stacked (3, d, d) array [rho00,
 rho11, rho01] (rho10 = rho01^dag), integrated as one flat vector and kept
-as the quadrants of a joint (2d, 2d) state, written in place per sample.
+as the quadrants of a joint (2d, 2d) state, written in place per sample into
+a `kept_states` stack, which refuses a run beyond `MAX_STATE_VALUES` up front.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lindblad import (IntegrationError, ProtocolConfig, VisibilityTrace, integrate_blocks,
-                       negativities, run_protocol)
+                       kept_states, negativities, run_protocol)
 
 HERMITICITY_TOL = 1e-12
 TRACE_ERROR_BOUND = 1e-7  # max tolerated |Tr rho - 1| along a separable run
@@ -125,16 +126,17 @@ def _block_rhs(spec: SeparableChannelSpec):
 def simulate_separable(spec: SeparableChannelSpec, rho0: np.ndarray, t_max: float, *,
                        samples: int = 400) -> VisibilityTrace:
     """Evolve the joint state rho0 under the separable channel and sample
-    its visibility; the trace keeps the joint (n, 2d, 2d) states.  Raises
-    IntegrationError when a sample's trace is more than TRACE_ERROR_BOUND
-    off 1."""
+    its visibility; the trace keeps the joint (n, 2d, 2d) states, which
+    `kept_states` refuses (ConfigError) over its budget before anything is
+    allocated.  Raises IntegrationError when a sample's trace is off 1 by more
+    than TRACE_ERROR_BOUND."""
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    t_eval = np.linspace(0.0, float(t_max), samples + 1)
     d = spec.dim
-    states = np.empty((samples + 1, 2 * d, 2 * d), dtype=complex)
+    states = kept_states(samples + 1, d)
+    t_eval = np.linspace(0.0, float(t_max), samples + 1)
     taken = 0
 
     def sample(t, blocks):  # the Hermitian parts of rho00 and rho11, rho01 and rho01^dag
@@ -248,18 +250,10 @@ def run_property_suite(
     return reports
 
 
-def contrast_config(coupling_ratio: float) -> ProtocolConfig:
-    """The coupled contrast run: basic protocol at lam = coupling_ratio over
-    one period, no noise."""
-    return ProtocolConfig(omega=1.0, g=coupling_ratio, t_max=2.0 * math.pi)
-
-
-def coupled_contrast_case(
-    coupling_ratio: float = 0.25, *, tol: float = 1e-6
-) -> WitnessReport:
-    """Witness on the genuinely coupled protocol (`contrast_config`):
-    sigma_z(a+ad) coupling at lam = coupling_ratio, no noise.  Expected:
-    non-monotonic, revival amplitude 1 - exp(-8 lam^2), positive negativity
-    at the half period."""
-    trace = run_protocol(contrast_config(coupling_ratio), keep_states=True)
-    return check_monotonic(trace, tol)
+def coupled_contrast_case(coupling_ratio: float = 0.25, *, tol: float = 1e-6) -> WitnessReport:
+    """Witness on the genuinely coupled protocol: the basic protocol over one
+    period, sigma_z(a+ad) coupling at lam = coupling_ratio, no noise, keeping
+    its states at its own default dim.  Expected: non-monotonic, revival
+    amplitude 1 - exp(-8 lam^2), positive negativity at the half period."""
+    cfg = ProtocolConfig(omega=1.0, g=coupling_ratio, t_max=2.0 * math.pi)
+    return check_monotonic(run_protocol(cfg, keep_states=True), tol)

@@ -122,10 +122,10 @@ def test_thermal_density_tail_guard():
 
 
 def test_thermal_tail_mass_formula():
-    # the refusal reports p_18 + p_19 = 2^-19 + 2^-20 of thermal(1) at dim 20
+    # the refusal, before the run, reports P(n >= 18) = 2^-18 of thermal(1) at dim 20
     with pytest.raises(TruncationError) as err:
         run_protocol(ProtocolConfig(nbar=1.0, dim=20, samples_per_period=8))
-    assert f"Fock tail mass {3 * 0.5**20:.3e} exceeds" in str(err.value)
+    assert f"Fock tail mass {0.5**18:.3e} at dim 20" in str(err.value)
     trace = run_protocol(ProtocolConfig(nbar=0.0, dim=11, samples_per_period=8))
     assert trace.stats["worst_exact_error"] < 1e-12
 

@@ -20,11 +20,12 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import boosted_swing
 from revivalsim import __version__, cli, lindblad, witness
-from revivalsim.cli import (CSV_CHUNK_ROWS, MAX_N_PI, MAX_SAMPLES, MAX_STATE_VALUES,
-                            _protocol_config_from_file, main, write_csv)
+from revivalsim.cli import (CSV_CHUNK_ROWS, MAX_N_PI, MAX_SAMPLES, _protocol_config_from_file,
+                            main, write_csv)
 from revivalsim.config import parse_config_file
 from revivalsim.constants import ATOMIC_MASS
 from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_protocol
+from revivalsim.protocol import MAX_STATE_VALUES
 from revivalsim.analytic import (CouplingParams, spin_echo_overlap, visibility_exact,
                                   visibility_thermal)
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
@@ -797,12 +798,15 @@ def test_fock_dim_above_cap_fails_before_allocation(tmp_path, capsys):
 def test_verify_rejects_kept_states_over_budget(dim, samples, tmp_path, capsys):
     # the witness keeps (samples + 1) (2 dim)^2 complex values per channel;
     # --dim 4 --samples 10^9 used to end in a 7.45 GiB _ArrayMemoryError
-    # traceback (exit 1).  Only the sizes are computed: nothing is allocated.
+    # traceback (exit 1).  The channel's stack is only sized: nothing of it,
+    # nor its sample grid, is allocated.
     out = tmp_path / "witness.csv"
     assert main(["verify", "--seeds", "1", "--dim", str(dim), "--samples", str(samples),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "--samples" in err and "--dim" in err
+    kept = samples + 1
+    assert f"{kept} kept joint states at dim {dim} hold {kept * (2 * dim) ** 2} values" in err
+    assert f"MAX_STATE_VALUES={MAX_STATE_VALUES}" in err
     assert not out.exists()
 
 
@@ -810,15 +814,14 @@ def test_verify_rejects_kept_states_over_budget(dim, samples, tmp_path, capsys):
 def test_verify_rejects_contrast_states_over_budget(coupling, dim, tmp_path, capsys,
                                                     monkeypatch):
     # the contrast case keeps 201 joint states at its own default dim:
-    # 1.0e8 values (1.7 GB) at 8.0.  The refusal must come before any
+    # 1.0e8 values (1.7 GB) at 8.0.  The engine refuses it before any
     # integration, so reaching the suite (now None) fails the test.
     monkeypatch.setattr(witness, "run_property_suite", None)
     out = tmp_path / "witness.csv"
     assert main(["verify", "--seeds", "1", "--dim", "4", "--contrast-coupling",
                  str(coupling), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"--contrast-coupling {coupling} needs dim {dim}" in err
-    assert f"keeps {201 * (2 * dim) ** 2} state values" in err
+    assert f"201 kept joint states at dim {dim} hold {201 * (2 * dim) ** 2} values" in err
     assert not out.exists()
 
 

@@ -1116,6 +1116,43 @@ def test_overflowing_displacement_or_nbar_refuses_a_configured_dim(point):
         run_protocol(ProtocolConfig(dim=20, **point))
 
 
+@pytest.mark.parametrize("gamma_m", [0.0, 0.01], ids=["undamped", "damped"])
+@pytest.mark.parametrize("point", [dict(g=0.05, nbar=1e150), dict(g=1e150)],
+                         ids=["nbar", "g"])
+def test_configured_dim_is_refused_by_its_tail_before_the_run(point, gamma_m, monkeypatch):
+    # nearly all the mass lies above dim 20, yet p_18 + p_19 of the untruncated
+    # populations is tiny, so the after-run check passed these and only the
+    # exact check refused them, once the whole protocol had run
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run propagated")
+    monkeypatch.setattr(lindblad, "integrate_blocks", unreached)
+    monkeypatch.setattr(lindblad, "_eigensystem", unreached)
+    with pytest.raises(TruncationError, match=r"Fock tail mass 1\.000e\+00 at dim 20"):
+        run_protocol(ProtocolConfig(dim=20, gamma_m=gamma_m, **point))
+
+
+@pytest.mark.parametrize("gamma_m", [0.0, 0.01], ids=["undamped", "damped"])
+@pytest.mark.parametrize("point", [dict(protocol="basic"),
+                                   dict(protocol="boosted", g_prime=0.1),
+                                   dict(protocol="spin_echo", n_pi=2)],
+                         ids=["basic", "boosted", "spin_echo"])
+def test_configured_dim_tail_bounds_every_sample_tail(point, gamma_m):
+    # the pre-run check rests on this: P(n >= dim - 2) at the largest
+    # displacement is at least p_{dim-2} + p_{dim-1} at any sample's alpha.
+    # The slack covers the walk's 1 - sum(p), which cancels (-7e-17 seen).
+    # Each run is at the smallest dim whose P(n >= dim - 2) is at most 1e-8
+    # (near TAIL_MASS_BOUND the exact check refuses the run), and four above it
+    point = dict(g=0.1, nbar=1.0, gamma_m=gamma_m, samples_per_period=20, **point)
+    dim = ProtocolConfig(**point).resolved_dim()
+    while ProtocolConfig(dim=dim - 1, **point)._dim_and_tail()[1] <= 1e-8:
+        dim -= 1
+    for configured in (dim, dim + 4):
+        stats = run_protocol(ProtocolConfig(dim=configured, **point)).stats
+        assert stats["dim_rule"] == "config"
+        assert stats["dim_tail_mass"] >= stats["worst_tail_mass"] - 1e-15
+        assert stats["worst_tail_mass"] > 0.0
+
+
 def _simulate_trace(tmp_path, fmt):
     """Run the trace writer `simulate` uses on the config g=0.2, t_max=pi."""
     cfg_file = tmp_path / "run.cfg"

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import initial_state, separable_blocks
+from revivalsim import protocol
+from revivalsim.config import ConfigError
 from revivalsim.lindblad import (
     STATE_SLAB,
     ProtocolConfig,
@@ -255,6 +257,45 @@ def test_kept_protocol_states_allocate_one_stack_and_a_few_slabs(gamma_m):
                          samples_per_period=200, dim=dim)
     trace, peak = _traced_peak(lambda: run_protocol(cfg, keep_states=True))
     assert peak <= trace.states.nbytes + 8 * STATE_SLAB * dim**2 * 16
+
+
+def _refused_peak(call):
+    """The traced peak of a call that the kept-state budget refuses."""
+    def refused():
+        with pytest.raises(ConfigError, match="MAX_STATE_VALUES"):
+            call()
+    return _traced_peak(refused)[1]
+
+
+@pytest.mark.parametrize("producer", ["separable", "protocol"])
+def test_kept_state_budget_is_exact_at_both_producers(producer, monkeypatch):
+    # both producers allocate their stacks only through protocol.kept_states:
+    # with the budget set to one run's stack, that run is kept unchanged and
+    # a run of one state more is refused with ConfigError
+    if producer == "separable":
+        spec, rho0 = random_separable_spec(0, 4), random_product_state(0, 4)
+        def run(n):
+            return simulate_separable(spec, rho0, 1.0, samples=n - 1).states
+    else:  # basic over one period: samples_per_period + 1 samples
+        def run(n):
+            cfg = ProtocolConfig(g=0.25, t_max=2.0 * math.pi, samples_per_period=n - 1)
+            return run_protocol(cfg, keep_states=True).states
+    kept = run(41)
+    assert len(kept) == 41
+    monkeypatch.setattr(protocol, "MAX_STATE_VALUES", kept.size)
+    assert np.array_equal(run(41), kept)
+    assert _refused_peak(lambda: run(42)) < 2**20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_separable(random_separable_spec(0, 4), random_product_state(0, 4), 8.0,
+                               samples=10**9),
+    lambda: run_protocol(ProtocolConfig(g=5.0, t_max=2.0 * math.pi), keep_states=True),
+], ids=["separable_1e9_samples", "protocol_contrast_5"])
+def test_over_budget_runs_are_refused_before_allocating(call):
+    # at the real budget: the separable run's sample grid alone would be 8 GB,
+    # and the contrast's 201 states at dim 169 367 MB
+    assert _refused_peak(call) < 2**20
 
 
 def test_separable_stats_and_states():
