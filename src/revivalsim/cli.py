@@ -5,10 +5,10 @@ equation protocols), ``verify`` (separable-channel monotonicity suite),
 ``design`` (lab feasibility numbers).  Every file-writing run also emits a
 ``<out>.manifest.json`` with the config echo, tool version, timestamps, the
 sha256 and size of the output's bytes, hashed as they are written (no output
-is read back), the time spent writing and hashing it and the run's validity
-warnings (also printed to stderr); the manifest lands before its output, so
-an output never exists without one.  Outputs themselves are deterministic
-for identical inputs.
+is read back), the time spent writing and hashing it, the BLAS thread counts
+the environment sets and the run's validity warnings (also printed to
+stderr); the manifest lands before its output, so an output never exists
+without one.  Outputs themselves are deterministic for identical inputs.
 Exit codes: 0 success, 2 usage/config error (an unwritable --out too), 3
 domain error or value out of range (a non-finite output value too), 4
 solver, truncation, exact-visibility or separable-trace check or linalg
@@ -219,11 +219,37 @@ def _column_bytes(column: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(len(column), -1)
 
 
+def _csv_rows(chunk: list[np.ndarray]) -> np.ndarray:
+    """The CSV bytes of a chunk of equal-length columns: their
+    `_column_bytes` joined by commas into a NUL-padded row matrix, its NULs
+    removed.  A NaN or an infinity raises OverflowError."""
+    if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
+        raise OverflowError("a computed output value is not finite")
+    blocks = [_column_bytes(c) for c in chunk]
+    rows = np.zeros((len(chunk[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
+    end = 0
+    for block in blocks:
+        rows[:, end:end + block.shape[1]] = block
+        end += block.shape[1] + 1
+        rows[:, end - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows[rows != 0]
+
+
+def _format_ahead(chunk: list[np.ndarray], slot: list) -> None:
+    """The helper thread's body: append to slot `_csv_rows(chunk)`, or the
+    exception it raised, which `write_csv` raises at the chunk's turn."""
+    try:
+        slot.append(_csv_rows(chunk))
+    except BaseException as exc:  # so no chunk is dropped unseen
+        slot.append(exc)
+
+
 def write_csv(fh, header: list[str], columns) -> None:
     """Write to the binary file fh the header and the rows of the
-    equal-length columns, one chunk of rows at a time.  Floats are written
-    as %.17g, which round-trips exactly, booleans as true/false, and ints
-    and strings as str writes them (`_column_bytes`).
+    equal-length columns, CSV_CHUNK_ROWS rows at a time.  Floats are
+    written as %.17g, which round-trips exactly, booleans as true/false,
+    and ints and strings as str writes them (`_column_bytes`).
 
     A chunk's floats are formatted together by a numpy kernel
     (`_float_bytes`): it scales each |v| to its 17 significant digits in
@@ -231,25 +257,42 @@ def write_csv(fh, header: list[str], columns) -> None:
     exponent's into each value's %g layout, the same bytes as '%.17g' % v.
     A value the kernel cannot decide is formatted as '%.17g' % v itself:
     |v| outside its power table (below about 1e-263 or from 1e296 on), or
-    a scaled value within 1e-9 of a rounding tie, such as 2**-25.  The
-    chunk's columns are joined by commas into a NUL-padded row matrix,
-    written with its NULs removed in one call.  A chunk that holds a NaN or
-    an infinity raises OverflowError before it is written."""
+    a scaled value within 1e-9 of a rounding tie, such as 2**-25.  Each
+    chunk is written in one call (`_csv_rows`).
+
+    The chunks are formatted two at a time: while this thread formats and
+    writes chunk i, one helper thread formats chunk i + 1, which numpy's
+    kernels, releasing the GIL, let run on a second CPU.  So two chunks are
+    in flight at once; a table of one chunk, or a process that may run on
+    one CPU only, starts no thread.  The chunks are written in order, and
+    the helper is joined before this returns or raises.  A chunk that holds
+    a NaN or an infinity raises OverflowError at its own turn, after the
+    chunks before it are written and before any of it is."""
     columns = [np.asarray(column) for column in columns]
     fh.write((",".join(header) + "\n").encode())
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
-        if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
-            raise OverflowError("a computed output value is not finite")
-        blocks = [_column_bytes(c) for c in chunk]
-        rows = np.zeros((len(chunk[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
-        end = 0
-        for block in blocks:
-            rows[:, end:end + block.shape[1]] = block
-            end += block.shape[1] + 1
-            rows[:, end - 1] = ord(",")
-        rows[:, -1] = ord("\n")
-        fh.write(rows[rows != 0])
+    starts = range(0, len(columns[0]), CSV_CHUNK_ROWS)
+    # on one CPU the helper would only take turns with this thread
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lookahead = len(starts) > 1 and (cpus or 1) > 1
+    if lookahead:
+        import threading  # loaded with numpy
+
+        _float_tables()  # built once, before two threads could both build it
+    chunks = ([c[start:start + CSV_CHUNK_ROWS] for c in columns] for start in starts)
+    for chunk in chunks:
+        ahead, slot = (next(chunks, None) if lookahead else None), []
+        if ahead is not None:
+            helper = threading.Thread(target=_format_ahead, args=(ahead, slot))
+            helper.start()
+        try:
+            fh.write(_csv_rows(chunk))
+        finally:
+            if ahead is not None:
+                helper.join()
+        if slot:
+            if isinstance(slot[0], BaseException):
+                raise slot[0]
+            fh.write(slot[0])
 
 
 def _json_text(value) -> str:
@@ -295,6 +338,10 @@ def _warn(args, message: str) -> None:
     args.warnings.append(message)
 
 
+# the environment variables that set the BLAS libraries' thread counts
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class _Hashed:
     """The binary file fh, each write also fed to a sha256 and counted."""
 
@@ -311,10 +358,11 @@ def write_outputs(args, write, config: dict, **extra) -> None:
     manifest ``<args.out>.manifest.json``: the command, its config echo, the
     tool version, when the command started and finished, the sha256 and size
     of the bytes write wrote, hashed as they were written, the wall time
-    ``write_s`` write and the hashing took, the run's warnings and any extra
-    fields.  Each file goes to a temp file beside it, and the manifest is
-    moved into place first, so an output never exists without its manifest.
-    On any error both temp files are removed."""
+    ``write_s`` write and the hashing took, the run's warnings, the BLAS
+    thread counts the environment sets (``blas_threads``, each null when
+    unset) and any extra fields.  Each file goes to a temp file beside it,
+    and the manifest is moved into place first, so an output never exists
+    without its manifest.  On any error both temp files are removed."""
     out = Path(args.out)
     temps = [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
     try:
@@ -334,6 +382,7 @@ def write_outputs(args, write, config: dict, **extra) -> None:
                              "bytes": hashed.bytes}],
                 "warnings": args.warnings,
                 "write_s": write_s,
+                "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
                 **extra,
             })
         os.replace(temps[1], f"{out}.manifest.json")

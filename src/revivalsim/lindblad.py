@@ -633,8 +633,12 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         raise TruncationError(f"Fock tail mass {stats['worst_tail_mass']:.3e} exceeds "
                               f"{TAIL_MASS_BOUND:.1e}; increase dim")
     if not stats["worst_exact_error"] <= EXACT_ERROR_BOUND:
+        # a configured dim can pass the tail bound yet truncate the run
+        # beyond the exact check's reach, so that refusal names the dim
+        hint = (f"; dim {dim} is configured, with Fock tail mass {dim_tail_mass:.3e} "
+                "(levels >= dim - 2): increase dim") if cfg.dim else ""
         raise IntegrationError(f"visibility is {stats['worst_exact_error']:.3e} off its "
-                               f"exact value, above {EXACT_ERROR_BOUND:.1e}")
+                               f"exact value, above {EXACT_ERROR_BOUND:.1e}{hint}")
     return VisibilityTrace(times, visibility, sigma, tail, states, stats,
                            exact_error=exact_error)
 

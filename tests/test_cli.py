@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import threading
 import time
 import warnings
 from dataclasses import fields
@@ -120,17 +121,45 @@ def test_write_csv_one_chunk_plus_one(tmp_path):
     assert lines == _oracle_lines(["x", "k", "b"], columns)
 
 
+# five chunks, the last one short: the writer formats chunk i + 1 on a helper
+# thread while it formats and writes chunk i
+_FIVE_CHUNKS = 5 * CSV_CHUNK_ROWS - 7
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+def test_write_csv_five_chunks_match_the_oracle(one_cpu, tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(_FIVE_CHUNKS) * 10.0 ** rng.integers(-20, 20, _FIVE_CHUNKS)
+    columns = [np.arange(_FIVE_CHUNKS), floats, floats > 0]
+    if one_cpu:  # the writer then starts no thread
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(threading, "Thread", None)
+    threads = threading.active_count()
+    path = tmp_path / "x.csv"
+    with open(path, "wb") as fh:
+        write_csv(fh, ["k", "x", "b"], columns)
+    assert threading.active_count() == threads  # the helper is joined
+    assert path.read_text().splitlines() == _oracle_lines(["k", "x", "b"], columns)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS + 3], ids=["first_chunk", "later_chunk"])
+@pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS + 3, 2 * CSV_CHUNK_ROWS + 100,
+                                 4 * CSV_CHUNK_ROWS - 1, _FIVE_CHUNKS - 1],
+                         ids=["first_chunk", "later_chunk", "third_chunk", "fourth_chunk",
+                              "last_chunk"])
 def test_write_csv_refuses_a_non_finite_value(bad, row, tmp_path):
     # the writer is the one check: a NaN used to reach verify's CSV with exit 0
-    values = np.linspace(0.0, 1.0, 2 * CSV_CHUNK_ROWS)
+    values = np.linspace(0.0, 1.0, _FIVE_CHUNKS)
     values[row] = bad
+    threads = threading.active_count()
     path = tmp_path / "x.csv"
     with open(path, "wb") as fh, pytest.raises(OverflowError, match="not finite"):
         write_csv(fh, ["k", "x"], [np.arange(values.size), values])
-    # nothing of the refused chunk is written
-    assert len(path.read_text().splitlines()) == 1 + row // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS
+    assert threading.active_count() == threads  # the helper is joined
+    # exactly the chunks before the refused one are written, and none of it
+    written = row // CSV_CHUNK_ROWS * CSV_CHUNK_ROWS
+    assert path.read_text().splitlines() == _oracle_lines(
+        ["k", "x"], [np.arange(written), values[:written]])
 
 
 # every finite float64 bit pattern: sign, biased exponent 0..2046, mantissa
@@ -457,6 +486,23 @@ def test_simulate_manifest_names_configured_dim(tmp_path):
     assert (stats["dim"], stats["dim_rule"]) == (40, "config")
     assert stats["dim_tail_mass"] < stats["dim_tail_bound"] == 1e-9
     assert [s["coupling"] for s in stats["segments"]] == pytest.approx([0.15, 0.1])
+
+
+@pytest.mark.parametrize("dim", [24, 25])
+def test_simulate_names_a_configured_dim_the_exact_check_refuses(dim, tmp_path, capsys):
+    # P(n >= dim - 2) is 3.5e-7 at dim 24 and 1.8e-7 at 25, under
+    # TAIL_MASS_BOUND, yet the truncated run is 2.3e-7 off its exact value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = natural\ng = 0.1\nnbar = 1\nsamples_per_period = 20\ndim = {dim}\n")
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    tail = ProtocolConfig(g=0.1, nbar=1.0, dim=dim)._dim_and_tail()[1]
+    assert 1e-7 < tail < 1e-6
+    assert "off its exact value" in err
+    assert f"dim {dim} is configured, with Fock tail mass {tail:.3e}" in err
+    assert err.rstrip().endswith("increase dim")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("line", ["t_max_periods = 1e9", "samples_per_period = 1000000000000"])
@@ -1088,6 +1134,18 @@ def test_manifest_records_write_time(argv, tmp_path, capsys):
     data = out.read_bytes()
     assert manifest["outputs"] == [{"path": str(out), "sha256": hashlib.sha256(data).hexdigest(),
                                     "bytes": len(data)}]
+
+
+
+def test_manifest_records_the_blas_thread_counts(tmp_path, monkeypatch, capsys):
+    # as the environment gives them, so a timing can be read with its threads
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out.csv"
+    assert main(["analytic", "--formula", "thermal", "--lambda", "0.1", "--out", str(out)]) == 0
+    assert _read_manifest(out)["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
 
 # ---------------------------------------------------------------------------

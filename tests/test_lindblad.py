@@ -689,8 +689,9 @@ def test_exact_check_refuses_a_run_off_the_exact_value(monkeypatch):
     cfg = ProtocolConfig(g=0.1, nbar=1.0, gamma_m=0.01, samples_per_period=20)
     worst = run_protocol(cfg).stats["worst_exact_error"]
     monkeypatch.setattr(lindblad, "EXACT_ERROR_BOUND", worst * (1.0 - 1e-12))
-    with pytest.raises(IntegrationError, match="off its exact value"):
+    with pytest.raises(IntegrationError, match="off its exact value") as refusal:
         run_protocol(cfg)
+    assert "increase dim" not in str(refusal.value)  # the default dim is not blamed
 
 
 @pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.3, 2.0, 5.0])
