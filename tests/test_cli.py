@@ -1136,7 +1136,6 @@ def test_manifest_records_write_time(argv, tmp_path, capsys):
                                     "bytes": len(data)}]
 
 
-
 def test_manifest_records_the_blas_thread_counts(tmp_path, monkeypatch, capsys):
     # as the environment gives them, so a timing can be read with its threads
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
