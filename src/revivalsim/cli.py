@@ -69,9 +69,11 @@ _POW_MAX = 280
 _TIE_MARGIN = 1e-9
 _SPLIT = 134217729.0  # 2^27 + 1
 _FLOAT_WIDTH = 24  # len("-1.2345678901234567e-308")
-# A value's 32-byte source row, eight 4-byte words: its leading digit as
-# "000d", its other 16 digits, ".-0e", the exponent's 4 digits, and the
-# exponent's sign followed by NULs.  Digit i is at byte 3 + i.
+_K_MIN, _K_MAX = -324, 308  # the decimal exponents of the doubles
+# A value's 32 source bytes, eight 4-byte words: its leading digit as "000d",
+# its other 16 digits, ".-0e", the exponent's 4 digits, and the exponent's
+# sign followed by NULs.  Digit i is source byte 3 + i.  A chunk's source
+# rows hold word w of every value in row w, CSV_CHUNK_ROWS words a row.
 _DOT, _MINUS, _ZERO, _E, _EXP, _EXP_SIGN, _NUL = 20, 21, 22, 23, 24, 28, 29
 
 
@@ -81,12 +83,16 @@ def _float_tables():
     - the powers 10^e, -_POW_MAX <= e <= _POW_MAX, as rows hi_hi, hi_lo and
       lo, where hi + lo is 10^e to about 2^-106, hi and lo each correctly
       rounded from Python ints, and hi_hi + hi_lo is hi's Veltkamp split;
-    - the ASCII of 0..9999 as 4-byte words, and of "+"/"-" followed by NULs;
-    - the number of trailing zeros of each 4-digit group (4 for 0000);
-    - for each (layout, digits kept, sign), the 24 source-row positions of
-      a value's %.17g bytes, NUL-padded: layouts 0..20 are fixed notation
-      with decimal exponent layout - 4, 21 and 22 exponent notation with
-      two and three exponent digits."""
+    - the ASCII of 0..9999 as 4-byte words;
+    - the digits each nonzero 4-digit group keeps once its trailing zeros
+      go, and -16 for 0000, which never raises a count of digits kept;
+    - for each decimal exponent k from _K_MIN to _K_MAX, the ASCII of |k|
+      and of its sign, as 4-byte words, and its layout's key: the layout
+      table's row of (layout, digits kept, sign) is key + 2 kept + sign;
+    - for each (layout, digits kept, sign), where a value's 24 %.17g bytes,
+      NUL-padded, lie in the source rows of the chunk's first value:
+      layouts 0..20 are fixed notation with decimal exponent layout - 4, 21
+      and 22 exponent notation with two and three exponent digits."""
     powers = []
     for e in range(-_POW_MAX, _POW_MAX + 1):
         num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
@@ -97,10 +103,14 @@ def _float_tables():
         powers.append((hi_hi, hi - hi_hi, (num * hi_den - hi_num * den) / (den * hi_den)))
     ints = np.arange(10**4)
     ascii4 = (ints[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    trailing = np.zeros(10**4, np.intp)
+    ascii4 = ascii4.view(np.uint32).ravel()
+    kept4 = np.full(10**4, 4, np.int16)
     for place in (10, 100, 1000, 10**4):
-        trailing += ints % place == 0
-    signs = np.array([[ord("+"), 0, 0, 0], [ord("-"), 0, 0, 0]], np.uint8)
+        kept4 -= ints % place == 0
+    kept4[0] = -16
+    exps = np.arange(_K_MIN, _K_MAX + 1)
+    exp_signs = np.where(exps < 0, ord("-"), ord("+")).astype(np.uint32)  # little-endian
+    layout_of = np.where((exps >= -4) & (exps <= 16), exps + 4, np.where(abs(exps) < 100, 21, 22))
     layouts = np.full((23, 17, 2, _FLOAT_WIDTH), _NUL, np.intp)
     for layout in range(23):
         for kept in range(1, 18):
@@ -116,8 +126,9 @@ def _float_tables():
             for sign in (0, 1):
                 row = [_MINUS] * sign + body
                 layouts[layout, kept - 1, sign, :len(row)] = row
-    return (np.array(powers).T.copy(), ascii4.view(np.uint32).ravel(), trailing,
-            signs.view(np.uint32).ravel(), layouts.reshape(-1, _FLOAT_WIDTH))
+    layouts = layouts // 4 * 4 * CSV_CHUNK_ROWS + layouts % 4  # word p // 4, byte p % 4
+    return (np.array(powers).T.copy(), ascii4, kept4, ascii4.take(abs(exps)), exp_signs,
+            layout_of * 34 - 2, layouts.reshape(-1, _FLOAT_WIDTH))
 
 
 def _scaled(x, powers, k):
@@ -170,38 +181,58 @@ def _decimal(x, powers):
     return digits, k, undecided
 
 
-def _source_rows(digits, k, zero, ascii4, trailing, signs):
-    """Each value's 32-byte source row as eight uint32 words, and the count
-    of its 17 digits kept once trailing zeros are dropped (1 for zero)."""
-    lead, rest = np.divmod(digits, 10**16)
+def _source_rows(digits, zero, ascii4, kept4, src):
+    """Write the 17-digit integers' ASCII into their source rows src, and
+    return the count of each one's digits kept once trailing zeros are
+    dropped (1 for zero)."""
+    n = len(digits)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
     lead[zero] = 0
-    upper, lower = np.divmod(rest, 10**8)
-    src = np.empty((len(digits), 8), np.uint32)
-    src[:, 0] = ascii4.take(lead)
-    kept = np.ones(len(digits), np.intp)
-    for i, group in enumerate((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))):
-        src[:, 1 + i] = ascii4.take(group)
-        kept = np.where(group != 0, 4 * i + 5 - trailing.take(group), kept)
-    src[:, 5] = np.frombuffer(b".-0e", np.uint32)[0]
-    src[:, 6] = ascii4.take(np.abs(k))
-    src[:, 7] = np.where(k < 0, signs[1], signs[0])
-    return src, kept
+    ascii4.take(lead, out=src[0, :n])
+    kept = np.ones(n, np.int16)
+    upper = rest // 10**8
+    for i, half in enumerate((upper, rest - upper * 10**8)):
+        half = half.astype(np.uint32)  # divides faster than int64
+        high = half // 10**4
+        for j, group in enumerate((high, half - high * 10**4)):
+            ascii4.take(group, out=src[1 + 2 * i + j, :n])
+            np.maximum(kept, kept4.take(group) + (8 * i + 4 * j + 1), out=kept)
+    return kept
 
 
-def _float_bytes(values: np.ndarray) -> np.ndarray:
-    """The %.17g bytes of each finite float64, NUL-padded to 24 bytes a row:
-    `_decimal` gives each |x|'s 17 digits and exponent k, `_source_rows`
-    their ASCII, and the row of the layout table keyed by (layout, digits
-    kept, sign) gathers the value's bytes.  What `_decimal` leaves undecided
-    is formatted as '%.17g' % x."""
-    powers, ascii4, trailing, signs, layouts = _float_tables()
+def _float_work():
+    """The buffers `_float_bytes` formats a table's chunks in, so a chunk
+    maps no fresh pages for them: the source rows, with ".-0e" in place,
+    the gather index and the gathered bytes."""
+    src = np.empty((8, CSV_CHUNK_ROWS), np.uint32)
+    src[5] = np.frombuffer(b".-0e", np.uint32)[0]
+    return (src, np.empty((CSV_CHUNK_ROWS, _FLOAT_WIDTH), np.intp),
+            np.empty((CSV_CHUNK_ROWS, _FLOAT_WIDTH), np.uint8))
+
+
+def _float_bytes(values: np.ndarray, work) -> np.ndarray:
+    """The %.17g bytes of at most CSV_CHUNK_ROWS finite float64s, NUL-padded
+    to 24 bytes a row, in work's buffers (`_float_work`), which the next
+    call overwrites: `_decimal` gives each |x|'s 17 digits and exponent k,
+    `_source_rows` their ASCII, and the row of the layout table keyed by
+    (layout, digits kept, sign) gathers the value's bytes.  What `_decimal`
+    leaves undecided is formatted as '%.17g' % x."""
+    powers, ascii4, kept4, exp_digits, exp_signs, layout_keys, layouts = _float_tables()
+    n = len(values)
+    src, index, out = work[0], work[1][:n], work[2][:n]
     zero = values == 0
     digits, k, undecided = _decimal(np.where(zero, 1.0, np.abs(values)), powers)
-    src, kept = _source_rows(digits, k, zero, ascii4, trailing, signs)
-    layout = np.where((k >= -4) & (k <= 16), k + 4, np.where(np.abs(k) < 100, 21, 22))
-    index = layouts.take((layout * 17 + kept - 1) * 2 + np.signbit(values), axis=0)
-    index += np.arange(0, 32 * len(values), 32)[:, None]
-    out = src.view(np.uint8).ravel().take(index, mode="clip")
+    kept = _source_rows(digits, zero, ascii4, kept4, src)
+    k -= _K_MIN
+    exp_digits.take(k, out=src[6, :n])
+    exp_signs.take(k, out=src[7, :n])
+    key = layout_keys.take(k)
+    key += 2 * kept
+    key += np.signbit(values)
+    layouts.take(key, axis=0, out=index, mode="clip")  # "clip" takes straight into out
+    index += np.arange(0, 4 * n, 4)[:, None]  # each value's first source byte
+    src.view(np.uint8).ravel().take(index, out=out, mode="clip")
     for i in np.flatnonzero(undecided):
         text = ("%.17g" % values[i]).encode()
         out[i] = 0
@@ -209,47 +240,19 @@ def _float_bytes(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_bytes(column: np.ndarray) -> np.ndarray:
-    """A column's CSV text, one NUL-padded row of bytes a value, by dtype:
-    floats as %.17g (`_float_bytes`), booleans as true/false, and ints and
-    strings as numpy casts them to bytes, which is how str writes them."""
-    if column.dtype.kind == "f":
-        return _float_bytes(column.astype(np.float64, copy=False))
+def _text_bytes(column: np.ndarray) -> np.ndarray:
+    """A column's CSV text, one NUL-padded row of bytes a value: booleans as
+    true/false, and ints and strings as numpy casts them to bytes, which is
+    how str writes them."""
     text = _CSV_BOOLS[column.astype(np.intp)] if column.dtype.kind == "b" else column.astype("S")
     return text.view(np.uint8).reshape(len(column), -1)
 
 
-def _csv_rows(chunk: list[np.ndarray]) -> np.ndarray:
-    """The CSV bytes of a chunk of equal-length columns: their
-    `_column_bytes` joined by commas into a NUL-padded row matrix, its NULs
-    removed.  A NaN or an infinity raises OverflowError."""
-    if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
-        raise OverflowError("a computed output value is not finite")
-    blocks = [_column_bytes(c) for c in chunk]
-    rows = np.zeros((len(chunk[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
-    end = 0
-    for block in blocks:
-        rows[:, end:end + block.shape[1]] = block
-        end += block.shape[1] + 1
-        rows[:, end - 1] = ord(",")
-    rows[:, -1] = ord("\n")
-    return rows[rows != 0]
-
-
-def _format_ahead(chunk: list[np.ndarray], slot: list) -> None:
-    """The helper thread's body: append to slot `_csv_rows(chunk)`, or the
-    exception it raised, which `write_csv` raises at the chunk's turn."""
-    try:
-        slot.append(_csv_rows(chunk))
-    except BaseException as exc:  # so no chunk is dropped unseen
-        slot.append(exc)
-
-
 def write_csv(fh, header: list[str], columns) -> None:
     """Write to the binary file fh the header and the rows of the
-    equal-length columns, CSV_CHUNK_ROWS rows at a time.  Floats are
-    written as %.17g, which round-trips exactly, booleans as true/false,
-    and ints and strings as str writes them (`_column_bytes`).
+    equal-length columns, one chunk of rows at a time.  Floats are written
+    as %.17g, which round-trips exactly, booleans as true/false, and ints
+    and strings as str writes them (`_text_bytes`).
 
     A chunk's floats are formatted together by a numpy kernel
     (`_float_bytes`): it scales each |v| to its 17 significant digits in
@@ -257,42 +260,30 @@ def write_csv(fh, header: list[str], columns) -> None:
     exponent's into each value's %g layout, the same bytes as '%.17g' % v.
     A value the kernel cannot decide is formatted as '%.17g' % v itself:
     |v| outside its power table (below about 1e-263 or from 1e296 on), or
-    a scaled value within 1e-9 of a rounding tie, such as 2**-25.  Each
-    chunk is written in one call (`_csv_rows`).
-
-    The chunks are formatted two at a time: while this thread formats and
-    writes chunk i, one helper thread formats chunk i + 1, which numpy's
-    kernels, releasing the GIL, let run on a second CPU.  So two chunks are
-    in flight at once; a table of one chunk, or a process that may run on
-    one CPU only, starts no thread.  The chunks are written in order, and
-    the helper is joined before this returns or raises.  A chunk that holds
-    a NaN or an infinity raises OverflowError at its own turn, after the
-    chunks before it are written and before any of it is."""
+    a scaled value within 1e-9 of a rounding tie, such as 2**-25.  Its
+    larger buffers are allocated once per table (`_float_work`).  The
+    chunk's columns are joined by commas into a NUL-padded row matrix,
+    written with its NULs removed in one call.  A chunk that holds a NaN or
+    an infinity raises OverflowError before it is written."""
     columns = [np.asarray(column) for column in columns]
     fh.write((",".join(header) + "\n").encode())
-    starts = range(0, len(columns[0]), CSV_CHUNK_ROWS)
-    # on one CPU the helper would only take turns with this thread
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    lookahead = len(starts) > 1 and (cpus or 1) > 1
-    if lookahead:
-        import threading  # loaded with numpy
-
-        _float_tables()  # built once, before two threads could both build it
-    chunks = ([c[start:start + CSV_CHUNK_ROWS] for c in columns] for start in starts)
-    for chunk in chunks:
-        ahead, slot = (next(chunks, None) if lookahead else None), []
-        if ahead is not None:
-            helper = threading.Thread(target=_format_ahead, args=(ahead, slot))
-            helper.start()
-        try:
-            fh.write(_csv_rows(chunk))
-        finally:
-            if ahead is not None:
-                helper.join()
-        if slot:
-            if isinstance(slot[0], BaseException):
-                raise slot[0]
-            fh.write(slot[0])
+    work = _float_work()
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
+        if not all(np.isfinite(c).all() for c in chunk if c.dtype.kind == "f"):
+            raise OverflowError("a computed output value is not finite")
+        texts = [None if c.dtype.kind == "f" else _text_bytes(c) for c in chunk]
+        widths = [_FLOAT_WIDTH if text is None else text.shape[1] for text in texts]
+        rows = np.empty((len(chunk[0]), sum(widths) + len(widths)), np.uint8)
+        end = 0
+        for column, text, width in zip(chunk, texts, widths):
+            if text is None:
+                text = _float_bytes(column.astype(np.float64, copy=False), work)
+            rows[:, end:end + width] = text
+            end += width + 1
+            rows[:, end - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        fh.write(rows[rows != 0])
 
 
 def _json_text(value) -> str:
