@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, analytic, design
 from .algebra import thermal_occupation
-from .config import ConfigError, get_int, get_number, parse_config_file, require_keys
+from .config import ConfigError, get_number, parse_config_file, require_keys
 from .constants import ATOMIC_MASS
 from .design import GeometryError, PhysicalConfig
 from .protocol import MAX_DIM, PROTOCOLS, IntegrationError, ProtocolConfig, TruncationError
@@ -384,18 +384,11 @@ def write_outputs(args, write, config: dict, **extra) -> None:
 
 
 def _config_kwargs(values: dict, cls) -> dict:
-    """The fields of dataclass cls that the config file gives, typed by the
-    field's annotation: strings as read, integers through `get_int`, the
-    rest through `get_number`.  Absent fields keep the dataclass default."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in values:
-            kind = str(f.type)
-            if "str" in kind:
-                kwargs[f.name] = values[f.name]
-            else:
-                kwargs[f.name] = (get_int if "int" in kind else get_number)(values, f.name)
-    return kwargs
+    """The fields of dataclass cls that the config file gives: strings as
+    read, the rest through `get_number`; cls itself judges an integer field.
+    Absent fields keep the dataclass default."""
+    return {f.name: values[f.name] if "str" in str(f.type) else get_number(values, f.name)
+            for f in dataclasses.fields(cls) if f.name in values}
 
 
 def _refuse_stray(args, flags: dict, allowed, where: str) -> None:
@@ -749,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a master-equation protocol")
     p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--protocol", choices=PROTOCOLS,
+    p.add_argument("--protocol", choices=PROTOCOLS + ("spin-echo",),
                    default=None, help="override the config's protocol")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)

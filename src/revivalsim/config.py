@@ -62,10 +62,3 @@ def get_number(values: dict, key: str):
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(f"config key {key!r} must be finite, got {v!r}")
     return v
-
-
-def get_int(values: dict, key: str):
-    v = get_number(values, key)
-    if not isinstance(v, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
-    return v

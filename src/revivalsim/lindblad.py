@@ -132,12 +132,6 @@ class VisibilityTrace:
     exact_error: np.ndarray | None = None
 
 
-def _parity(rho: np.ndarray) -> np.ndarray:
-    """P rho P with P = (-1)^{ad a}, on (..., d, d) oscillator blocks."""
-    level = np.arange(rho.shape[-1])
-    return rho * (1 - 2 * ((level[:, None] + level) % 2))
-
-
 def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
     """Undo the rotating frame at time t: a scalar for one (d, d) block, or
     one time per sample of an (n, d, d) block path."""
@@ -146,7 +140,7 @@ def _to_lab(blocks: np.ndarray, omega: float, t) -> np.ndarray:
 
 
 def _signs(dim: int) -> np.ndarray:
-    """The diagonal (-1)^n of P on levels 0..dim-1."""
+    """The diagonal (-1)^n of P = (-1)^{ad a} on levels 0..dim-1."""
     return 1.0 - 2.0 * (np.arange(dim) % 2)
 
 
@@ -417,15 +411,15 @@ def _displaced_thermal(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Hermitian D(alpha) diag(probs) D(alpha)^dag / 2 on levels 0..d-1 per
     alpha, from <m|D(alpha)|k>: row 0 is e^{-|alpha|^2/2} (-conj alpha)^k /
     sqrt(k!), and a D = D (a + alpha) gives each next row."""
-    dim, alpha, root = len(probs), alpha[:, None], np.sqrt(np.arange(len(probs)))
+    dim, alpha, root = len(probs), alpha[:, None], _root(len(probs))[:-1]
     disp = np.empty((len(alpha), dim, dim), dtype=complex)
     disp[:, 0, 0] = np.exp(-0.5 * np.abs(alpha[:, 0]) ** 2)
-    disp[:, 0, 1:] = -alpha.conj() / root[1:]
+    disp[:, 0, 1:] = -alpha.conj() / root
     np.cumprod(disp[:, 0], axis=-1, out=disp[:, 0])
     for m in range(dim - 1):
         disp[:, m + 1] = alpha * disp[:, m]
-        disp[:, m + 1, 1:] += root[1:] * disp[:, m, :-1]
-        disp[:, m + 1] /= root[m + 1]
+        disp[:, m + 1, 1:] += root * disp[:, m, :-1]
+        disp[:, m + 1] /= root[m]
     rho = (disp * (0.5 * probs)) @ disp.conj().swapaxes(-1, -2)
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
@@ -468,7 +462,7 @@ def _evolved_modes(block: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray
     return scale * (block * real + block.T * imag)
 
 
-def _exact_segment(eigensystem, phases, block, t_eval, gamma_a, sigma, rho01, carry):
+def _exact_segment(eigensystem, phases, block, t_eval, gamma_a, sigma, rho01, parity, carry):
     """Propagate one undamped segment in closed form in the eigensystem
     (E, V, Q = V^T P V) of its H.  The state is the mode matrix A = V^T M V,
     M = rho01 P, held as its real form `block` = Re A + Im A (A is Hermitian),
@@ -483,14 +477,14 @@ def _exact_segment(eigensystem, phases, block, t_eval, gamma_a, sigma, rho01, ca
     e^{iET}) of the segment's coupling and duration T: a block's phases are
     the `_phase_steps` of the uniform grid's spacing times the row e^{iEt} of
     the block's first sample.  When rho01 is not None, each sample's lab-frame
-    M P = V A(t) V^T P is written into it, two real gemms on the real form.
+    M P = V A(t) V^T P is written into it: two real gemms on the real form,
+    then the signs `parity` = (-1)^n of P.
     Returns the real form of A(T) when `carry` (a next segment reads it),
     else None, and the segment record {propagator, wall_s}."""
     started = time.perf_counter()
     energies, vectors, mode_parity = eigensystem
     steps, end_phase = phases
     weights = block * mode_parity  # Q is symmetric
-    signs = _signs(len(energies))
     for lo in range(0, len(t_eval), SIGMA_BLOCK):
         t = t_eval[lo:lo + SIGMA_BLOCK]
         n = len(t)
@@ -506,7 +500,7 @@ def _exact_segment(eigensystem, phases, block, t_eval, gamma_a, sigma, rho01, ca
         if rho01 is not None:
             for row, (p, fade_row) in enumerate(zip(phase, fade), lo):
                 rho01[row] = _hermitian(
-                    vectors @ _evolved_modes(block, p, fade_row) @ vectors.T) * signs
+                    vectors @ _evolved_modes(block, p, fade_row) @ vectors.T) * parity
     fade_end = math.exp(-2.0 * gamma_a * t_eval[-1])
     end = _evolved_modes(block, end_phase, fade_end) if carry else None
     return end, {"propagator": "exact_eigh", "wall_s": time.perf_counter() - started}
@@ -557,6 +551,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         else np.eye(dim)[0]
     probs /= probs.sum()
     parity = _signs(dim)
+    flips = np.multiply.outer(parity, parity)  # P M P = M o flips
     block = np.diag(0.5 * probs * parity)
     # a bare run reads only each sample's diagonal; kept states read it all
     read = None if keep_states else np.arange(dim) * (dim + 1)
@@ -593,7 +588,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
             taken = rows.stop
             block, record = _exact_segment(
                 propagators[coupling], phases[coupling, duration], block, t_eval, cfg.gamma_a,
-                sigma[rows], None if states is None else states[rows, :dim, dim:],
+                sigma[rows], None if states is None else states[rows, :dim, dim:], parity,
                 carry=index + 1 < len(segments))
             if flip and block is not None:  # P M P in modes: Q A Q
                 block = mode_parity @ block @ mode_parity
@@ -602,7 +597,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
                                              read=read)
             block = _to_lab(_hermitian(block), cfg.omega, duration)
             if flip:
-                block = _parity(block)
+                block = block * flips
             block = block.real + block.imag
         records.append({"duration": duration, "coupling": coupling} | record)
         fixed = 1j * coupling / drift
@@ -617,7 +612,7 @@ def _run_segments(cfg: ProtocolConfig, segments: list[tuple[float, float, bool]]
         for lo in range(0, n_samples, STATE_SLAB):
             slab = states[lo:lo + STATE_SLAB]
             rho00 = _displaced_thermal(alpha[lo:lo + STATE_SLAB], probs)
-            slab[:, :dim, :dim], slab[:, dim:, dim:] = rho00, _parity(rho00)
+            slab[:, :dim, :dim], slab[:, dim:, dim:] = rho00, rho00 * flips
             slab[:, dim:, :dim] = slab[:, :dim, dim:].conj().swapaxes(-1, -2)
     visibility = 2.0 * np.abs(sigma)
     exact_error = np.abs(visibility - visibility_exact(

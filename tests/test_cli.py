@@ -592,6 +592,14 @@ def test_simulate_protocol_override(tmp_path):
     assert float(rows[-1][0]) == pytest.approx(2 * 2.0 * math.pi, rel=1e-12)
 
 
+def test_simulate_protocol_flag_takes_both_spin_echo_spellings(tmp_path):
+    # the flag refused spin-echo (exit 2), which a config's protocol takes
+    for spelling in ("spin-echo", "spin_echo"):
+        assert main(["simulate", "--config", f"{CONFIGS}/demo_spin_echo.cfg", "--protocol",
+                     spelling, "--out", str(tmp_path / f"{spelling}.csv")]) == 0
+    assert (tmp_path / "spin-echo.csv").read_bytes() == (tmp_path / "spin_echo.csv").read_bytes()
+
+
 def test_simulate_config_conflicts(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("units = natural\ng = 0.1\nnbar = 1\ntemperature = 2\n")
@@ -623,11 +631,13 @@ def test_simulate_config_conflicts(tmp_path, capsys):
 def test_simulate_rejects_non_integral_counts(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "x.csv"
-    for line in ("protocol = spin_echo\nn_pi = 1.7", "samples_per_period = 20.9",
-                 "dim = 40.0"):
+    # `ProtocolConfig` alone judges a count, and its refusal names the key
+    for line, key, value in [("protocol = spin_echo\nn_pi = 1.7", "n_pi", "1.7"),
+                             ("samples_per_period = 20.9", "samples_per_period", "20.9"),
+                             ("dim = 40.0", "dim", "40.0"), ("dim = 30.5", "dim", "30.5")]:
         cfg.write_text(f"units = natural\ng = 0.05\n{line}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got {value}\n"
     assert not out.exists()
 
 

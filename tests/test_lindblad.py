@@ -45,7 +45,6 @@ from revivalsim.lindblad import (
     _decay,
     _displaced_thermal,
     _hermitian,
-    _parity,
     _real_rhs,
     _top_levels_mass,
     integrate_blocks,
@@ -63,6 +62,12 @@ from revivalsim.witness import (
 FIG_NBAR = 1.5414940825367982  # thermal occupation at omega = 1, T = 2
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _parity_conjugate(block):
+    """P block P with P = (-1)^{ad a}, on (..., d, d) oscillator blocks."""
+    signs = (-1.0) ** np.arange(block.shape[-1])
+    return block * np.multiply.outer(signs, signs)
 
 
 def _random_state(rng, n):
@@ -258,14 +263,14 @@ def test_echo_gate_swaps_blocks():
     want = flip @ rho @ flip
     # the gate maps rho00 to rho11 = P rho00 P and rho01 to rho01^dag
     rho00, rho01 = _protocol_blocks(rho)
-    got = np.stack([_parity(rho00), rho01.conj().T])
+    got = np.stack([_parity_conjugate(rho00), rho01.conj().T])
     assert np.max(np.abs(got - _protocol_blocks(want))) < 1e-15
     # and the gated rho11 and rho10 are P rho00 P and rho01^dag of its blocks
     assert np.max(np.abs(want[7:, 7:] - parity @ got[0] @ parity)) < 1e-15
     assert np.max(np.abs(want[7:, :7] - got[1].conj().T)) < 1e-15
     # so a flip maps the closed-form rho00 at alpha to the one at -alpha
     alpha, probs = np.array([0.4 - 0.3j]), thermal_density(0.8, 30).diagonal().real
-    assert np.max(np.abs(_parity(_displaced_thermal(alpha, probs))
+    assert np.max(np.abs(_parity_conjugate(_displaced_thermal(alpha, probs))
                          - _displaced_thermal(-alpha, probs))) < 1e-15
 
 
@@ -713,7 +718,7 @@ def _tight_block_path(cfg, trace, z_right):
     in the lab frame: the oracle's complex generator integrated tightly
     (rtol 1e-12) segment by segment, through the echo gate's map of that block."""
     dim = trace.stats["dim"]
-    gate = _parity if z_right > 0 else (lambda block: block.conj().T)
+    gate = _parity_conjugate if z_right > 0 else (lambda block: block.conj().T)
     block = 0.5 * thermal_density(cfg.nbar, dim)
     want, t_now = [], 0.0
     for idx, (duration, coupling, flip) in enumerate(_segments(cfg)):
