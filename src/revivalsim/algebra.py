@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .config import ConfigError
 from .constants import HBAR, K_B
 
 
@@ -24,9 +25,9 @@ def thermal_occupation(
     Defaults to SI constants; pass hbar=1, k_boltzmann=1 for natural units.
     """
     if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+        raise ConfigError(f"omega must be positive, got {omega}")
     if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+        raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if k_boltzmann * temperature == 0:  # T = 0, or k_B T below the float range
         return 0.0
     x = hbar * omega / (k_boltzmann * temperature)

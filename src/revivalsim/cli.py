@@ -36,7 +36,7 @@ from . import __version__, analytic, design
 from .algebra import thermal_occupation
 from .config import ConfigError, get_number, parse_config_file, require_keys
 from .constants import ATOMIC_MASS
-from .design import GeometryError, PhysicalConfig
+from .design import PhysicalConfig
 from .protocol import MAX_DIM, PROTOCOLS, IntegrationError, ProtocolConfig, TruncationError
 
 EXIT_OK = 0
@@ -353,7 +353,8 @@ def write_outputs(args, write, config: dict, **extra) -> None:
     thread counts the environment sets (``blas_threads``, each null when
     unset) and any extra fields.  Each file goes to a temp file beside it,
     and the manifest is moved into place first, so an output never exists
-    without its manifest.  On any error both temp files are removed."""
+    without its manifest.  On any error both temp files are removed; an
+    OSError is raised as a ConfigError that names ``args.out``."""
     out = Path(args.out)
     temps = [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
     try:
@@ -378,9 +379,12 @@ def write_outputs(args, write, config: dict, **extra) -> None:
             })
         os.replace(temps[1], f"{out}.manifest.json")
         os.replace(temps[0], out)
+    except OSError as exc:  # a name too long, a read-only or full file system
+        raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
     finally:
         for temp in temps:
-            temp.unlink(missing_ok=True)
+            if os.path.exists(temp):  # unlink would raise on a name too long to create
+                temp.unlink()
 
 
 def _config_kwargs(values: dict, cls) -> dict:
@@ -558,10 +562,7 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
     if "temperature" in values:
         temp = get_number(values, "temperature")
         natural = {"hbar": 1.0, "k_boltzmann": 1.0} if units == "natural" else {}
-        try:
-            kwargs["nbar"] = thermal_occupation(omega, temp, **natural)
-        except ValueError as exc:  # a negative temperature or omega
-            raise ConfigError(str(exc)) from exc
+        kwargs["nbar"] = thermal_occupation(omega, temp, **natural)
 
     if "t_max" in values and "t_max_periods" in values:
         raise ConfigError("give either t_max or t_max_periods, not both")
@@ -573,10 +574,7 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
     if kwargs.get("protocol") == "spin-echo":
         kwargs["protocol"] = "spin_echo"
 
-    try:
-        cfg = ProtocolConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = ProtocolConfig(**kwargs)
     # ProtocolConfig takes, and ignores, a key its protocol does not read
     stray = sorted(key for key, readers in _PROTOCOL_KEYS.items()
                    if key in values and cfg.protocol not in readers)
@@ -675,12 +673,7 @@ def _physical_config_from_file(values: dict) -> PhysicalConfig:
         kwargs["atom_mass"] = get_number(values, "atom_mass_amu") * ATOMIC_MASS
     if "atom_mass_kg" in values:
         kwargs["atom_mass"] = get_number(values, "atom_mass_kg")
-    try:
-        return PhysicalConfig(**kwargs)
-    except GeometryError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PhysicalConfig(**kwargs)
 
 
 def cmd_design(args) -> int:
@@ -783,8 +776,11 @@ def main(argv=None) -> int:
     args.started_at, args.warnings = _now(), []
     try:
         out = None if args.out is None else Path(args.out)
-        if out and (out.is_dir() or not out.parent.is_dir()):
-            raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
+        try:
+            if out and (out.is_dir() or not out.parent.is_dir()):
+                raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
+        except OSError as exc:  # a name too long to look up
+            raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Flat ``key = value`` run-configuration files.
 
-One assignment per line; ``#`` starts a comment; blank lines are ignored.
+UTF-8 text, one assignment per line; ``#`` starts a comment; blank lines are ignored.
 Values are auto-typed (int, then float, then bare string).  Unknown keys
 are rejected by the consuming command so typos fail loudly.
 """
@@ -29,10 +29,16 @@ def _auto_type(raw: str):
 
 def parse_config_file(path) -> dict:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:  # a name too long, a file the OS refuses to read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import thermal_occupation
+from .config import ConfigError
 from .constants import CESIUM_MASS, G_NEWTON, HBAR, K_B
 
 GEOMETRIES = ("single_sphere", "four_sphere", "custom")
@@ -54,7 +55,7 @@ class PhysicalConfig:
     kappa            order-unity geometric prefactor of the coupling
     hold_time        free evolution time tau (s); omega = 2 pi / tau
     temperature      oscillator temperature (K)
-    oscillator_mass  explicit M (kg); None derives (4/3) pi R_s^3 rho
+    oscillator_mass  explicit M (kg), positive; None derives (4/3) pi R_s^3 rho
     geometry         one of GEOMETRIES
     """
 
@@ -80,9 +81,11 @@ class PhysicalConfig:
             "hold_time",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.oscillator_mass is not None and self.oscillator_mass <= 0:
+            raise ConfigError(f"oscillator_mass must be positive, got {self.oscillator_mass}")
         if self.geometry not in GEOMETRIES:
             raise GeometryError(
                 f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"

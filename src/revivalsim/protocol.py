@@ -79,7 +79,7 @@ class ProtocolConfig:
 
     n_pi       echo iterations per block (spin_echo only)
 
-    Non-finite floats, non-integral counts and runs over `MAX_RUN_SAMPLES` raise ValueError.
+    Non-finite floats, non-integral counts and runs over `MAX_RUN_SAMPLES` raise ConfigError.
     """
 
     omega: float = 1.0
@@ -98,36 +98,32 @@ class ProtocolConfig:
         for name in ("omega", "g", "g_prime", "gamma_m", "gamma_a", "nbar", "t_max"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("dim", "n_pi", "samples_per_period"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+            raise ConfigError(f"omega must be positive, got {self.omega}")
         if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+            raise ConfigError(f"nbar must be >= 0, got {self.nbar}")
         if self.gamma_m < 0 or self.gamma_a < 0:
-            raise ValueError("damping rates must be >= 0")
+            raise ConfigError("damping rates must be >= 0")
         if self.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"
-            )
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.protocol == "spin_echo" and self.n_pi < 1:
-            raise ValueError(f"n_pi must be >= 1, got {self.n_pi}")
+            raise ConfigError(f"n_pi must be >= 1, got {self.n_pi}")
         if self.samples_per_period < 4:
-            raise ValueError("samples_per_period must be >= 4")
+            raise ConfigError("samples_per_period must be >= 4")
         t_max = self.resolved_t_max()
         if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
+            raise ConfigError(f"t_max must be positive, got {t_max}")
         if self.protocol == "boosted" and t_max <= math.pi / self.omega:
-            raise ValueError(
-                "boosted protocol needs t_max beyond the first half period"
-            )
+            raise ConfigError("boosted protocol needs t_max beyond the first half period")
         samples = self.samples_per_period * t_max * self.omega / (2.0 * math.pi)
         if not samples <= MAX_RUN_SAMPLES:
-            raise ValueError(f"the run takes {samples:.3g} samples (samples_per_period x "
-                             f"t_max / period), more than MAX_RUN_SAMPLES={MAX_RUN_SAMPLES}")
+            raise ConfigError(f"the run takes {samples:.3g} samples (samples_per_period x "
+                              f"t_max / period), more than MAX_RUN_SAMPLES={MAX_RUN_SAMPLES}")
 
     def max_displacement(self) -> float:
         """Largest conditional displacement the protocol can reach."""

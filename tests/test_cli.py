@@ -1,6 +1,7 @@
 """End-to-end tests of the batch CLI (in-process via main(argv))."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -1026,6 +1027,42 @@ def test_design_geometry_error_exit_code(tmp_path, capsys):
     assert "do not fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mass", ["-1", "0"])
+@pytest.mark.parametrize("mode", [["--point"], ["--sweep", "--tau-range", "10,100,3",
+                                                "--temp-range", "10,300,2"]],
+                         ids=["point", "sweep"])
+def test_design_refuses_a_nonpositive_oscillator_mass(mass, mode, tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"oscillator_mass = {mass}\n")
+    assert main(["design", "--config", str(cfg), *mode, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: oscillator_mass must be positive, got {mass}"]
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["simulate", "design"])
+def test_config_that_is_not_utf8_is_a_usage_error(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"units = natural\ng = 0.05\n# caf\xff\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config file {cfg} is not UTF-8")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_the_os_will_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(self, encoding=None):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = natural\ng = 0.05\n")
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read config file {cfg}: Permission denied"]
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_design_unknown_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("humidity = 0.4\n")
@@ -1301,6 +1338,32 @@ def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --out")
     assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+    # a 300-byte file name (ENAMETOOLONG) is refused before any work
+    long_name = str(tmp_path / ("x" * 300))
+    assert main(argv[:-1] + [long_name]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {long_name}: File name too long"]
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
+def _replace_refused(src, dst):
+    raise OSError(errno.EROFS, "Read-only file system", str(dst))
+
+
+@pytest.mark.parametrize("name, patch", [("x" * 250, None), ("x.csv", _replace_refused)],
+                         ids=["temp_name_too_long", "read_only"])
+def test_out_the_os_refuses_while_writing_is_a_usage_error(name, patch, tmp_path, capsys,
+                                                           monkeypatch):
+    # --out passes the up-front check, but its 250-byte name's temp files are
+    # too long to create, or moving them into place fails: exit 2, one stderr
+    # line and no temp file left
+    if patch:
+        monkeypatch.setattr(cli.os, "replace", patch)
+    out = str(tmp_path / name)
+    assert main(["analytic", "--formula", "thermal", "--lambda", "0.1", "--out", out]) == 2
+    strerror = "Read-only file system" if patch else "File name too long"
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: {strerror}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # values that once broke a command: zero, negatives, the float extremes

@@ -180,6 +180,9 @@ def test_positivity_validation():
         PhysicalConfig(hold_time=-10.0)
     with pytest.raises(ValueError):
         PhysicalConfig(temperature=-1.0)
+    for mass in (-1.0, 0.0):  # given, it must be positive; None derives it
+        with pytest.raises(ValueError, match="oscillator_mass must be positive"):
+            PhysicalConfig(oscillator_mass=mass)
 
 
 def test_atoms_required_validation():
