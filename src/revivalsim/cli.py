@@ -344,6 +344,11 @@ class _Hashed:
         self.bytes += self.fh.write(data)
 
 
+def _temp_paths(out) -> list[Path]:
+    """The temp files `write_outputs` writes out and its manifest to, longer last."""
+    return [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
+
+
 def write_outputs(args, write, config: dict, **extra) -> None:
     """Write ``args.out`` through write(fh), fh a binary file, and then its
     manifest ``<args.out>.manifest.json``: the command, its config echo, the
@@ -356,7 +361,7 @@ def write_outputs(args, write, config: dict, **extra) -> None:
     without its manifest.  On any error both temp files are removed; an
     OSError is raised as a ConfigError that names ``args.out``."""
     out = Path(args.out)
-    temps = [Path(f"{path}.{os.getpid()}.tmp") for path in (out, f"{out}.manifest.json")]
+    temps = _temp_paths(out)
     try:
         start = time.perf_counter()
         with open(temps[0], "wb") as fh:
@@ -779,6 +784,8 @@ def main(argv=None) -> int:
         try:
             if out and (out.is_dir() or not out.parent.is_dir()):
                 raise ConfigError(f"--out {args.out}: not a file path in an existing directory")
+            if out:
+                _temp_paths(out)[1].exists()  # raises where it is too long to create
         except OSError as exc:  # a name too long to look up
             raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
         return args.func(args)

@@ -67,4 +67,8 @@ def get_number(values: dict, key: str):
         raise ConfigError(f"config key {key!r} must be numeric, got {v!r}")
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(f"config key {key!r} must be finite, got {v!r}")
+    try:
+        float(v)
+    except OverflowError:  # an int, as a float is finite here
+        raise ConfigError(f"config key {key!r} is an integer beyond the float range") from None
     return v

@@ -65,6 +65,7 @@ without this engine, and imported here under the same names.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ import numpy as np
 from . import dop853
 from .analytic import CHUNK, visibility_exact
 from .protocol import (DIM_TAIL_BOUND, MAX_DIM, MAX_RUN_SAMPLES, PROTOCOLS, IntegrationError,
-                       ProtocolConfig, TruncationError, kept_states)
+                       ProtocolConfig, TruncationError, _populations, kept_states)
 
 EXACT_ERROR_BOUND = 1e-7   # max tolerated |V - V_exact| along a trace
 TAIL_MASS_BOUND = 1e-6     # max tolerated top-two-Fock-level occupation
@@ -235,8 +236,9 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None) -> tuple[np.nda
     samples and records equal solve_ivp(method="DOP853", t_eval=t_eval) bit
     for bit.  Samples come from each accepted step's dense output at the
     t_eval points in (t_old, t] (the first step also takes t = 0).  The
-    7-term interpolant is built only on the read entries, and on all of them
-    once, at t_eval[-1], the returned end.  Returns the blocks at t_eval[-1]
+    7-term interpolant is built only on the read entries; the returned end is
+    the last step's y_old + (y - y_old), the interpolant at t_eval[-1], where
+    its other terms are multiplied by 0.  Returns the blocks at t_eval[-1]
     and the segment record {duration, nfev, steps, rejected, dense_outputs,
     wall_s}, nfev = 2 + 12 (steps + rejected) + 3 dense_outputs; raises
     ValueError, before any evaluation, on t_eval[-1] <= 0 or a non-finite
@@ -326,8 +328,6 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None) -> tuple[np.nda
                 dy += y_old
                 K[s] = rhs(t_old + C[s] * h, dy)
             dense_outputs += 1
-            if t >= t_end:  # the end is the carried block: every entry, at t_end only
-                end = _dense_values(K, h, y_old, y, t_eval[-1:] - t_old, slice(None))[0]
             values = _dense_values(K, h, y_old, y, t_eval[taken:upto] - t_old, cols)
             sample(t_eval[taken:upto],
                    values.reshape(-1, *blocks0.shape) if read is None else values)
@@ -337,7 +337,7 @@ def integrate_blocks(rhs, blocks0, t_eval, sample, *, read=None) -> tuple[np.nda
               "nfev": 2 + n_stages * trials + n_extra * dense_outputs,
               "steps": steps, "rejected": trials - steps,
               "dense_outputs": dense_outputs, "wall_s": time.perf_counter() - started}
-    return end.reshape(blocks0.shape), record
+    return (y_old + (y - y_old)).reshape(blocks0.shape), record
 
 
 def _initial_step(rhs, y0, f0, t_end):
@@ -384,25 +384,11 @@ def _dense_values(K, h, y_old, y, elapsed, cols):
 
 def _top_levels_mass(nbar: float, alpha: np.ndarray, dim: int) -> np.ndarray:
     """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each
-    alpha of a 1-d array, by the recurrence of `protocol._populations` on `CHUNK`
-    alphas at once, in three buffers of them that each level's arithmetic
-    writes into."""
+    alpha of a 1-d array, from `protocol._populations` on `CHUNK` alphas at once."""
     out = np.empty(len(alpha))
-    buffers = np.empty((3, min(len(alpha), CHUNK)))
-    r = nbar / (nbar + 1.0)
     for lo in range(0, len(alpha), CHUNK):
-        mean = np.abs(alpha[lo:lo + CHUNK]) ** 2
-        s = mean / (nbar + 1.0) ** 2
-        prev, p, step = buffers[:, :len(mean)]
-        prev[:] = 0.0
-        np.divide(np.exp(-mean / (nbar + 1.0)), nbar + 1.0, out=p)
-        for n in range(dim - 1):
-            np.add(s, r * (2 * n + 1), out=step)
-            step *= p
-            prev *= r * r * n
-            step -= prev
-            step /= n + 1
-            prev, p, step = p, step, prev
+        levels = _populations(nbar, np.abs(alpha[lo:lo + CHUNK]) ** 2)
+        prev, p = itertools.islice(levels, dim - 2, dim)
         np.add(prev, p, out=out[lo:lo + CHUNK])
     return out
 

@@ -172,14 +172,19 @@ class ProtocolConfig:
         return 2.0 * period if self.t_max is None else float(self.t_max)
 
 
-def _populations(nbar: float, mean: float):
+def _populations(nbar: float, mean):
     """Yield p_0, p_1, ... of D(alpha) thermal(nbar) D(alpha)^dag at |alpha|^2 =
-    mean (Bose, Jacobs & Knight, PRA 59, 3204 (1999)), as Python floats,
+    mean (Bose, Jacobs & Knight, PRA 59, 3204 (1999)), as Python floats for a
+    float mean and elementwise for an array of them, each level a fresh array,
     p_n = r^n L_n(-|alpha|^2/(nbar (nbar+1))) e^{-|alpha|^2/(nbar+1)}/(nbar+1) with
     r = nbar/(nbar+1), by the Laguerre recurrence: Poisson at nbar = 0, and
     free of cancellation, as the argument is negative."""
-    r, s = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2
-    prev, p, n = 0.0, float(np.exp(-mean / (nbar + 1.0))) / (nbar + 1.0), 0
+    r, s, e = nbar / (nbar + 1.0), mean / (nbar + 1.0) ** 2, np.exp(-mean / (nbar + 1.0))
+    prev, p, n = 0.0, (e if np.ndim(e) else float(e)) / (nbar + 1.0), 0
     while True:
         yield p
-        prev, p, n = p, ((s + r * (2 * n + 1)) * p - r * r * n * prev) / (n + 1), n + 1
+        step = s + r * (2 * n + 1)
+        step *= p
+        step -= r * r * n * prev
+        step /= n + 1
+        prev, p, n = p, step, n + 1

@@ -146,8 +146,9 @@ def initial_state(cfg, dim=None):
 def top_levels_mass(nbar, alpha, dim, chunk):
     """p_{dim-2} + p_{dim-1} of D(alpha) thermal(nbar) D(alpha)^dag for each
     alpha, by the recurrence of `protocol._populations` on chunk alphas at a
-    time, each level's arithmetic allocating its results: the loop the
-    engine's `_top_levels_mass` runs in place."""
+    time, each level's arithmetic allocating its results: the loop whose
+    levels the engine's `_top_levels_mass` takes from `protocol._populations`,
+    which updates each fresh level in place."""
     out = np.empty(len(alpha))
     for lo in range(0, len(alpha), chunk):
         mean = np.abs(alpha[lo:lo + chunk]) ** 2

@@ -1040,6 +1040,24 @@ def test_design_refuses_a_nonpositive_oscillator_mass(mass, mode, tmp_path, caps
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "omega"), ("simulate", "g"), ("simulate", "n_pi"),
+    ("simulate", "samples_per_period"), ("simulate", "dim"), ("design", "density")])
+def test_integer_beyond_the_float_range_is_a_config_error(command, key, tmp_path, capsys):
+    # a 400-digit integer exited 3 as a domain error, and dim exited 4
+    # echoing every digit
+    values = {"simulate": {"units": "natural", "g": "0.05", "protocol": "spin-echo"},
+              "design": {}}[command]
+    values[key] = "1" + "0" * 399
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    mode = ["--point"] if command == "design" else []
+    assert main([command, "--config", str(cfg), *mode, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config key {key!r} is an integer beyond the float range"]
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("command", ["simulate", "design"])
 def test_config_that_is_not_utf8_is_a_usage_error(command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -1346,6 +1364,17 @@ def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys, monkeypatch)
     assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
+def test_out_whose_temp_names_are_too_long_is_refused_before_the_run(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a 240-byte name passes its own lookup, but its manifest's temp name
+    # does not fit: simulate integrated the whole run before refusing it
+    monkeypatch.setattr(lindblad, "run_protocol", lambda cfg: pytest.fail("integrated"))
+    out = str(tmp_path / ("x" * 240))
+    assert main(["simulate", "--config", str(CONFIGS / "demo_basic.cfg"), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: File name too long"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _replace_refused(src, dst):
     raise OSError(errno.EROFS, "Read-only file system", str(dst))
 
@@ -1354,9 +1383,9 @@ def _replace_refused(src, dst):
                          ids=["temp_name_too_long", "read_only"])
 def test_out_the_os_refuses_while_writing_is_a_usage_error(name, patch, tmp_path, capsys,
                                                            monkeypatch):
-    # --out passes the up-front check, but its 250-byte name's temp files are
-    # too long to create, or moving them into place fails: exit 2, one stderr
-    # line and no temp file left
+    # --out's 250-byte name leaves its temp names too long to create, which
+    # main looks up before any work, or moving them into place fails: exit 2,
+    # one stderr line and no temp file left
     if patch:
         monkeypatch.setattr(cli.os, "replace", patch)
     out = str(tmp_path / name)

@@ -106,6 +106,14 @@ def test_require_keys_names_the_stranger():
     require_keys({"omega": 1.0}, {"omega", "g"}, "simulate")
 
 
+def test_get_number_refuses_an_int_beyond_the_float_range():
+    # such an int was passed on, to fail as a domain error where first used
+    for big in (10 ** 400, -(10 ** 400), 2 ** 1024):
+        with pytest.raises(ConfigError, match="'a' is an integer beyond the float range"):
+            get_number({"a": big}, "a")
+    assert get_number({"a": 10 ** 308}, "a") == 10 ** 308
+
+
 def test_get_number_behaviour():
     values = {"a": 3, "b": 2.5, "c": "text", "d": float("inf")}
     assert get_number(values, "a") == 3

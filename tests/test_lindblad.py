@@ -8,6 +8,7 @@ checked against that generator, term by term and through tight solves.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -51,6 +52,7 @@ from revivalsim.lindblad import (
     negativity,
     run_protocol,
 )
+from revivalsim.protocol import _populations
 from revivalsim.witness import (
     PLUS_STATE,
     _block_rhs,
@@ -376,10 +378,11 @@ def test_diagonal_read_equals_solve_ivp(kind, monkeypatch):
                                    lambda t, values: chunks.append(values.copy()),
                                    read=read)
     assert all(chunk.shape[1:] == (dim,) and chunk.dtype == blocks0.dtype for chunk in chunks)
-    # the whole block is interpolated once, at the end; the last step's
-    # samples, like every other step's, only on the read entries
+    # the whole block is never interpolated: the end is the last step's own
+    # values; the last step's samples, like every other step's, come from
+    # the read entries only
     assert len(chunks[-1]) >= 3
-    assert shapes.count((1, blocks0.size)) == 1 == len(shapes) - len(chunks)
+    assert shapes.count((1, blocks0.size)) == 0 == len(shapes) - len(chunks)
     assert np.array_equal(np.concatenate(chunks), sol.y[read].T)
     assert np.array_equal(end, sol.y[:, -1].reshape(blocks0.shape))
     assert record["nfev"] == sol.nfev
@@ -688,6 +691,20 @@ def test_top_levels_mass_is_the_allocating_loop(dim, nbar):
     alphas = 3.0 * (rng.random(CHUNK + 7) - 0.5) + 3j * (rng.random(CHUNK + 7) - 0.5)
     assert np.array_equal(_top_levels_mass(nbar, alphas, dim),
                           top_levels_mass(nbar, alphas, dim, CHUNK))
+
+
+@pytest.mark.parametrize("nbar", [0.0, 2.0])
+def test_populations_over_an_array_are_the_float_walk(nbar):
+    # one recurrence serves the dim rule, in Python floats, and the tail mass,
+    # elementwise over arrays: each level of the array walk is a fresh array
+    # equal to the float walk's level bit for bit, up to level 130
+    means = np.array([0.0, 1e-3, 0.7, 4.0, 30.0])
+    walked = list(itertools.islice(_populations(nbar, means), 131))
+    for i, mean in enumerate(means.tolist()):
+        floats = list(itertools.islice(_populations(nbar, mean), 131))
+        assert all(type(p) is float for p in floats)
+        assert np.array_equal([level[i] for level in walked], floats)
+    assert type(ProtocolConfig(g=0.05, nbar=nbar)._dim_and_tail()[1]) is float
 
 
 def test_exact_check_refuses_a_run_off_the_exact_value(monkeypatch):
