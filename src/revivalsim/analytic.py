@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DomainError
+
 ArrayLike = "float | np.ndarray"
 
 # Times per pass of `visibility_exact`: its temporaries are about a dozen
@@ -194,14 +196,14 @@ def visibility_many_atom(n_atoms: int, params: CouplingParams, omega_t) -> Array
 
     Atom-atom phase noise multiplies the single-atom curve by
     cos^(N-1)(2*beta) with beta = lam^2 * omega * t, well approximated by
-    exp(-2 N beta^2).  Valid for |2*beta| < pi/4.
+    exp(-2 N beta^2).  Valid for |2*beta| < pi/4; beyond it, DomainError.
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
     omega_t = np.asarray(omega_t, dtype=float)
     beta = params.coupling**2 * omega_t
     if np.any(np.abs(2.0 * beta) >= math.pi / 4.0):
-        raise ValueError(
+        raise DomainError(
             f"|2*beta| = |2*lam^2*omega*t| reaches {np.max(np.abs(2 * beta)):.4g} "
             ">= pi/4; the collective phase-noise expansion is invalid"
         )

@@ -10,9 +10,10 @@ the environment sets and the run's validity warnings (also printed to
 stderr); the manifest lands before its output, so an output never exists
 without one.  Outputs themselves are deterministic for identical inputs.
 Exit codes: 0 success, 2 usage/config error (an unwritable --out too), 3
-domain error or value out of range (a non-finite output value too), 4
-solver, truncation, exact-visibility or separable-trace check or linalg
-failure, 5 witness-suite failure.
+`DomainError` (`GeometryError` too) or a value out of range (`OverflowError`,
+a non-finite output value too), 4 solver, truncation, exact-visibility or
+separable-trace check or linalg failure, 5 witness-suite failure; any other
+exception is a traceback, not exit 3.  tests/refusals.txt pins each refusal.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__, analytic, design
 from .algebra import thermal_occupation
-from .config import ConfigError, get_number, parse_config_file, require_keys
+from .config import ConfigError, DomainError, get_number, parse_config_file, require_keys
 from .constants import ATOMIC_MASS
 from .design import PhysicalConfig
 from .protocol import MAX_DIM, PROTOCOLS, IntegrationError, ProtocolConfig, TruncationError
@@ -458,9 +459,9 @@ _FLAGS = {
     "lam": ("--lambda", None, _float(), "dimensionless coupling g/omega"),
     "lam_prime": ("--lambda-prime", "boost_coupling", _float(),
                   "boost-stage coupling g'/omega"),
-    "nbar": ("--nbar", "nbar", _float(), None),
-    "q": ("--q", "q_factor", _float(), "quality factor omega/gamma_m"),
-    "gamma_a": ("--gamma-a", "qubit_decay", _float(),
+    "nbar": ("--nbar", "nbar", _float(">= 0"), None),
+    "q": ("--q", "q_factor", _float("positive"), "quality factor omega/gamma_m"),
+    "gamma_a": ("--gamma-a", "qubit_decay", _float(">= 0"),
                 "qubit coherence decay rate over omega; the simulate engine's gamma_a "
                 "(sigma_z jump rate) decays coherence at 2*gamma_a"),
     "n_atoms": ("--n-atoms", None, _count(1), None),
@@ -571,7 +572,7 @@ def _protocol_config_from_file(values: dict, protocol_override: str | None) -> P
 
     if "t_max" in values and "t_max_periods" in values:
         raise ConfigError("give either t_max or t_max_periods, not both")
-    if "t_max_periods" in values:
+    if "t_max_periods" in values and omega > 0:  # ProtocolConfig refuses any other omega
         kwargs["t_max"] = get_number(values, "t_max_periods") * 2.0 * math.pi / omega
 
     if protocol_override:
@@ -798,7 +799,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: a value is out of range: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -15,6 +15,10 @@ class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration input."""
 
 
+class DomainError(ValueError):
+    """Valid input outside the domain where a formula or model holds."""
+
+
 def _auto_type(raw: str):
     try:
         return int(raw)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import thermal_occupation
-from .config import ConfigError
+from .config import ConfigError, DomainError
 from .constants import CESIUM_MASS, G_NEWTON, HBAR, K_B
 
 GEOMETRIES = ("single_sphere", "four_sphere", "custom")
@@ -29,7 +29,7 @@ LOW_TEMPERATURE_RATIO = 10.0  # below k_B T/(hbar omega) = 10 the (8+nbar)
                               # contrast forms lose their footing
 
 
-class GeometryError(ValueError):
+class GeometryError(DomainError):
     """Inconsistent or unphysical source-mass geometry."""
 
 
@@ -177,6 +177,8 @@ def _contrasts(cfg: PhysicalConfig, omega: float, nbar: float) -> tuple[float, f
         * cfg.atom_mass
         * math.sqrt(_quotient(cfg.density * (8.0 + nbar), 3.0 * cfg.splitting * omega**3 * HBAR))
     )
+    if not (delta_v > 0.0 and delta_v_boosted > 0.0):  # 0 has no log10 and no atom count
+        raise OverflowError("a contrast underflowed to 0")
     return delta_v, delta_v_boosted
 
 
