@@ -87,16 +87,14 @@ class PhysicalConfig:
         if self.oscillator_mass is not None and self.oscillator_mass <= 0:
             raise ConfigError(f"oscillator_mass must be positive, got {self.oscillator_mass}")
         if self.geometry not in GEOMETRIES:
-            raise GeometryError(
-                f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"
-            )
+            raise ConfigError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
         if self.geometry == "four_sphere" and not self.sphere_radius < self.splitting / 2:
             raise GeometryError(
                 f"four spheres of radius {self.sphere_radius} do not fit a "
                 f"splitting of {self.splitting} (need R_s < ell/2)"
             )
         if self.geometry == "custom" and self.oscillator_mass is None:
-            raise GeometryError("custom geometry requires an explicit oscillator_mass")
+            raise ConfigError("custom geometry requires an explicit oscillator_mass")
 
     @property
     def omega(self) -> float:

@@ -20,12 +20,13 @@ from hypothesis.extra.numpy import arrays
 from oracles import boosted_swing
 from revivalsim import __version__, analytic, cli, lindblad, witness
 from revivalsim.cli import CSV_CHUNK_ROWS, MAX_N_PI, MAX_SAMPLES, main, write_csv
+from revivalsim.config import ConfigError, DomainError
 from revivalsim.constants import ATOMIC_MASS
-from revivalsim.lindblad import MAX_DIM, ProtocolConfig, run_protocol
+from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_protocol
 from revivalsim.analytic import (CouplingParams, spin_echo_overlap, visibility_exact,
                                   visibility_thermal)
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
-from test_refusals import refused
+from test_refusals import COUNT_ROWS, MOVED, refused
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -888,14 +889,12 @@ def test_out_the_os_refuses_while_writing_is_a_usage_error(name, patch, tmp_path
 
 
 # ---------------------------------------------------------------------------
-# refusals: each test below keeps its id and runs its rows of tests/refusals.txt
-# (why each row exists, and what the command did before, is in CHANGES.md)
+# refusals: each test of test_refusals.MOVED runs its rows of tests/refusals.txt
 # ---------------------------------------------------------------------------
 
 
 def _moved(rows):
-    """A test of refusals that are rows of tests/refusals.txt: of the rows a
-    list names, or, parametrized, of the rows of a dict by test id."""
+    """The test of a MOVED entry: its rows, or, parametrized, one row per id."""
     if isinstance(rows, dict):
         @pytest.mark.parametrize("name", [pytest.param(name, id=case)
                                           for case, name in rows.items()])
@@ -905,6 +904,10 @@ def _moved(rows):
         def test(tmp_path, capsys):
             refused(tmp_path, capsys, *rows)
     return test
+
+
+for _test, _rows in MOVED.items():
+    globals()[_test] = _moved(_rows)
 
 
 _ANALYTIC = ["analytic", "--lambda", "0.1", "--formula"]
@@ -921,18 +924,12 @@ _COUNT_FLAGS = [
 
 
 def _count_cases():
-    """Each int flag at lo and hi, which the parser takes, and, by test id,
-    the rows of its values out of range."""
+    """Each int flag at lo and hi, which the parser takes, and the rows of
+    its values out of range."""
     for argv, flag, lo, hi in _COUNT_FLAGS:
         for value in (lo,) if hi is None else (lo, hi):
             yield pytest.param([*argv, f"{flag}={value}"], None, id=f"{argv[0]}{flag}={value}")
-    yield from (pytest.param(None, name, id=case) for case, name in {
-        "n_atoms_0": "atoms0.csv", "n_atoms_neg": "atoms_neg.csv", "samples_cap": "samples_cap.csv",
-        "samples_1e9": "huge.csv", "n_pi_cap": "n_pi_cap.csv", "analytic--n-atoms=0": "atoms0.csv",
-        "analytic--n-pi=0": "echo0.csv", "analytic--n-pi=1000001": "n_pi_cap.csv",
-        "analytic--samples=1": "samples1.csv", "analytic--samples=10000001": "samples_cap.csv",
-        "verify--seeds=0": "seeds0.csv", "verify--dim=1": "verify_dim1.csv",
-        "verify--dim=513": "verify_dim_cap.csv", "verify--samples=0": "verify_samples0.csv"}.items())
+    yield from (pytest.param(None, name, id=case) for case, name in COUNT_ROWS.items())
 
 
 @pytest.mark.parametrize("argv, name", _count_cases())
@@ -946,96 +943,6 @@ def test_analytic_rejects_out_of_range_counts(argv, name, tmp_path, capsys):
     flag, value = argv[-1][2:].split("=")
     args = cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "x.csv")])
     assert getattr(args, flag.replace("-", "_")) == int(value)
-
-
-test_analytic_stray_flag_is_named = _moved(["stray_nbar_q.csv"])
-test_analytic_spin_echo_grid_flags_conflict = _moved(["echo_grid.csv"])
-test_analytic_rejects_n_pi_below_one = _moved({"0": "echo0.csv", "-2": "echo_n_pi_neg.csv"})
-test_analytic_domain_error_exit_code = _moved(["nbar_negative.csv"])
-test_analytic_rejects_nonfinite_flags = _moved([
-    f"{flag}_{bad}.csv" for flag in ("lambda", "lambda_prime", "nbar", "q", "gamma_a")
-    for bad in ("nan", "inf", "neg_inf", "abc")])
-test_analytic_rejects_nonpositive_t_max = _moved(
-    ["t_max_neg.csv", "t_max_zero.csv", "t_max_nan.csv", "t_max_abc.csv"])
-test_simulate_refuses_sample_counts_over_the_cap = _moved({
-    "t_max_periods = 1e9": "long.csv",
-    "samples_per_period = 1000000000000": "samples_per_period_huge.csv"})
-test_simulate_config_conflicts = _moved(["nbar_and_temperature.csv", "natural_tau.csv",
-                                         "wibble.csv", "furlong.csv", "t_max_twice.csv"])
-test_simulate_rejects_non_integral_counts = _moved(
-    ["n_pi_1_7.csv", "samples_20_9.csv", "dim_40_0.csv", "dim_half.csv"])
-test_simulate_si_units_need_timescale = _moved(["si_no_timescale.csv", "si_tau_zero.csv"])
-test_simulate_rejects_removed_solver_keys = _moved(
-    {key: f"{key}.csv" for key in ("rtol", "atol", "dt_initial")})
-test_simulate_bad_t_max_is_a_config_error = _moved({
-    "t_max = -1-t_max must be positive, got -1.0": "negative_t_max.csv",
-    "protocol = boosted\ng_prime = 0.1\nt_max_periods = 0.25-first half period":
-        "boosted_half_period.csv"})
-test_simulate_si_tau_with_omega_is_a_config_error = _moved(["tau_omega.csv"])
-test_simulate_negative_occupation_or_temperature_is_a_config_error = _moved({
-    f"{key}-{units}": f"{units}_{key}_negative.csv"
-    for key in ("nbar", "temperature") for units in ("natural", "si")})
-test_simulate_spin_echo_refuses_a_run_length = _moved({
-    "t_max": "echo_t_max.csv", "t_max_periods": "echo_t_max_periods.csv",
-    "protocol_override": "echo_override_t_max.csv"})
-test_simulate_refuses_a_key_its_protocol_does_not_read = _moved({
-    "g_prime_basic": "stray_g_prime.csv", "n_pi_basic": "stray_n_pi_basic.csv",
-    "n_pi_boosted": "stray_n_pi.csv", "g_prime_override": "stray_g_prime_override.csv",
-    "g_prime_echo": "stray_g_prime_echo.csv"})
-test_simulate_nbar_beyond_the_float_range_is_a_domain_error = _moved(["nbar_underflow.csv"])
-test_simulate_missing_config = _moved(["missing_config.csv"])
-test_simulate_truncation_failure_exit_code = _moved(["truncation.csv"])
-test_verify_rejects_empty_suite = _moved(["seeds0.csv"])
-test_verify_rejects_empty_sample_grid = _moved(["verify_samples0.csv", "verify_samples_neg.csv"])
-test_fock_dim_above_cap_fails_before_allocation = _moved(
-    ["verify_dim_cap.csv", "contrast_above_max_dim.csv", "g_above_max_dim.csv"])
-test_verify_rejects_kept_states_over_budget = _moved(
-    {"4-1000000000": "huge_witness.csv", "16-16384": "witness_budget.csv"})
-test_verify_rejects_bad_float_flags = _moved({
-    "--tol=nan": "tol_nan.csv", "--tol=-1e-6": "tol_negative.csv", "--tol=abc": "tol_abc.csv",
-    "--negativity-tol=nan": "negativity_tol_nan.csv",
-    "--negativity-tol=-1": "negativity_tol_negative.csv",
-    "--negativity-tol=abc": "negativity_tol_abc.csv", "--t-max=nan": "verify_t_max_nan.csv",
-    "--t-max=0": "verify_t_max_zero.csv", "--t-max=abc": "verify_t_max_abc.csv",
-    "--contrast-coupling=nan": "contrast_nan.csv", "--contrast-coupling=inf": "contrast_inf.csv",
-    "--contrast-coupling=abc": "contrast_abc.csv"})
-test_design_rejects_bad_flags = _moved({
-    "--tau-range-nan,100,3": "tau_nan.csv", "--tau-range-10,inf,3": "tau_inf.csv",
-    "--tau-range-0,100,3": "tau_zero.csv", "--tau-range--10,100,3": "tau_negative.csv",
-    "--tau-range-10,100,0": "tau_n_zero.csv", "--tau-range-100,10,3": "inverted.csv",
-    "--tau-range-1,2,x": "tau_n_abc.csv", "--temp-range-10,nan,2": "temp_nan.csv",
-    "--temp-range-inf,300,2": "temp_inf.csv", "--temp-range-10,0,2": "temp_zero.csv",
-    "--temp-range-10,-300,2": "temp_negative.csv", "--temp-range-10,300,0": "temp_n_zero.csv",
-    "--temp-range-300,10,2": "temp_inverted.csv", "--temp-range-1,x,2": "temp_abc.csv",
-    "--sigma-level-nan": "sigma_nan.json", "--sigma-level-inf": "sigma_inf.json",
-    "--sigma-level-0": "sigma_zero.json", "--sigma-level--5": "sigma_negative.json",
-    "--sigma-level-abc": "sigma_abc.json"})
-test_design_refuses_flags_its_mode_does_not_read = _moved({
-    "point_tau_range": "point_tau_range.json", "default_temp_range": "default_temp_range.json",
-    "sweep_sigma_level": "sweep_sigma_level.csv"})
-test_design_sweep_caps_its_grid = _moved(["sweep_cap.csv"])
-test_design_geometry_error_exit_code = _moved(["four_sphere.json"])
-test_design_refuses_a_nonpositive_oscillator_mass = _moved({
-    "point--1": "mass_negative.json", "point-0": "mass_zero_point.json",
-    "sweep--1": "mass_negative_sweep.csv", "sweep-0": "mass_zero.csv"})
-test_integer_beyond_the_float_range_is_a_config_error = _moved({
-    **{f"simulate-{key}": f"int_{key}.csv"
-       for key in ("omega", "g", "n_pi", "samples_per_period", "dim")},
-    "design-density": "int_density.json"})
-test_config_that_is_not_utf8_is_a_usage_error = _moved(
-    {"simulate": "not_utf8.csv", "design": "design_not_utf8.json"})
-test_design_unknown_key_exit_code = _moved(["humidity.json"])
-test_overflow_is_a_domain_error = _moved({
-    "ground": "ground_1e200.csv", "thermal": "thermal_1e200.csv", "boosted": "boosted_1e200.csv",
-    "spin-echo": "echo_1e200.csv", "design": "sigma_1e200.json"})
-test_bad_range_syntax = _moved(["tau_two_parts.csv"])
-test_out_of_range_values_write_nothing = _moved({case: f"{case}.csv" for case in (
-    "thermal_nbar", "damped_nbar", "thermal_lambda", "damped_lambda", "t_max_1e308", "t_max_1e307",
-    "design_density", "design_temperature", "sweep_temperature", "design_hold_time", "sweep_tau",
-    "design_splitting", "simulate_nbar", "simulate_temperature", "simulate_g",
-    "simulate_nbar_1e200", "simulate_dim_g")})
-test_analytic_refusal_is_one_stderr_line = _moved(
-    {"flags0": "t_max_1e307.csv", "flags1": "thermal_nbar.csv"})
 
 
 # values that once broke a command: zero, negatives, the float extremes
@@ -1120,8 +1027,7 @@ def test_fuzz_design_config(config, geometry, sweep, sigma_level):
     _run(argv, config)
 
 
-# a simulate config's keys but t_max: its length, 2 periods at most, is set
-# by t_max_periods, or n_pi for spin echo
+# a simulate config's keys but t_max and the counts, drawn on their own
 _SIMULATE_KEYS = ["omega", "g", "g_prime", "gamma_m", "gamma_a", "nbar", "temperature", "tau"]
 
 
@@ -1129,14 +1035,24 @@ _SIMULATE_KEYS = ["omega", "g", "g_prime", "gamma_m", "gamma_a", "nbar", "temper
 @given(config=st.dictionaries(st.sampled_from(_SIMULATE_KEYS), _edge, max_size=3),
        units=st.sampled_from(["natural", "natural", "si"]),
        protocol=st.sampled_from(["basic", "boosted", "spin_echo"]),
-       counts=st.fixed_dictionaries(
-           {"dim": st.sampled_from([-1, 0, 3, 12, 24, MAX_DIM + 1])},
-           optional={"n_pi": st.sampled_from([-1, 0, 1]),
-                     "samples_per_period": st.sampled_from([-1, 0, 4, 40, MAX_DIM + 1]),
-                     "t_max_periods": st.sampled_from([-1.0, 0.0, 1e-300, 0.75, 2.0, 1e308])}))
-def test_fuzz_simulate_config_and_dim(config, units, protocol, counts):
-    # whole runs, each at dim 24 at most
-    _run(["simulate"], {**config, **counts, "units": units, "protocol": protocol})
+       dim=st.sampled_from([None, None, -1, 0, 3, 12, 24, MAX_DIM + 1]),
+       counts=st.fixed_dictionaries({}, optional={
+           "n_pi": st.sampled_from([-1, 0, 1]),
+           "samples_per_period": st.sampled_from([-1, 0, 4, 40, MAX_DIM + 1]),
+           "t_max_periods": st.sampled_from([-1.0, 0.0, 1e-300, 0.75, 2.0, 1e308]),
+           # at any edge omega or tau, 1e-300 and 1e308 come to one period at
+           # most or to far more samples than MAX_RUN_SAMPLES
+           "t_max": st.sampled_from([-1.0, 0.0, 1e-300, 1e308])}))
+def test_fuzz_simulate_config_and_dim(config, units, dim, protocol, counts):
+    config = {**config, **counts, "units": units, "protocol": protocol}
+    if dim is not None:  # a whole run, at dim 24 and 2 periods at most
+        _run(["simulate"], {**config, "dim": dim})
+        return
+    # the default dim rule alone: the dim it picks may be too large to run here
+    try:
+        cli._protocol_config_from_file(config, None).resolved_dim()
+    except (ConfigError, DomainError, OverflowError, TruncationError):
+        pass  # exit 2, 3 or 4 from main
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

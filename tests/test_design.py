@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from revivalsim.config import ConfigError
 from revivalsim.constants import CESIUM_MASS, G_NEWTON, HBAR, K_B
 from revivalsim.design import (
     DerivedParams,
@@ -165,11 +166,13 @@ def test_custom_geometry_uses_explicit_mass():
 
 
 def test_geometry_validation():
-    with pytest.raises(GeometryError):
+    # an unknown name or a missing mass is a config error (exit 2); a
+    # geometry that does not fit is a domain error (exit 3)
+    with pytest.raises(ConfigError):
         PhysicalConfig(geometry="torus")
     with pytest.raises(GeometryError):
         PhysicalConfig(geometry="four_sphere", sphere_radius=0.6e-3)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         PhysicalConfig(geometry="custom")  # no oscillator_mass
 
 
