@@ -180,11 +180,15 @@ def check_monotonic(trace: VisibilityTrace, tol: float = 1e-6) -> WitnessReport:
     if trace.states is None:
         raise ValueError("the trace kept no joint states to take the negativity of; "
                          "run it with keep_states=True")
+    # fit on times scaled exactly, by a power of two, to about 1: polyfit
+    # squares them, and times near 1e-300 would underflow its least squares
+    e = int(np.frexp(t[-1])[1])
+    slope = np.polyfit(np.ldexp(t, -e), np.log(np.clip(v, 1e-300, None)), 1)[0]
     return WitnessReport(
         monotonic=bool(np.all(np.diff(v) <= tol)),
         max_violation=float(np.max(v - np.minimum.accumulate(v))),
         negativity_peak=float(negativities(trace.states).max()),
-        decay_rate_fit=float(-np.polyfit(t, np.log(np.clip(v, 1e-300, None)), 1)[0]),
+        decay_rate_fit=float(-np.ldexp(slope, -e)),
     )
 
 

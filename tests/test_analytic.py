@@ -385,11 +385,13 @@ def test_coupling_params_validation():
         CouplingParams(coupling=0.1, qubit_decay=-0.5)
 
 
-def test_closed_forms_import_without_scipy():
-    # nor does the CLI, an engine run or a separable-channel run
+def test_closed_forms_import_without_scipy(tmp_path):
+    # nor does the CLI, an engine run or a separable-channel run; and with
+    # scipy blocked, simulate and verify run and write their files
     import revivalsim
 
     src = str(Path(revivalsim.__file__).resolve().parents[1])
+    demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo_basic.cfg")
     code = ("import sys\n"
             "import revivalsim.analytic, revivalsim.design, revivalsim.cli\n"
             "from revivalsim import lindblad, witness\n"
@@ -397,10 +399,17 @@ def test_closed_forms_import_without_scipy():
             "                                              gamma_a=0.01, t_max=1.0))\n"
             "witness.simulate_separable(witness.random_separable_spec(1, 4),\n"
             "                           witness.random_product_state(1, 4), 1.0, samples=4)\n"
-            "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "out = sys.argv[1] + '/'\n"
+            "assert revivalsim.cli.main(['simulate', '--config', sys.argv[2],\n"
+            "                            '--out', out + 'basic.csv']) == 0\n"
+            "assert revivalsim.cli.main(['verify', '--seeds', '1', '--out', out + 'witness.csv']) == 0")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), demo], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[0] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "basic.csv", "basic.csv.manifest.json", "witness.csv", "witness.csv.manifest.json"]
 
 
 def test_analytic_and_design_run_without_the_engine(tmp_path):

@@ -32,111 +32,6 @@ def _rows() -> dict:
 
 ROWS = _rows()
 
-# The refusal tests of test_cli.py whose cases became rows keep their ids,
-# each running its rows (a list) or, parametrized, one row per id (a dict);
-# test_refusal runs the rest.
-MOVED = {
-    "test_analytic_stray_flag_is_named": ["stray_nbar_q.csv"],
-    "test_analytic_spin_echo_grid_flags_conflict": ["echo_grid.csv"],
-    "test_analytic_rejects_n_pi_below_one": {"0": "echo0.csv", "-2": "echo_n_pi_neg.csv"},
-    "test_analytic_domain_error_exit_code": ["nbar_negative.csv"],
-    "test_analytic_rejects_nonfinite_flags": [
-        f"{flag}_{bad}.csv" for flag in ("lambda", "lambda_prime", "nbar", "q", "gamma_a")
-        for bad in ("nan", "inf", "neg_inf", "abc")],
-    "test_analytic_rejects_nonpositive_t_max": [
-        "t_max_neg.csv", "t_max_zero.csv", "t_max_nan.csv", "t_max_abc.csv"],
-    "test_simulate_refuses_sample_counts_over_the_cap": {
-        "t_max_periods = 1e9": "long.csv",
-        "samples_per_period = 1000000000000": "samples_per_period_huge.csv"},
-    "test_simulate_config_conflicts": ["nbar_and_temperature.csv", "natural_tau.csv",
-                                       "wibble.csv", "furlong.csv", "t_max_twice.csv"],
-    "test_simulate_rejects_non_integral_counts": [
-        "n_pi_1_7.csv", "samples_20_9.csv", "dim_40_0.csv", "dim_half.csv"],
-    "test_simulate_si_units_need_timescale": ["si_no_timescale.csv", "si_tau_zero.csv"],
-    "test_simulate_rejects_removed_solver_keys": {
-        key: f"{key}.csv" for key in ("rtol", "atol", "dt_initial")},
-    "test_simulate_bad_t_max_is_a_config_error": {
-        "t_max = -1-t_max must be positive, got -1.0": "negative_t_max.csv",
-        "protocol = boosted\ng_prime = 0.1\nt_max_periods = 0.25-first half period":
-            "boosted_half_period.csv"},
-    "test_simulate_si_tau_with_omega_is_a_config_error": ["tau_omega.csv"],
-    "test_simulate_negative_occupation_or_temperature_is_a_config_error": {
-        f"{key}-{units}": f"{units}_{key}_negative.csv"
-        for key in ("nbar", "temperature") for units in ("natural", "si")},
-    "test_simulate_spin_echo_refuses_a_run_length": {
-        "t_max": "echo_t_max.csv", "t_max_periods": "echo_t_max_periods.csv",
-        "protocol_override": "echo_override_t_max.csv"},
-    "test_simulate_refuses_a_key_its_protocol_does_not_read": {
-        "g_prime_basic": "stray_g_prime.csv", "n_pi_basic": "stray_n_pi_basic.csv",
-        "n_pi_boosted": "stray_n_pi.csv", "g_prime_override": "stray_g_prime_override.csv",
-        "g_prime_echo": "stray_g_prime_echo.csv"},
-    "test_simulate_nbar_beyond_the_float_range_is_a_domain_error": ["nbar_underflow.csv"],
-    "test_simulate_missing_config": ["missing_config.csv"],
-    "test_simulate_truncation_failure_exit_code": ["truncation.csv"],
-    "test_verify_rejects_empty_suite": ["seeds0.csv"],
-    "test_verify_rejects_empty_sample_grid": ["verify_samples0.csv", "verify_samples_neg.csv"],
-    "test_fock_dim_above_cap_fails_before_allocation": [
-        "verify_dim_cap.csv", "contrast_above_max_dim.csv", "g_above_max_dim.csv"],
-    "test_verify_rejects_kept_states_over_budget": {
-        "4-1000000000": "huge_witness.csv", "16-16384": "witness_budget.csv"},
-    "test_verify_rejects_bad_float_flags": {
-        "--tol=nan": "tol_nan.csv", "--tol=-1e-6": "tol_negative.csv", "--tol=abc": "tol_abc.csv",
-        "--negativity-tol=nan": "negativity_tol_nan.csv",
-        "--negativity-tol=-1": "negativity_tol_negative.csv",
-        "--negativity-tol=abc": "negativity_tol_abc.csv", "--t-max=nan": "verify_t_max_nan.csv",
-        "--t-max=0": "verify_t_max_zero.csv", "--t-max=abc": "verify_t_max_abc.csv",
-        "--contrast-coupling=nan": "contrast_nan.csv",
-        "--contrast-coupling=inf": "contrast_inf.csv",
-        "--contrast-coupling=abc": "contrast_abc.csv"},
-    "test_design_rejects_bad_flags": {
-        "--tau-range-nan,100,3": "tau_nan.csv", "--tau-range-10,inf,3": "tau_inf.csv",
-        "--tau-range-0,100,3": "tau_zero.csv", "--tau-range--10,100,3": "tau_negative.csv",
-        "--tau-range-10,100,0": "tau_n_zero.csv", "--tau-range-100,10,3": "inverted.csv",
-        "--tau-range-1,2,x": "tau_n_abc.csv", "--temp-range-10,nan,2": "temp_nan.csv",
-        "--temp-range-inf,300,2": "temp_inf.csv", "--temp-range-10,0,2": "temp_zero.csv",
-        "--temp-range-10,-300,2": "temp_negative.csv", "--temp-range-10,300,0": "temp_n_zero.csv",
-        "--temp-range-300,10,2": "temp_inverted.csv", "--temp-range-1,x,2": "temp_abc.csv",
-        "--sigma-level-nan": "sigma_nan.json", "--sigma-level-inf": "sigma_inf.json",
-        "--sigma-level-0": "sigma_zero.json", "--sigma-level--5": "sigma_negative.json",
-        "--sigma-level-abc": "sigma_abc.json"},
-    "test_design_refuses_flags_its_mode_does_not_read": {
-        "point_tau_range": "point_tau_range.json", "default_temp_range": "default_temp_range.json",
-        "sweep_sigma_level": "sweep_sigma_level.csv"},
-    "test_design_sweep_caps_its_grid": ["sweep_cap.csv"],
-    "test_design_geometry_error_exit_code": ["four_sphere.json"],
-    "test_design_refuses_a_nonpositive_oscillator_mass": {
-        "point--1": "mass_negative.json", "point-0": "mass_zero_point.json",
-        "sweep--1": "mass_negative_sweep.csv", "sweep-0": "mass_zero.csv"},
-    "test_integer_beyond_the_float_range_is_a_config_error": {
-        **{f"simulate-{key}": f"int_{key}.csv"
-           for key in ("omega", "g", "n_pi", "samples_per_period", "dim")},
-        "design-density": "int_density.json"},
-    "test_config_that_is_not_utf8_is_a_usage_error": {
-        "simulate": "not_utf8.csv", "design": "design_not_utf8.json"},
-    "test_design_unknown_key_exit_code": ["humidity.json"],
-    "test_overflow_is_a_domain_error": {
-        "ground": "ground_1e200.csv", "thermal": "thermal_1e200.csv",
-        "boosted": "boosted_1e200.csv", "spin-echo": "echo_1e200.csv",
-        "design": "sigma_1e200.json"},
-    "test_bad_range_syntax": ["tau_two_parts.csv"],
-    "test_out_of_range_values_write_nothing": {case: f"{case}.csv" for case in (
-        "thermal_nbar", "damped_nbar", "thermal_lambda", "damped_lambda", "t_max_1e308",
-        "t_max_1e307", "design_density", "design_temperature", "sweep_temperature",
-        "design_hold_time", "sweep_tau", "design_splitting", "simulate_nbar",
-        "simulate_temperature", "simulate_g", "simulate_nbar_1e200", "simulate_dim_g")},
-    "test_analytic_refusal_is_one_stderr_line": {
-        "flags0": "t_max_1e307.csv", "flags1": "thermal_nbar.csv"},
-}
-# and test_cli's test_analytic_rejects_out_of_range_counts, beside the
-# in-range cases it parses
-COUNT_ROWS = {
-    "n_atoms_0": "atoms0.csv", "n_atoms_neg": "atoms_neg.csv", "samples_cap": "samples_cap.csv",
-    "samples_1e9": "huge.csv", "n_pi_cap": "n_pi_cap.csv", "analytic--n-atoms=0": "atoms0.csv",
-    "analytic--n-pi=0": "echo0.csv", "analytic--n-pi=1000001": "n_pi_cap.csv",
-    "analytic--samples=1": "samples1.csv", "analytic--samples=10000001": "samples_cap.csv",
-    "verify--seeds=0": "seeds0.csv", "verify--dim=1": "verify_dim1.csv",
-    "verify--dim=513": "verify_dim_cap.csv", "verify--samples=0": "verify_samples0.csv"}
-
 
 def _command(base: Path, name: str) -> tuple[list, Path]:
     """The row's command line, its config written and its --out in a directory
@@ -170,25 +65,15 @@ def check(name: str, row_dir: Path, code: int, out: str, err: str) -> None:
     assert list((row_dir / "out").iterdir()) == [], row
 
 
-def refused(tmp_path, capsys, *names) -> None:
-    """Run each named row through cli.main and check its refusal."""
-    for name in names:
-        argv, row_dir = _command(tmp_path, name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would print a line of its own
-            code = main(argv)
-        printed = capsys.readouterr()
-        check(name, row_dir, code, printed.out, printed.err)
-
-
-_MOVED_ROWS = {name for rows in [*MOVED.values(), COUNT_ROWS]
-               for name in (rows.values() if isinstance(rows, dict) else rows)}
-
-
 @pytest.mark.parametrize("name", [pytest.param(name, id=f"{row[0]}-{name[:40]}")
-                                  for name, row in ROWS.items() if name not in _MOVED_ROWS])
+                                  for name, row in ROWS.items()])
 def test_refusal(name, tmp_path, capsys):
-    refused(tmp_path, capsys, name)
+    argv, row_dir = _command(tmp_path, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a line of its own
+        code = main(argv)
+    printed = capsys.readouterr()
+    check(name, row_dir, code, printed.out, printed.err)
 
 
 if __name__ == "__main__":
