@@ -26,6 +26,7 @@ from revivalsim.lindblad import MAX_DIM, ProtocolConfig, TruncationError, run_pr
 from revivalsim.analytic import (CouplingParams, spin_echo_overlap, visibility_exact,
                                   visibility_thermal)
 from revivalsim.witness import WitnessReport, coupled_contrast_case, run_property_suite
+from test_refusals import MOVED, refused
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -917,6 +918,24 @@ def test_out_the_os_refuses_while_writing_is_a_usage_error(name, patch, tmp_path
     strerror = "Read-only file system" if patch else "File name too long"
     assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: {strerror}"]
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# refusals: each test of test_refusals.MOVED runs its rows of tests/refusals.txt
+# ---------------------------------------------------------------------------
+
+
+def _moved(cases):
+    """The test of a MOVED entry: one row per id."""
+    @pytest.mark.parametrize("name", [pytest.param(name, id=case)
+                                      for case, name in cases.items()])
+    def test(name, tmp_path, capsys):
+        refused(tmp_path, capsys, name)
+    return test
+
+
+for _test, _cases in MOVED.items():
+    globals()[_test] = _moved(_cases)
 
 
 _ANALYTIC = ["analytic", "--lambda", "0.1", "--formula"]
